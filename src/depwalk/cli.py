@@ -11,7 +11,7 @@ import sys
 
 from . import pipeline
 from .config import load_config
-from .errors import ConfigError, DepwalkError
+from .errors import ConfigError, DepwalkError, StageError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,60 +25,18 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("synth", help="generate a synthetic flow trace with planted structure")
-
-    p_ingest = sub.add_parser("ingest", help="parse and preprocess a flow file")
-    p_ingest.add_argument("--flows", required=True, help="input flow file (CSV or JSON lines)")
-
-    sub.add_parser("sample", help="select top addresses and reservoir-sample the graph")
-    sub.add_parser("walks", help="generate constrained random walks plus negatives")
-    sub.add_parser("embed", help="train the node embedding from walk contexts")
-    sub.add_parser("oracle", help="enumerate ground-truth dependencies from the flows")
-    sub.add_parser("train", help="build the label set and train the classifier")
-
-    p_predict = sub.add_parser("predict", help="score address pairs with the trained model")
-    p_predict.add_argument("--pairs", default=None,
-                           help="CSV of src,dst pairs (defaults to the label set)")
-
-    sub.add_parser("eval", help="repeated train/test evaluation")
-    sub.add_parser("simindex", help="baseline similarity indices and correlations")
+    for stage in pipeline.STAGES:
+        p_stage = sub.add_parser(stage.name, help=stage.help)
+        for flag, options in stage.options:
+            p_stage.add_argument(flag, **options)
 
     p_pipe = sub.add_parser("pipeline", help="run all stages in order")
     p_pipe.add_argument("--flows", default=None, help="input flow file")
     p_pipe.add_argument("--synth", action="store_true",
                         help="generate the synthetic scenario as pipeline input")
     p_pipe.add_argument("--resume", action="store_true",
-                        help="skip stages whose artifacts already exist")
+                        help="skip stages whose outputs all exist already")
     return parser
-
-
-def _dispatch(cfg, args) -> None:
-    command = args.command
-    if command == "synth":
-        pipeline.stage_synth(cfg)
-    elif command == "ingest":
-        pipeline.stage_ingest(cfg, args.flows)
-    elif command == "sample":
-        pipeline.stage_sample(cfg)
-    elif command == "walks":
-        pipeline.stage_walks(cfg)
-    elif command == "embed":
-        pipeline.stage_embed(cfg)
-    elif command == "oracle":
-        pipeline.stage_oracle(cfg)
-    elif command == "train":
-        pipeline.stage_train(cfg)
-    elif command == "predict":
-        pipeline.stage_predict(cfg, args.pairs)
-    elif command == "eval":
-        pipeline.stage_eval(cfg)
-    elif command == "simindex":
-        pipeline.stage_simindex(cfg)
-    elif command == "pipeline":
-        pipeline.run_pipeline(cfg, flows_input=args.flows, use_synth=args.synth,
-                              resume=args.resume)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ConfigError(f"unknown command {command!r}")
 
 
 def main(argv=None) -> int:
@@ -94,10 +52,17 @@ def main(argv=None) -> int:
         print(f"depwalk: invalid configuration:\n{exc}", file=sys.stderr)
         return 2
     try:
-        _dispatch(cfg, args)
+        if args.command == "pipeline":
+            pipeline.run_pipeline(cfg, flows_input=args.flows, use_synth=args.synth,
+                                  resume=args.resume)
+        else:
+            pipeline.run_stage(cfg, pipeline.STAGE[args.command], args)
     except FileNotFoundError as exc:
         print(f"depwalk: {exc.strerror or 'file not found'}: {exc.filename}", file=sys.stderr)
         return 2
+    except StageError as exc:
+        print(f"depwalk: {exc.stage} failed: {exc}", file=sys.stderr)
+        return 1
     except (DepwalkError, ValueError, OSError) as exc:
         print(f"depwalk: {args.command} failed: {exc}", file=sys.stderr)
         return 1

@@ -31,3 +31,11 @@ class TrainingDivergedError(DepwalkError):
 
 class EvaluationError(DepwalkError):
     """A train/test split or metric computation cannot be performed."""
+
+
+class StageError(DepwalkError):
+    """A pipeline stage failed; ``stage`` names it and the cause is chained."""
+
+    def __init__(self, stage: str, cause: Exception):
+        super().__init__(str(cause))
+        self.stage = stage

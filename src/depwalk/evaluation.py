@@ -164,6 +164,17 @@ class EvalSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _check_both_classes(train: Sequence[LabeledPair], pairs: Sequence[LabeledPair],
+                        where: str) -> None:
+    """The forest needs both classes on the training side of every split."""
+    if len({p.label for p in train}) < 2:
+        n_pos = sum(1 for p in pairs if p.label)
+        raise EvaluationError(
+            f"{where}: the training side holds one class only (the labelled set has "
+            f"{n_pos} positive and {len(pairs) - n_pos} negative pairs); raise "
+            "sampler.n_internal or the scenario size for more labelled pairs")
+
+
 def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
                   seed: int, n_splits: int = 15,
                   fractions: Sequence[float] = (0.25, 0.5),
@@ -172,7 +183,8 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
     test fraction; the classifier is retrained on every split.
 
     The ROC-AUC / AP figures come from one dedicated 50% split, independent of
-    the fraction sweep, and the scoring pass is recorded in the metadata.
+    the fraction sweep, and the scoring pass is recorded in the metadata.  A
+    split whose training side holds one class only is an EvaluationError.
     """
     pairs = list(pairs)
     per_fraction: dict[float, dict[str, float]] = {}
@@ -180,6 +192,7 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
         reports = []
         for i in range(n_splits):
             train, test = split(pairs, fraction, derive_seed(seed, f"split:{fraction}:{i}"))
+            _check_both_classes(train, pairs, f"test fraction {fraction}, split {i}")
             model = train_forest(train, replace(forest_cfg,
                                                 rng_seed=derive_seed(seed, f"forest:{fraction}:{i}")))
             scores = [predict_proba(model, p.features) for p in test]
@@ -192,6 +205,7 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
             "f1": sum(r.f1 for r in reports) / n_splits,
         }
     train, test = split(pairs, 0.5, derive_seed(seed, "auc-ap-split"))
+    _check_both_classes(train, pairs, "test fraction 0.5, dedicated AUC/AP split")
     model = train_forest(train, replace(forest_cfg, rng_seed=derive_seed(seed, "auc-ap-forest")))
     scores = [predict_proba(model, p.features) for p in test]
     headline = compute_metrics(scores, [p.label for p in test], threshold, test_fraction=0.5)

@@ -51,7 +51,8 @@ class SplitMode(str, Enum):
 
 @dataclass(frozen=True, slots=True)
 class FlowRecord:
-    """One unidirectional IP flow: 5-tuple plus start/end in milliseconds."""
+    """One IP flow: 5-tuple plus start/end in milliseconds.  Flows are
+    unidirectional except for biflows read before they are split."""
 
     src_ip: str
     dst_ip: str
@@ -64,24 +65,6 @@ class FlowRecord:
     def sort_key(self):
         return (self.t_start, self.t_end, self.src_ip, self.dst_ip,
                 self.src_port, self.dst_port, self.proto.value)
-
-
-@dataclass(frozen=True, slots=True)
-class BiflowRecord:
-    """A paired bidirectional connection; byte/packet counts are optional
-    passthrough and unused downstream."""
-
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    proto: Proto
-    t_start: int
-    t_end: int
-    fwd_bytes: int | None = None
-    rev_bytes: int | None = None
-    fwd_packets: int | None = None
-    rev_packets: int | None = None
 
 
 @dataclass
@@ -152,12 +135,32 @@ def _looks_like_header(line: str) -> bool:
     return line.split(",", 1)[0].strip().lower() == "t_start"
 
 
-def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV) -> tuple[list[FlowRecord], ParseReport]:
+_COUNT_COLUMNS = ("fwd_bytes", "rev_bytes", "fwd_packets", "rev_packets")
+
+
+def _drop_counts(cells: list[str]) -> list[str]:
+    """The seven flow cells of an 11-column biflow row, once its four
+    byte/packet count cells are known to be integers."""
+    if len(cells) != len(CSV_COLUMNS) + len(_COUNT_COLUMNS):
+        raise ValueError(f"expected 7 or 11 columns, got {len(cells)}")
+    for name, token in zip(_COUNT_COLUMNS, cells[len(CSV_COLUMNS):]):
+        try:
+            int(token)
+        except ValueError:
+            raise ValueError(f"invalid {name} {token!r}") from None
+    return cells[:len(CSV_COLUMNS)]
+
+
+def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV,
+                biflows: bool = False) -> tuple[list[FlowRecord], ParseReport]:
     """Parse flow records from an iterable of text lines.
 
     Invalid lines are collected in the report with their 1-based line number;
     valid records keep the input order.  An optional CSV header line is
-    skipped.
+    skipped.  With ``biflows`` every record is a bidirectional connection
+    (split later by :func:`biflow_to_uniflows`) and a CSV row may carry four
+    trailing byte/packet count columns, which must be integers and are then
+    discarded.
     """
     fmt = FlowFormat(fmt)
     flows: list[FlowRecord] = []
@@ -172,7 +175,9 @@ def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV) ->
             if fmt is FlowFormat.CSV:
                 cells = [c.strip() for c in line.split(",")]
                 if len(cells) != len(CSV_COLUMNS):
-                    raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
+                    if not biflows:
+                        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
+                    cells = _drop_counts(cells)
                 flow = _make_flow(*cells)
             else:
                 obj = json.loads(line)
@@ -192,67 +197,23 @@ def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV) ->
     return flows, report
 
 
-_BIFLOW_EXTRA = ("fwd_bytes", "rev_bytes", "fwd_packets", "rev_packets")
-
-
-def parse_biflows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV) -> tuple[list[BiflowRecord], ParseReport]:
-    """Parse biflow records; CSV rows carry the seven flow columns optionally
-    followed by four byte/packet count columns."""
-    fmt = FlowFormat(fmt)
-    records: list[BiflowRecord] = []
-    report = ParseReport(errors=[])
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if fmt is FlowFormat.CSV and lineno == 1 and _looks_like_header(line):
-            continue
-        try:
-            if fmt is FlowFormat.CSV:
-                cells = [c.strip() for c in line.split(",")]
-                if len(cells) not in (len(CSV_COLUMNS), len(CSV_COLUMNS) + 4):
-                    raise ValueError(f"expected 7 or 11 columns, got {len(cells)}")
-                counts = [int(c) for c in cells[7:]] if len(cells) > 7 else [None] * 4
-                base = _make_flow(*cells[:7])
-            else:
-                obj = json.loads(line)
-                missing = [c for c in CSV_COLUMNS if c not in obj]
-                if missing:
-                    raise ValueError(f"missing fields: {', '.join(missing)}")
-                counts = [obj.get(k) for k in _BIFLOW_EXTRA]
-                base = _make_flow(obj["t_start"], obj["t_end"], obj["src_ip"], obj["dst_ip"],
-                                  obj["src_port"], obj["dst_port"], obj["proto"])
-        except ValueError as exc:
-            report.errors.append((lineno, str(exc)))
-            continue
-        if base is None:
-            report.dropped_self_loops += 1
-            continue
-        records.append(BiflowRecord(base.src_ip, base.dst_ip, base.src_port, base.dst_port,
-                                    base.proto, base.t_start, base.t_end, *counts))
-        report.parsed += 1
-    return records, report
-
-
-def biflow_to_uniflows(biflow: BiflowRecord, mode: SplitMode | str) -> tuple[FlowRecord, FlowRecord]:
+def biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode | str) -> tuple[FlowRecord, FlowRecord]:
     """Split a biflow into forward and reverse unidirectional flows.
 
-    The forward flow keeps the biflow 5-tuple; the reverse swaps addresses
+    The forward flow is the biflow record itself; the reverse swaps addresses
     and ports.  SAME_TIMESTAMPS copies the interval to both directions.
     DISTINCT_TIMESTAMPS starts the reverse 1 ms after the forward start, so
     the forward flow always sorts first; for sub-millisecond biflows the
     reverse start is clamped to t_end to keep the interval valid.
     """
     mode = SplitMode(mode)
-    fwd = FlowRecord(biflow.src_ip, biflow.dst_ip, biflow.src_port, biflow.dst_port,
-                     biflow.proto, biflow.t_start, biflow.t_end)
     if mode is SplitMode.SAME_TIMESTAMPS:
         rev_start = biflow.t_start
     else:
         rev_start = min(biflow.t_start + 1, biflow.t_end)
     rev = FlowRecord(biflow.dst_ip, biflow.src_ip, biflow.dst_port, biflow.src_port,
                      biflow.proto, rev_start, biflow.t_end)
-    return fwd, rev
+    return biflow, rev
 
 
 def filter_tcp_udp(flows: Iterable[FlowRecord]) -> list[FlowRecord]:

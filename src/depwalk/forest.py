@@ -263,10 +263,6 @@ def classify(model: ForestModel, features) -> bool:
     return predict_proba(model, features) >= 0.5
 
 
-def predict_proba_many(model: ForestModel, rows) -> np.ndarray:
-    return np.array([predict_proba(model, row) for row in np.asarray(rows, dtype=float)])
-
-
 def save_forest(model: ForestModel, path) -> None:
     obj = {
         "format": "depwalk-forest",

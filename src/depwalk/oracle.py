@@ -49,7 +49,6 @@ class OracleConfig:
     n_t_dd: int = 10
     n_t_rr: int = 10
     epsilon: int = 1000
-    max_chain_vertices: int = 4
 
     def __post_init__(self):
         problems = []
@@ -59,8 +58,6 @@ class OracleConfig:
             problems.append("n_t_rr must be >= 1")
         if self.epsilon < 0:
             problems.append("epsilon must be >= 0")
-        if self.max_chain_vertices != 4:
-            problems.append("only chains up to four addresses are supported")
         if problems:
             raise ConfigError("; ".join(problems))
 

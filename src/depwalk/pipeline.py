@@ -1,9 +1,11 @@
 """Stage orchestration shared by the CLI subcommands.
 
-Every stage reads its inputs from files and writes its artifact back to the
+Every stage reads its inputs from files and writes its artifacts back to the
 work directory, so running the stages one by one is equivalent to running
 ``pipeline`` (feature vectors are always rebuilt from the on-disk embedding,
-never from in-memory training state).
+never from in-memory training state).  ``STAGES`` at the end of this module
+is the one list of stages: the CLI subcommands, the prerequisite checks, the
+``pipeline`` order and ``--resume`` all derive from it.
 """
 
 from __future__ import annotations
@@ -11,83 +13,56 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable
 
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
 from .config import PipelineConfig, workdir_path
-from .errors import DepwalkError
-from .flows import (biflow_to_uniflows, filter_tcp_udp, parse_biflows,
-                    parse_flows, read_flows_csv, write_flows_csv)
+from .errors import DepwalkError, StageError
+from .flows import biflow_to_uniflows, filter_tcp_udp, parse_flows, read_flows_csv, write_flows_csv
 from .graph import read_graph_jsonl, reservoir_sample_edges, select_top_addresses, write_graph_jsonl
 from .walks import WalkLabel
 
 log = logging.getLogger(__name__)
 
-ARTIFACTS = {
-    "flows": "flows.csv",
-    "graph": "graph.jsonl",
-    "walks": "walks.jsonl",
-    "embedding": "embedding.bin",
-    "embedding_manifest": "embedding.json",
-    "ground_truth": "ground_truth.csv",
-    "labels": "labels.csv",
-    "model": "model.json",
-    "predictions": "predictions.csv",
-    "eval_report": "eval_report.json",
-    "baseline": "baseline.csv",
-    "baseline_summary": "baseline_summary.json",
-    "synth_flows": "synth_flows.csv",
-    "planted_truth": "planted_truth.csv",
-}
-
 
 def artifact(cfg: PipelineConfig, name: str) -> Path:
-    return workdir_path(cfg) / ARTIFACTS[name]
-
-
-def _ensure_workdir(cfg: PipelineConfig) -> None:
-    workdir_path(cfg).mkdir(parents=True, exist_ok=True)
+    return workdir_path(cfg) / name
 
 
 def stage_synth(cfg: PipelineConfig) -> Path:
-    _ensure_workdir(cfg)
     flows, truth = synth.generate(cfg.synth)
-    out = artifact(cfg, "synth_flows")
+    out = artifact(cfg, "synth_flows.csv")
     write_flows_csv(flows, out)
-    oracle.write_ground_truth(truth, artifact(cfg, "planted_truth"))
+    oracle.write_ground_truth(truth, artifact(cfg, "planted_truth.csv"))
     log.info("synth: %d flows, %d planted records", len(flows), len(truth))
     return out
 
 
 def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
     """Parse, optionally split biflows, filter to TCP/UDP, write flows.csv."""
-    _ensure_workdir(cfg)
     path = Path(flows_in)
     if not path.exists():
         raise FileNotFoundError(None, "input flow file not found", str(path))
     with open(path, "r", encoding="utf-8") as fh:
-        if cfg.ingest.biflows:
-            biflows, report = parse_biflows(fh, cfg.ingest.format)
-            records = []
-            for b in biflows:
-                records.extend(biflow_to_uniflows(b, cfg.ingest.split_mode))
-        else:
-            records, report = parse_flows(fh, cfg.ingest.format)
+        records, report = parse_flows(fh, cfg.ingest.format, biflows=cfg.ingest.biflows)
+    if cfg.ingest.biflows:
+        records = [flow for b in records for flow in biflow_to_uniflows(b, cfg.ingest.split_mode)]
     for lineno, message in report.errors:
         log.warning("%s:%d: %s", path, lineno, message)
     if report.dropped_self_loops:
         log.info("dropped %d self-loop records", report.dropped_self_loops)
     kept = filter_tcp_udp(records)
     log.info("ingest: %d records parsed, %d TCP/UDP flows kept", report.parsed, len(kept))
-    out = artifact(cfg, "flows")
+    out = artifact(cfg, "flows.csv")
     write_flows_csv(kept, out)
     return out
 
 
 def _read_preprocessed(cfg: PipelineConfig):
-    path = artifact(cfg, "flows")
-    if not path.exists():
-        raise FileNotFoundError(None, "preprocessed flow file not found (run ingest first)", str(path))
+    path = artifact(cfg, "flows.csv")
     flows, report = read_flows_csv(path)
     if not report.ok:
         raise DepwalkError(f"{path}: {len(report.errors)} invalid lines in a pipeline artifact")
@@ -98,24 +73,21 @@ def stage_sample(cfg: PipelineConfig) -> Path:
     flows = _read_preprocessed(cfg)
     selected = select_top_addresses(flows, cfg.sampler)
     graph = reservoir_sample_edges(flows, selected, cfg.sampler)
-    out = artifact(cfg, "graph")
+    out = artifact(cfg, "graph.jsonl")
     write_graph_jsonl(graph, out)
     log.info("sample: %d vertices, %d edges", len(graph.vertices), graph.n_edges)
     return out
 
 
 def _read_graph(cfg: PipelineConfig):
-    path = artifact(cfg, "graph")
-    if not path.exists():
-        raise FileNotFoundError(None, "graph artifact not found (run sample first)", str(path))
-    return read_graph_jsonl(path)
+    return read_graph_jsonl(artifact(cfg, "graph.jsonl"))
 
 
 def stage_walks(cfg: PipelineConfig) -> Path:
     graph = _read_graph(cfg)
     positives = walks.generate_walks(graph, cfg.walks)
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
-    out = artifact(cfg, "walks")
+    out = artifact(cfg, "walks.jsonl")
     walks.write_walks_jsonl(positives + negatives, out)
     log.info("walks: %d positive, %d negative", len(positives), len(negatives))
     return out
@@ -123,18 +95,15 @@ def stage_walks(cfg: PipelineConfig) -> Path:
 
 def stage_embed(cfg: PipelineConfig) -> Path:
     graph = _read_graph(cfg)
-    walk_path = artifact(cfg, "walks")
-    if not walk_path.exists():
-        raise FileNotFoundError(None, "walks artifact not found (run walks first)", str(walk_path))
-    all_walks = walks.read_walks_jsonl(walk_path)
+    all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"))
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
         pairs = contexts.split_walk(walk, cfg.context.size, cfg.context.include_trailing)
         (pos_pairs if walk.label is WalkLabel.POSITIVE else neg_pairs).extend(pairs)
     emb = embedding.train_embedding(pos_pairs, neg_pairs, graph.vertices, cfg.embedding)
-    out = artifact(cfg, "embedding")
-    embedding.save_embedding(emb, out, artifact(cfg, "embedding_manifest"))
+    out = artifact(cfg, "embedding.bin")
+    embedding.save_embedding(emb, out, artifact(cfg, "embedding.json"))
     log.info("embed: %d vertices x %d dims from %d/%d context pairs",
              len(emb.vertex_index), emb.dims, len(pos_pairs), len(neg_pairs))
     return out
@@ -143,25 +112,19 @@ def stage_embed(cfg: PipelineConfig) -> Path:
 def stage_oracle(cfg: PipelineConfig) -> Path:
     flows = _read_preprocessed(cfg)
     records = oracle.enumerate_all(flows, cfg.oracle)
-    out = artifact(cfg, "ground_truth")
+    out = artifact(cfg, "ground_truth.csv")
     oracle.write_ground_truth(records, out)
     log.info("oracle: %d dependency records", len(records))
     return out
 
 
 def _read_embedding(cfg: PipelineConfig):
-    path = artifact(cfg, "embedding")
-    if not path.exists():
-        raise FileNotFoundError(None, "embedding artifact not found (run embed first)", str(path))
-    return embedding.load_embedding(path)
+    return embedding.load_embedding(artifact(cfg, "embedding.bin"))
 
 
 def _read_labels(cfg: PipelineConfig, emb) -> list[forest.LabeledPair]:
-    path = artifact(cfg, "labels")
-    if not path.exists():
-        raise FileNotFoundError(None, "label artifact not found (run train first)", str(path))
     pairs = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(artifact(cfg, "labels.csv"), "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         next(reader)  # header
         for src, dst, label in reader:
@@ -171,11 +134,8 @@ def _read_labels(cfg: PipelineConfig, emb) -> list[forest.LabeledPair]:
 
 
 def stage_train(cfg: PipelineConfig) -> Path:
-    gt_path = artifact(cfg, "ground_truth")
-    if not gt_path.exists():
-        raise FileNotFoundError(None, "ground truth not found (run oracle first)", str(gt_path))
     emb = _read_embedding(cfg)
-    records = oracle.read_ground_truth(gt_path)
+    records = oracle.read_ground_truth(artifact(cfg, "ground_truth.csv"))
     known = set(emb.vertex_index)
     gt_pairs = sorted({(r.src, r.dst) for r in records
                        if r.src in known and r.dst in known})
@@ -185,23 +145,20 @@ def stage_train(cfg: PipelineConfig) -> Path:
                                     unordered=cfg.evaluation.unordered_pairs)
     for pair in labels:
         pair.features = embedding.dependency_vector(emb, pair.src, pair.dst)
-    with open(artifact(cfg, "labels"), "w", encoding="utf-8", newline="") as fh:
+    with open(artifact(cfg, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "label"])
         for pair in labels:
             writer.writerow([pair.src, pair.dst, int(pair.label)])
     model = forest.train_forest(labels, cfg.forest)
-    out = artifact(cfg, "model")
+    out = artifact(cfg, "model.json")
     forest.save_forest(model, out)
     log.info("train: %d labelled pairs, %d trees", len(labels), len(model.trees))
     return out
 
 
 def _read_model(cfg: PipelineConfig):
-    path = artifact(cfg, "model")
-    if not path.exists():
-        raise FileNotFoundError(None, "model artifact not found (run train first)", str(path))
-    return forest.load_forest(path)
+    return forest.load_forest(artifact(cfg, "model.json"))
 
 
 def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
@@ -217,7 +174,7 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
                 pairs.append((row[0], row[1]))
     else:
         pairs = [(p.src, p.dst) for p in _read_labels(cfg, emb)]
-    out = artifact(cfg, "predictions")
+    out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "probability"])
@@ -238,7 +195,7 @@ def stage_eval(cfg: PipelineConfig) -> Path:
         fractions=cfg.evaluation.fractions,
         threshold=cfg.evaluation.threshold,
     )
-    out = artifact(cfg, "eval_report")
+    out = artifact(cfg, "eval_report.json")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(summary.to_json())
     log.info("eval: auc=%s ap=%s chance=%.3f",
@@ -253,14 +210,14 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
     labels = _read_labels(cfg, emb)
     scored = [(p.src, p.dst, forest.predict_proba(model, p.features)) for p in labels]
     rows, correlations = simindex.baseline_report(graph, scored)
-    out = artifact(cfg, "baseline")
+    out = artifact(cfg, "baseline.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "AA", "CN", "PA", "RA", "model_probability"])
         for row in rows:
             writer.writerow([row["src"], row["dst"], repr(row["AA"]), repr(row["CN"]),
                              repr(row["PA"]), repr(row["RA"]), repr(row["model_probability"])])
-    with open(artifact(cfg, "baseline_summary"), "w", encoding="utf-8") as fh:
+    with open(artifact(cfg, "baseline_summary.json"), "w", encoding="utf-8") as fh:
         json.dump({"correlations": correlations, "n_pairs": len(rows)}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")
@@ -268,31 +225,92 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
     return out
 
 
+@dataclass(frozen=True)
+class Stage:
+    """One stage: its subcommand, the work-directory files it reads and
+    writes, how to run it from parsed CLI arguments, and the subcommand's
+    own arguments as ``(flag, argparse keywords)``."""
+
+    name: str
+    help: str
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    run: Callable[[PipelineConfig, object], object]
+    options: tuple[tuple[str, dict], ...] = ()
+
+
+# In pipeline order.  ``run`` looks ``stage_<name>`` up when it is called, so
+# anything that replaces a module attribute (a tracer, a test) is honoured.
+STAGES = (
+    Stage("synth", "generate a synthetic flow trace with planted structure",
+          (), ("synth_flows.csv", "planted_truth.csv"),
+          lambda cfg, args: stage_synth(cfg)),
+    Stage("ingest", "parse and preprocess a flow file",
+          (), ("flows.csv",),
+          lambda cfg, args: stage_ingest(cfg, args.flows),
+          (("--flows", {"required": True, "help": "input flow file (CSV or JSON lines)"}),)),
+    Stage("sample", "select top addresses and reservoir-sample the graph",
+          ("flows.csv",), ("graph.jsonl",),
+          lambda cfg, args: stage_sample(cfg)),
+    Stage("walks", "generate constrained random walks plus negatives",
+          ("graph.jsonl",), ("walks.jsonl",),
+          lambda cfg, args: stage_walks(cfg)),
+    Stage("embed", "train the node embedding from walk contexts",
+          ("graph.jsonl", "walks.jsonl"), ("embedding.bin", "embedding.json"),
+          lambda cfg, args: stage_embed(cfg)),
+    Stage("oracle", "enumerate ground-truth dependencies from the flows",
+          ("flows.csv",), ("ground_truth.csv",),
+          lambda cfg, args: stage_oracle(cfg)),
+    Stage("train", "build the label set and train the classifier",
+          ("ground_truth.csv", "embedding.bin"), ("labels.csv", "model.json"),
+          lambda cfg, args: stage_train(cfg)),
+    Stage("predict", "score address pairs with the trained model",
+          ("embedding.bin", "model.json", "labels.csv"), ("predictions.csv",),
+          lambda cfg, args: stage_predict(cfg, args.pairs),
+          (("--pairs", {"default": None,
+                        "help": "CSV of src,dst pairs (defaults to the label set)"}),)),
+    Stage("eval", "repeated train/test evaluation",
+          ("embedding.bin", "labels.csv"), ("eval_report.json",),
+          lambda cfg, args: stage_eval(cfg)),
+    Stage("simindex", "baseline similarity indices and correlations",
+          ("graph.jsonl", "embedding.bin", "model.json", "labels.csv"),
+          ("baseline.csv", "baseline_summary.json"),
+          lambda cfg, args: stage_simindex(cfg)),
+)
+STAGE = {stage.name: stage for stage in STAGES}
+PRODUCER = {name: stage.name for stage in STAGES for name in stage.outputs}
+
+
+def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
+    """Run one stage once its inputs exist.  A missing input raises
+    FileNotFoundError naming the stage that produces it; a failure inside the
+    stage is re-raised as StageError naming this one."""
+    workdir_path(cfg).mkdir(parents=True, exist_ok=True)
+    for name in stage.inputs:
+        path = artifact(cfg, name)
+        if not path.exists():
+            raise FileNotFoundError(None, f"{name} not found (run {PRODUCER[name]} first)", str(path))
+    try:
+        stage.run(cfg, args)
+    except FileNotFoundError:
+        raise
+    except (DepwalkError, ValueError, OSError) as exc:
+        raise StageError(stage.name, exc) from exc
+
+
 def run_pipeline(cfg: PipelineConfig, flows_input=None, use_synth: bool = False,
-                 resume: bool = False) -> dict[str, Path]:
-    """Run every stage in order; with ``resume`` a stage whose artifact
-    already exists is skipped."""
-    _ensure_workdir(cfg)
-    produced: dict[str, Path] = {}
-
-    def wants(name: str) -> bool:
-        return not (resume and artifact(cfg, name).exists())
-
+                 resume: bool = False) -> None:
+    """Run the stages in table order, ``synth`` only with ``use_synth``; with
+    ``resume`` a stage whose outputs all exist is skipped."""
     if use_synth:
-        if wants("synth_flows"):
-            stage_synth(cfg)
-        flows_input = artifact(cfg, "synth_flows")
-        produced["synth_flows"] = flows_input
-    if flows_input is None:
+        flows_input = artifact(cfg, "synth_flows.csv")
+    elif flows_input is None:
         raise DepwalkError("pipeline needs an input flow file (or synthetic generation)")
-    if wants("flows"):
-        stage_ingest(cfg, flows_input)
-    produced["flows"] = artifact(cfg, "flows")
-    for name, stage in (("graph", stage_sample), ("walks", stage_walks),
-                        ("embedding", stage_embed), ("ground_truth", stage_oracle),
-                        ("model", stage_train), ("predictions", stage_predict),
-                        ("eval_report", stage_eval), ("baseline", stage_simindex)):
-        if wants(name):
-            stage(cfg)
-        produced[name] = artifact(cfg, name)
-    return produced
+    args = SimpleNamespace(flows=flows_input, pairs=None)
+    for stage in STAGES:
+        if stage.name == "synth" and not use_synth:
+            continue
+        if resume and all(artifact(cfg, name).exists() for name in stage.outputs):
+            log.info("%s: outputs exist, skipped", stage.name)
+            continue
+        run_stage(cfg, stage, args)

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+from depwalk import pipeline
 from depwalk.cli import main
 from depwalk.config import load_config
 from depwalk.errors import ConfigError
@@ -64,11 +65,32 @@ def test_invalid_config_exits_2_and_lists_problems(tmp_path, capsys):
     assert "walk_length" in err and "epsilon" in err
 
 
-def test_stage_without_prerequisites_exits_2(tmp_path, capsys):
+# (stage, its first input, the stage that produces that input)
+PREREQUISITES = [
+    ("sample", "flows.csv", "ingest"),
+    ("walks", "graph.jsonl", "sample"),
+    ("embed", "graph.jsonl", "sample"),
+    ("oracle", "flows.csv", "ingest"),
+    ("train", "ground_truth.csv", "oracle"),
+    ("predict", "embedding.bin", "embed"),
+    ("eval", "embedding.bin", "embed"),
+    ("simindex", "graph.jsonl", "sample"),
+]
+
+
+def test_prerequisites_cover_every_stage_with_inputs():
+    assert [s.name for s in pipeline.STAGES if s.inputs] == [p[0] for p in PREREQUISITES]
+
+
+@pytest.mark.parametrize("stage,first_input,producer", PREREQUISITES,
+                         ids=[p[0] for p in PREREQUISITES])
+def test_stage_without_prerequisites_exits_2(tmp_path, capsys, stage, first_input, producer):
     cfg_path = write_config(tmp_path)
-    status = main(["-c", str(cfg_path), "-w", str(tmp_path / "fresh"), "sample"])
+    status = main(["-c", str(cfg_path), "-w", str(tmp_path / "fresh"), stage])
     assert status == 2
-    assert "flows.csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{first_input} not found (run {producer} first)" in err
+    assert str(tmp_path / "fresh" / first_input) in err
 
 
 def test_config_unknown_keys_rejected(tmp_path):
@@ -77,6 +99,14 @@ def test_config_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
     assert "walk_lenght" in str(err.value)
+
+
+def test_removed_oracle_chain_key_rejected(tmp_path):
+    doc = dict(SMALL_SCENARIO)
+    doc["oracle"] = {**SMALL_SCENARIO["oracle"], "max_chain_vertices": 4}
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, doc))
+    assert "max_chain_vertices" in str(err.value)
 
 
 def test_pipeline_deterministic_across_workdirs(tmp_path):
@@ -111,6 +141,32 @@ def test_pipeline_resume_skips_existing(tmp_path):
     assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth",
                  "--resume"]) == 0
     assert (workdir / "eval_report.json").stat().st_mtime_ns == stamp
+
+
+def test_resume_reruns_a_stage_with_a_missing_output(tmp_path):
+    cfg_path = write_config(tmp_path)
+    workdir = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 0
+    summary = (workdir / "baseline_summary.json").read_bytes()
+    stamps = {name: (workdir / name).stat().st_mtime_ns
+              for name in ("baseline.csv", "eval_report.json")}
+    (workdir / "baseline_summary.json").unlink()
+    assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth",
+                 "--resume"]) == 0
+    assert (workdir / "baseline_summary.json").read_bytes() == summary
+    assert (workdir / "baseline.csv").stat().st_mtime_ns != stamps["baseline.csv"]
+    assert (workdir / "eval_report.json").stat().st_mtime_ns == stamps["eval_report.json"]
+
+
+def test_bare_defaults_name_the_failing_stage_and_the_one_class_split(tmp_path, capsys):
+    # The default scenario yields four labelled pairs, so some unstratified
+    # split leaves a one-class training side.
+    status = main(["-w", str(tmp_path / "out"), "-s", "1", "pipeline", "--synth"])
+    assert status == 1
+    err = capsys.readouterr().err
+    assert "depwalk: eval failed: test fraction 0.5, split 5:" in err
+    assert "2 positive and 2 negative" in err
+    assert "sampler.n_internal" in err
 
 
 def test_master_seed_changes_output(tmp_path):

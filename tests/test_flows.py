@@ -1,8 +1,7 @@
 import io
 
-from depwalk.flows import (BiflowRecord, FlowFormat, FlowRecord, Proto, SplitMode,
-                           biflow_to_uniflows, filter_tcp_udp, flow_to_csv_line,
-                           parse_biflows, parse_flows)
+from depwalk.flows import (FlowFormat, FlowRecord, Proto, SplitMode, biflow_to_uniflows,
+                           filter_tcp_udp, flow_to_csv_line, parse_flows)
 
 
 def parse_text(text, fmt=FlowFormat.CSV):
@@ -94,7 +93,7 @@ def test_csv_round_trip_is_byte_identical():
     assert "".join(flow_to_csv_line(f) + "\n" for f in flows) == text
 
 
-BIFLOW = BiflowRecord("10.0.0.1", "10.0.0.2", 50000, 443, Proto.TCP, 0, 10)
+BIFLOW = FlowRecord("10.0.0.1", "10.0.0.2", 50000, 443, Proto.TCP, 0, 10)
 
 
 def test_biflow_same_timestamps():
@@ -111,7 +110,7 @@ def test_biflow_distinct_timestamps():
 
 
 def test_biflow_degenerate_duration():
-    b = BiflowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 5)
+    b = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 5)
     fwd, rev = biflow_to_uniflows(b, SplitMode.SAME_TIMESTAMPS)
     assert (fwd.t_start, fwd.t_end) == (5, 5) and (rev.t_start, rev.t_end) == (5, 5)
     # distinct mode clamps so the reverse interval stays valid
@@ -121,19 +120,38 @@ def test_biflow_degenerate_duration():
 
 def test_biflow_swap_is_an_involution(rng):
     for _ in range(50):
-        b = BiflowRecord(f"10.0.0.{rng.randrange(1, 50)}", f"10.0.1.{rng.randrange(1, 50)}",
+        b = FlowRecord(f"10.0.0.{rng.randrange(1, 50)}", f"10.0.1.{rng.randrange(1, 50)}",
                          rng.randrange(65536), rng.randrange(65536), Proto.TCP, 0, 10)
         _, rev = biflow_to_uniflows(b, SplitMode.SAME_TIMESTAMPS)
-        back = BiflowRecord(rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port, rev.proto, 0, 10)
+        back = FlowRecord(rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port, rev.proto, 0, 10)
         _, again = biflow_to_uniflows(back, SplitMode.SAME_TIMESTAMPS)
         assert (again.src_ip, again.dst_ip, again.src_port, again.dst_port) == \
             (b.src_ip, b.dst_ip, b.src_port, b.dst_port)
 
 
-def test_parse_biflows_with_counts():
-    records, report = parse_biflows(io.StringIO("1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3,4\n"))
-    assert report.ok
-    assert records[0].fwd_bytes == 100 and records[0].rev_packets == 4
+def test_biflow_row_with_counts_ingests_to_two_uniflows():
+    records, report = parse_flows(io.StringIO("1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3,4\n"),
+                                  biflows=True)
+    assert report.ok and report.parsed == 1
+    assert records == [FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2)]
+    assert list(biflow_to_uniflows(records[0], SplitMode.SAME_TIMESTAMPS)) == [
+        FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2),
+        FlowRecord("10.0.0.2", "10.0.0.1", 2, 1, Proto.TCP, 1, 2)]
+
+
+def test_biflow_non_integer_count_is_an_error_on_its_line():
+    text = ("1,2,10.0.0.1,10.0.0.2,1,2,TCP\n"
+            "1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,2x0,3,4\n"
+            "1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3\n")
+    records, report = parse_flows(io.StringIO(text), biflows=True)
+    assert report.parsed == 1 and len(records) == 1
+    assert report.errors == [(2, "invalid rev_bytes '2x0'"),
+                             (3, "expected 7 or 11 columns, got 10")]
+
+
+def test_count_columns_are_rejected_without_biflows():
+    _, report = parse_text("1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3,4\n")
+    assert report.errors == [(1, "expected 7 columns, got 11")]
 
 
 def mk(proto):

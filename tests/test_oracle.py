@@ -19,8 +19,6 @@ def ocfg(**kwargs):
 def test_config_validation():
     with pytest.raises(ConfigError):
         OracleConfig(n_t_dd=0)
-    with pytest.raises(ConfigError):
-        OracleConfig(max_chain_vertices=5)
 
 
 # --- direct dependencies -------------------------------------------------------
