@@ -125,50 +125,46 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
     return out
 
 
-def _best_split(X: np.ndarray, ys: np.ndarray, idx: np.ndarray, k: int,
+def _best_split(XT: np.ndarray, ys: np.ndarray, idx: np.ndarray, n_pos: int, k: int,
                 min_leaf: int, rng: np.random.Generator):
     """Best (feature, threshold) by weighted Gini over k random features.
 
-    Thresholds are midpoints between consecutive distinct values; both sides
-    must keep at least ``min_leaf`` samples.  Ties resolve to the first
-    candidate in (feature, position) scan order.
+    The node's rows of the k sorted candidate features are scored in one
+    (k, n) pass: one stable sort per row, one cumulative sum and the Gini of
+    every cut.  Thresholds are midpoints between consecutive distinct values;
+    both sides must keep at least ``min_leaf`` samples.  Ties resolve to the
+    first candidate in (feature, position) scan order.
     """
     n = len(idx)
-    n_pos = int(ys.sum())
-    feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
-    best = None
-    for f in feats:
-        vals = X[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        sy = ys[order]
-        cut = np.nonzero(sv[1:] > sv[:-1])[0]
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        left_pos = np.cumsum(sy)[cut]
-        right_pos = n_pos - left_pos
-        pl = left_pos / left_n
-        pr = right_pos / right_n
-        weighted = (left_n * (1.0 - pl * pl - (1.0 - pl) ** 2)
-                    + right_n * (1.0 - pr * pr - (1.0 - pr) ** 2)) / n
-        weighted = np.where(valid, weighted, np.inf)
-        i = int(np.argmin(weighted))
-        score = float(weighted[i])
-        if best is None or score < best[0]:
-            threshold = float((sv[cut[i]] + sv[cut[i] + 1]) / 2.0)
-            best = (score, int(f), threshold)
-    if best is None:
+    feats = rng.choice(XT.shape[0], size=k, replace=False)
+    feats.sort()
+    vals = XT[feats[:, None], idx]
+    order = vals.argsort(axis=1, kind="stable")
+    sv = vals[np.arange(k)[:, None], order]
+    # cut j puts sorted positions 0..j on the left; only the cuts that leave
+    # min_leaf rows on each side are scored
+    lo, hi = min_leaf - 1, n - min_leaf
+    left_n = np.arange(lo + 1, hi + 1)
+    right_n = n - left_n
+    left_pos = ys[order].cumsum(axis=1)[:, lo:hi]
+    right_pos = n_pos - left_pos
+    pl = left_pos / left_n
+    pr = right_pos / right_n
+    weighted = (left_n * (1.0 - pl * pl - (1.0 - pl) ** 2)
+                + right_n * (1.0 - pr * pr - (1.0 - pr) ** 2)) / n
+    distinct = sv[:, lo + 1:hi + 1] > sv[:, lo:hi]
+    weighted[~distinct] = np.inf
+    row, j = divmod(int(weighted.argmin()), hi - lo)  # first minimum, row-major
+    if not distinct[row, j]:
         return None
-    return best[1], best[2]
+    j += lo
+    return int(feats[row]), float((sv[row, j] + sv[row, j + 1]) / 2.0)
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
+def _grow_tree(XT: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
                cfg: ForestConfig, k: int, rng: np.random.Generator) -> _TreeNodes:
+    """One tree in DFS pre-order; ``XT`` is the training matrix transposed
+    (one contiguous row per feature)."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -187,16 +183,16 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         node = new_node()
         ys = y[idx]
         n_node = len(idx)
-        n_pos = int(ys.sum())
+        n_pos = int(np.count_nonzero(ys))
         stop = (n_pos == 0 or n_pos == n_node
                 or (cfg.max_depth is not None and depth >= cfg.max_depth)
                 or n_node < 2 * cfg.min_samples_leaf)
-        split = None if stop else _best_split(X, ys, idx, k, cfg.min_samples_leaf, rng)
+        split = None if stop else _best_split(XT, ys, idx, n_pos, k, cfg.min_samples_leaf, rng)
         if split is None:
             leaf_p[node] = n_pos / n_node
             return node
         f, thr = split
-        mask = X[idx, f] <= thr
+        mask = XT[f, idx] <= thr
         left_child = build(idx[mask], depth + 1)
         right_child = build(idx[~mask], depth + 1)
         feature[node] = f
@@ -234,19 +230,13 @@ def train_forest(data: Sequence[LabeledPair], cfg: ForestConfig) -> ForestModel:
     k = cfg.features_per_split if cfg.features_per_split is not None else math.ceil(math.sqrt(dims))
     k = min(k, dims)
     n = len(y)
+    XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, f"tree:{t}"))
         idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        trees.append(_grow_tree(X, y, idx, cfg, k, rng))
+        trees.append(_grow_tree(XT, y, idx, cfg, k, rng))
     return ForestModel(dims, tuple(trees))
-
-
-def _tree_vote(tree: _TreeNodes, x: np.ndarray) -> bool:
-    node = 0
-    while tree.feature[node] >= 0:
-        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
-    return tree.leaf_p[node] >= 0.5
 
 
 def predict_proba(model: ForestModel, features) -> float:
@@ -254,7 +244,14 @@ def predict_proba(model: ForestModel, features) -> float:
     x = np.asarray(features, dtype=float)
     if x.shape != (model.n_features,):
         raise ValueError(f"expected {model.n_features} features, got shape {x.shape}")
-    votes = sum(_tree_vote(tree, x) for tree in model.trees)
+    x = x.tolist()  # plain floats: indexing them is far cheaper than numpy scalars
+    votes = 0
+    for tree in model.trees:
+        feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+        node = 0
+        while feature[node] >= 0:
+            node = left[node] if x[feature[node]] <= threshold[node] else right[node]
+        votes += tree.leaf_p[node] >= 0.5
     return votes / len(model.trees)
 
 

@@ -32,7 +32,9 @@ class ScenarioConfig:
     n_db: int = 1
     n_dns: int = 1
     session_rate: float = 1.0          # sessions per simulated second
-    duration: float = 60.0             # simulated seconds
+    # simulated seconds; the default gives each default client 20 sessions,
+    # twice the default oracle threshold, so the bare default run labels 84 pairs
+    duration: float = 200.0
     lr_web_db: bool = True
     rr_dns_web: bool = True
     noise_flows: int = 0

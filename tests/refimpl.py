@@ -6,8 +6,13 @@ loops, independently of the package's optimized code paths.  Keep it dumb.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
+from depwalk.forest import ForestModel, _TreeNodes
+from depwalk.seeds import derive_seed
 from depwalk.walks import Condition, WalkLabel
 
 
@@ -260,6 +265,106 @@ def records_as_tuples(records) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
+# forest oracle: the fit path scanned one candidate feature at a time
+
+
+def _reference_best_split(X, ys, idx, k, min_leaf, rng):
+    """Per-feature scan: first strictly lower score wins, so ties go to the
+    first candidate in (feature, position) order."""
+    n = len(idx)
+    n_pos = int(ys.sum())
+    feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+    best = None
+    for f in feats:
+        vals = X[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        sy = ys[order]
+        cut = np.nonzero(sv[1:] > sv[:-1])[0]
+        if cut.size == 0:
+            continue
+        left_n = cut + 1
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        left_pos = np.cumsum(sy)[cut]
+        right_pos = n_pos - left_pos
+        pl = left_pos / left_n
+        pr = right_pos / right_n
+        weighted = (left_n * (1.0 - pl * pl - (1.0 - pl) ** 2)
+                    + right_n * (1.0 - pr * pr - (1.0 - pr) ** 2)) / n
+        weighted = np.where(valid, weighted, np.inf)
+        i = int(np.argmin(weighted))
+        score = float(weighted[i])
+        if best is None or score < best[0]:
+            threshold = float((sv[cut[i]] + sv[cut[i] + 1]) / 2.0)
+            best = (score, int(f), threshold)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def _reference_tree(X, y, idx, cfg, k, rng):
+    nodes = []  # [feature, threshold, left, right, leaf_p] in DFS pre-order
+
+    def build(idx, depth):
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0])
+        ys = y[idx]
+        n_node = len(idx)
+        n_pos = int(ys.sum())
+        stop = (n_pos == 0 or n_pos == n_node
+                or (cfg.max_depth is not None and depth >= cfg.max_depth)
+                or n_node < 2 * cfg.min_samples_leaf)
+        split = None if stop else _reference_best_split(X, ys, idx, k, cfg.min_samples_leaf, rng)
+        if split is None:
+            nodes[node][4] = n_pos / n_node
+            return node
+        f, thr = split
+        mask = X[idx, f] <= thr
+        left = build(idx[mask], depth + 1)
+        right = build(idx[~mask], depth + 1)
+        nodes[node][:4] = [f, thr, left, right]
+        return node
+
+    build(np.asarray(idx), 0)
+    return _TreeNodes(*(tuple(column) for column in zip(*nodes)))
+
+
+def reference_train_forest(data, cfg) -> ForestModel:
+    """Rows sorted by the first feature, then the next, with the label last;
+    one generator per (seed, tree) for the bootstrap draw and then the
+    per-node feature draws."""
+    X = np.asarray([p.features for p in data], dtype=float)
+    y = np.asarray([bool(p.label) for p in data])
+    order = np.lexsort([y.astype(float)] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)])
+    X, y = X[order], y[order]
+    dims = X.shape[1]
+    k = min(cfg.features_per_split or math.ceil(math.sqrt(dims)), dims)
+    n = len(y)
+    trees = []
+    for t in range(cfg.n_trees):
+        rng = np.random.default_rng(derive_seed(cfg.rng_seed, f"tree:{t}"))
+        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        trees.append(_reference_tree(X, y, idx, cfg, k, rng))
+    return ForestModel(dims, tuple(trees))
+
+
+def reference_predict_proba(model, features) -> float:
+    """Vote fraction, walking each tree on the numpy vector."""
+    x = np.asarray(features, dtype=float)
+    votes = 0
+    for tree in model.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            f = tree.feature[node]
+            node = tree.left[node] if x[f] <= tree.threshold[node] else tree.right[node]
+        votes += tree.leaf_p[node] >= 0.5
+    return votes / len(model.trees)
+
+
+# ---------------------------------------------------------------------------
 # metric oracles
 
 
@@ -315,7 +420,6 @@ def spearman_reference(xs, ys) -> float | None:
     den_y = n * syy - sy * sy
     if den_x == 0 or den_y == 0:
         return None
-    import math
     num = n * sxy - sx * sy
     if num * num == den_x * den_y:
         return 1.0 if num > 0 else -1.0
@@ -324,7 +428,6 @@ def spearman_reference(xs, ys) -> float | None:
 
 def kendall_reference(xs, ys) -> float | None:
     """Tau-b by exhaustive pair counting."""
-    import math
     xs = list(xs)
     ys = list(ys)
     n = len(xs)

@@ -158,15 +158,29 @@ def test_resume_reruns_a_stage_with_a_missing_output(tmp_path):
     assert (workdir / "eval_report.json").stat().st_mtime_ns == stamps["eval_report.json"]
 
 
-def test_bare_defaults_name_the_failing_stage_and_the_one_class_split(tmp_path, capsys):
-    # The default scenario yields four labelled pairs, so some unstratified
-    # split leaves a one-class training side.
-    status = main(["-w", str(tmp_path / "out"), "-s", "1", "pipeline", "--synth"])
+def test_small_scenario_names_the_failing_stage_and_the_one_class_split(tmp_path, capsys):
+    # 60 simulated seconds give each of the ten default clients six sessions,
+    # below the oracle's witness threshold: four labelled pairs, so some
+    # unstratified split leaves a one-class training side.
+    cfg_path = write_config(tmp_path, {"synth": {"duration": 60}})
+    status = main(["-c", str(cfg_path), "-w", str(tmp_path / "out"), "-s", "1",
+                   "pipeline", "--synth"])
     assert status == 1
     err = capsys.readouterr().err
     assert "depwalk: eval failed: test fraction 0.5, split 5:" in err
     assert "2 positive and 2 negative" in err
     assert "sampler.n_internal" in err
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_bare_defaults_run_cleanly(tmp_path, seed):
+    workdir = tmp_path / "out"
+    assert main(["-w", str(workdir), "-s", str(seed), "pipeline", "--synth"]) == 0
+    # margin: with 40 labelled pairs or more, a one-class training side has a
+    # chance below 1e-10 per split
+    labels = (workdir / "labels.csv").read_text().splitlines()[1:]
+    assert len(labels) >= 40
+    assert json.loads((workdir / "eval_report.json").read_text())["roc_auc"] is not None
 
 
 def test_master_seed_changes_output(tmp_path):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depwalk.errors import LabelBalanceError, UnknownAddressError
 from depwalk.forest import (ForestConfig, ForestModel, LabeledPair, _TreeNodes,
                             build_label_set, classify, load_forest, predict_proba,
                             save_forest, train_forest)
+from refimpl import reference_predict_proba, reference_train_forest
 
 
 def pairs_from(X, y):
@@ -117,6 +120,49 @@ def test_serialization_round_trip_bit_for_bit(tmp_path):
     for _ in range(100):
         x = gen.normal(size=2)
         assert predict_proba(loaded, x) == predict_proba(model, x)
+
+
+# --- the split-search kernel against the per-feature reference scan -----------
+
+FREE_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+FEW_LEVELS = st.integers(-2, 2).map(float)  # many ties and repeated values
+
+
+@st.composite
+def forest_problems(draw):
+    dims = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(dims):
+        kind = draw(st.sampled_from(("constant", "levels", "free")))
+        if kind == "constant":
+            columns.append([draw(FREE_VALUES)] * n)
+        else:
+            values = FEW_LEVELS if kind == "levels" else st.one_of(FEW_LEVELS, FREE_VALUES)
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    labels[first], labels[second] = True, False  # both classes
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 4)),
+                       max_depth=draw(st.one_of(st.none(), st.integers(1, 3))),
+                       min_samples_leaf=draw(st.integers(1, 3)),
+                       features_per_split=draw(st.integers(1, dims)),
+                       bootstrap=draw(st.booleans()),
+                       rng_seed=draw(st.integers(0, 2**32 - 1)))
+    # halves of the levels land exactly on midpoint thresholds
+    probe_values = st.one_of(st.integers(-4, 4).map(lambda v: v / 2), FREE_VALUES)
+    probes = draw(st.lists(st.lists(probe_values, min_size=dims, max_size=dims), max_size=10))
+    return pairs_from(np.array(columns).T, labels), cfg, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_problems())
+def test_train_forest_equals_the_per_feature_reference(problem):
+    data, cfg, probes = problem
+    model = train_forest(data, cfg)
+    assert model == reference_train_forest(data, cfg)
+    for x in [p.features for p in data] + probes:
+        assert predict_proba(model, x) == reference_predict_proba(model, x)
 
 
 # --- label set construction ---------------------------------------------------

@@ -1,30 +1,72 @@
 """The benchmark's traced run (perfbench/tracing.py) patches module
 attributes by name; this checks that a refactor keeps every patch point
-alive, so each stage still shows up as exactly one span."""
+alive, so each stage still shows up as exactly one span and every forest
+fit and scored row is still counted."""
 
 import importlib
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
 
 from depwalk.cli import main
+from depwalk.config import load_config
+from depwalk.evaluation import split
 from test_cli import write_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_pipeline_has_one_span_per_stage_and_restores_modules(tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
+@pytest.fixture(scope="module")
+def traced_run(tmp_path_factory):
+    """One ``pipeline --synth`` run of the small scenario under the tracer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        tracing = importlib.import_module("tracing")
     originals = [(module, attr, getattr(importlib.import_module(module), attr))
                  for module, attr, *_ in tracing.TARGETS]
+    tmp_path = tmp_path_factory.mktemp("traced")
     cfg_path = write_config(tmp_path)
-
+    workdir = tmp_path / "out"
     with tracing.Tracer() as tracer:
-        status = main(["-c", str(cfg_path), "-w", str(tmp_path / "out"), "pipeline", "--synth"])
+        status = main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"])
+    return SimpleNamespace(tracing=tracing, tracer=tracer, status=status, originals=originals,
+                           cfg=load_config(cfg_path), workdir=workdir)
 
-    assert status == 0
-    counts = Counter(span["name"] for span in tracer.spans)
-    assert {s: counts[f"stage.{s}"] for s in tracing.STAGES} == {s: 1 for s in tracing.STAGES}
+
+def _data_rows(path) -> int:
+    return len(path.read_text().splitlines()) - 1  # minus the header
+
+
+def test_traced_pipeline_has_one_span_per_stage_and_restores_modules(traced_run):
+    assert traced_run.status == 0
+    counts = Counter(span["name"] for span in traced_run.tracer.spans)
+    stages = traced_run.tracing.STAGES
+    assert {s: counts[f"stage.{s}"] for s in stages} == {s: 1 for s in stages}
     assert counts["flows.parse_flows"] == 3
-    for module, attr, fn in originals:
+    for module, attr, fn in traced_run.originals:
         assert getattr(importlib.import_module(module), attr) is fn, f"{module}.{attr}"
+
+
+def test_every_forest_fit_is_one_train_forest_span(traced_run):
+    # train fits once; eval fits once per split and fraction, plus the
+    # dedicated AUC/AP split
+    spans = traced_run.tracer.spans
+    fits = [span for span in spans if span["name"] == "forest.train_forest"]
+    settings = traced_run.cfg.evaluation
+    assert len(fits) == 1 + settings.n_splits * len(settings.fractions) + 1
+    assert all(spans[fit["parent"]]["name"] != "forest.train_forest" for fit in fits)
+
+
+def test_every_scored_row_is_one_predict_proba_call(traced_run):
+    n_labels = _data_rows(traced_run.workdir / "labels.csv")
+    settings = traced_run.cfg.evaluation
+    eval_rows = sum(settings.n_splits * len(split(range(n_labels), fraction, 0)[1])
+                    for fraction in settings.fractions)
+    eval_rows += len(split(range(n_labels), 0.5, 0)[1])
+    predict_rows = _data_rows(traced_run.workdir / "predictions.csv")
+    simindex_rows = n_labels
+    calls = sum(entry[0] for (name, _), entry in traced_run.tracer.aggregates.items()
+                if name == "forest.predict_proba")
+    assert calls == predict_rows + eval_rows + simindex_rows
