@@ -99,11 +99,14 @@ def _parse_timestamp(token) -> int:
     return (stamp - _EPOCH) // _MS
 
 
-def _parse_address(token) -> str:
-    try:
-        return str(ip_address(str(token).strip()))
-    except ValueError:
-        raise ValueError(f"invalid IP address {token!r}") from None
+def _parse_address(token, canonical: dict[str, str]) -> str:
+    """Canonical text of an address token; only valid tokens are memoised."""
+    if (text := str(token)) not in canonical:
+        try:
+            canonical[text] = str(ip_address(text.strip()))
+        except ValueError:
+            raise ValueError(f"invalid IP address {token!r}") from None
+    return canonical[text]
 
 
 def _parse_port(token, name: str) -> int:
@@ -116,23 +119,20 @@ def _parse_port(token, name: str) -> int:
     return port
 
 
-def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto) -> FlowRecord | None:
+def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: dict[str, str]) -> FlowRecord | None:
     """Validated FlowRecord, or None for a dropped self-loop."""
-    ts = _parse_timestamp(t_start)
-    te = _parse_timestamp(t_end)
+    ts, te = _parse_timestamp(t_start), _parse_timestamp(t_end)
     if te < ts:
         raise ValueError(f"t_end {te} earlier than t_start {ts}")
-    src_ip = _parse_address(src)
-    dst_ip = _parse_address(dst)
+    if ts < -2**63 or te >= 2**63 - 1:  # the oracle's int64 arrays keep int64 max as "never"
+        raise ValueError(f"timestamps {ts}..{te} outside the signed 64-bit range")
+    src_ip = _parse_address(src, canonical)
+    dst_ip = _parse_address(dst, canonical)
     sp = _parse_port(src_port, "src_port")
     dp = _parse_port(dst_port, "dst_port")
     if src_ip == dst_ip:
         return None
     return FlowRecord(src_ip, dst_ip, sp, dp, Proto.from_token(str(proto)), ts, te)
-
-
-def _looks_like_header(line: str) -> bool:
-    return line.split(",", 1)[0].strip().lower() == "t_start"
 
 
 _COUNT_COLUMNS = ("fwd_bytes", "rev_bytes", "fwd_packets", "rev_packets")
@@ -157,19 +157,20 @@ def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV,
 
     Invalid lines are collected in the report with their 1-based line number;
     valid records keep the input order.  An optional CSV header line is
-    skipped.  With ``biflows`` every record is a bidirectional connection
-    (split later by :func:`biflow_to_uniflows`) and a CSV row may carry four
-    trailing byte/packet count columns, which must be integers and are then
-    discarded.
+    skipped.  Each distinct address token is validated once per call: a valid
+    one is memoised, an invalid one is reported on every line it appears on.
+    With ``biflows`` every record is a bidirectional connection (split later
+    by :func:`biflow_to_uniflows`) and a CSV row may carry four trailing
+    byte/packet count columns, which must be integers and are then discarded.
     """
     fmt = FlowFormat(fmt)
+    canonical: dict[str, str] = {}
     flows: list[FlowRecord] = []
     report = ParseReport(errors=[])
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        if fmt is FlowFormat.CSV and lineno == 1 and _looks_like_header(line):
+        header = fmt is FlowFormat.CSV and lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
+        if header or not line.strip():
             continue
         try:
             if fmt is FlowFormat.CSV:
@@ -178,14 +179,13 @@ def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV,
                     if not biflows:
                         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
                     cells = _drop_counts(cells)
-                flow = _make_flow(*cells)
+                flow = _make_flow(*cells, canonical)
             else:
                 obj = json.loads(line)
-                missing = [c for c in CSV_COLUMNS if c not in obj]
+                missing = [c for c in CSV_COLUMNS if c not in obj] if isinstance(obj, dict) else CSV_COLUMNS
                 if missing:
                     raise ValueError(f"missing fields: {', '.join(missing)}")
-                flow = _make_flow(obj["t_start"], obj["t_end"], obj["src_ip"], obj["dst_ip"],
-                                  obj["src_port"], obj["dst_port"], obj["proto"])
+                flow = _make_flow(*(obj[c] for c in CSV_COLUMNS), canonical)
         except ValueError as exc:
             report.errors.append((lineno, str(exc)))
             continue

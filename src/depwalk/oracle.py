@@ -1,4 +1,4 @@
-"""Brute-force ground truth over the full preprocessed flow set.
+"""Exhaustive ground truth over the full preprocessed flow set.
 
 Five dependency kinds are enumerated from raw flows (not from the sampled
 graph):
@@ -13,6 +13,11 @@ graph):
          host's own onward request), making the head depend on the tail.
 * TD3 -- three chained direct dependencies with nested containment.
 
+An outer flow contains an inner one when ``outer.start <= inner.start`` and
+``inner.end <= outer.end``.  Every flow has ``start <= end``, so the inner
+start needs no upper bound: a binary search over the start-sorted inner flows
+into the suffix minimum of their end times decides containment.
+
 Witness counts are deduplicated by the initiating flow, so one initiating
 flow contributes at most one witness to a given record.  Chains never revisit
 an address, and distinct middle paths yield distinct TD/TD3 records.
@@ -26,6 +31,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import ConfigError
 from .flows import FlowRecord
@@ -171,11 +178,16 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
     return sorted(rr, key=record_key), sorted(rr3, key=record_key)
 
 
-def _contained_span(intervals: list[tuple[int, int]], outer: tuple[int, int]) -> list[tuple[int, int]]:
-    """Intervals starting within the outer interval (sorted input)."""
-    lo = bisect_left(intervals, (outer[0],))
-    hi = bisect_left(intervals, (outer[1] + 1,))
-    return intervals[lo:hi]
+def _index(span: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted starts of a (2, n) span and, from each start on, the least kept end."""
+    never = np.iinfo(np.int64).max
+    ends = span[1] if keep is None else np.where(keep, span[1], never)
+    return span[0], np.append(np.minimum.accumulate(ends[::-1])[::-1], never)
+
+
+def _containing(starts: np.ndarray, sufmin: np.ndarray, outer: np.ndarray) -> np.ndarray:
+    """Mask of the ``outer`` (2, n) intervals that contain one of the index ``starts, sufmin``."""
+    return sufmin[np.searchsorted(starts, outer[0])] <= outer[1]
 
 
 def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
@@ -188,51 +200,39 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
     emitted per middle path.
     """
     flows = list(flows)
-    dd = dd_records if dd_records is not None else enumerate_dd(flows, cfg)
-    dd_pairs = {(r.src, r.dst) for r in dd}
+    dd_pairs = {(r.src, r.dst) for r in (enumerate_dd(flows, cfg) if dd_records is None else dd_records)}
     by_pair: dict[tuple[str, str], list[tuple[int, int]]] = defaultdict(list)
     for f in flows:
         if (f.src_ip, f.dst_ip) in dd_pairs:
             by_pair[(f.src_ip, f.dst_ip)].append((f.t_start, f.t_end))
-    for lst in by_pair.values():
-        lst.sort()
+    # per pair: a (2, n) span of its flows' starts (sorted) and ends, and its index
+    spans = {pair: np.array(sorted(times), dtype=np.int64).T.copy() for pair, times in by_pair.items()}
+    index = {pair: _index(span) for pair, span in spans.items()}
+    heads: dict[str, list[str]] = defaultdict(list)
     successors: dict[str, list[str]] = defaultdict(list)
-    for a, b in dd_pairs:
+    for a, b in spans:
+        heads[b].append(a)
         successors[a].append(b)
-    for lst in successors.values():
-        lst.sort()
 
-    td: list[DependencyRecord] = []
-    td3: list[DependencyRecord] = []
-    for a, b in sorted(dd_pairs):
-        outer_flows = by_pair[(a, b)]
-        for c in successors.get(b, ()):
-            if c == a:
+    td, td3 = [], []
+    for b, into_b in heads.items():
+        # all (A,B) flows into b in one array, witnesses summed per head A
+        outer = np.concatenate([spans[(a, b)] for a in into_b], axis=1)
+        first = np.cumsum([0] + [spans[(a, b)].shape[1] for a in into_b[:-1]])
+        for c in successors[b]:
+            if {c}.issuperset(into_b):  # chains never revisit an address
                 continue
-            inner_flows = by_pair[(b, c)]
-            witnesses = 0
-            for outer in outer_flows:
-                if any(te <= outer[1] for _ts, te in _contained_span(inner_flows, outer)):
-                    witnesses += 1
-            if witnesses >= cfg.n_t_dd:
-                td.append(DependencyRecord(DepKind.TD, a, c, witnesses, via=(b,)))
-            for tail in successors.get(c, ()):
-                if tail in (a, b, c):
+            counts = np.add.reduceat(_containing(*index[(b, c)], outer), first, dtype=np.int64)
+            td += [DependencyRecord(DepKind.TD, a, c, int(n), via=(b,))
+                   for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a != c]
+            for tail in successors[c]:
+                if tail in (b, c) or {c, tail}.issuperset(into_b):
                     continue
-                third_flows = by_pair[(c, tail)]
-                witnesses3 = 0
-                for outer in outer_flows:
-                    hit = False
-                    for mid in _contained_span(inner_flows, outer):
-                        if mid[1] > outer[1]:
-                            continue
-                        if any(te <= mid[1] for _ts, te in _contained_span(third_flows, mid)):
-                            hit = True
-                            break
-                    if hit:
-                        witnesses3 += 1
-                if witnesses3 >= cfg.n_t_dd:
-                    td3.append(DependencyRecord(DepKind.TD3, a, tail, witnesses3, via=(b, c)))
+                # the (B,C) flows that contain a (C,D) flow; the others never end
+                marked = _index(spans[(b, c)], keep=_containing(*index[(c, tail)], spans[(b, c)]))
+                counts = np.add.reduceat(_containing(*marked, outer), first, dtype=np.int64)
+                td3 += [DependencyRecord(DepKind.TD3, a, tail, int(n), via=(b, c))
+                        for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a not in (c, tail)]
     return sorted(td, key=record_key), sorted(td3, key=record_key)
 
 

@@ -1,7 +1,11 @@
 import io
+import json
 
-from depwalk.flows import (FlowFormat, FlowRecord, Proto, SplitMode, biflow_to_uniflows,
-                           filter_tcp_udp, flow_to_csv_line, parse_flows)
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from depwalk.flows import (CSV_COLUMNS, FlowFormat, FlowRecord, Proto, SplitMode,
+                           biflow_to_uniflows, filter_tcp_udp, flow_to_csv_line, parse_flows)
 
 
 def parse_text(text, fmt=FlowFormat.CSV):
@@ -29,12 +33,72 @@ def test_reversed_interval_rejected_with_line_number():
     assert "t_end" in report.errors[0][1]
 
 
+def test_timestamps_must_fit_in_signed_64_bits():
+    flows, report = parse_text(
+        f"{-2**63},{2**63 - 2},10.0.0.1,10.0.0.2,1,2,TCP\n"
+        f"0,{2**63 - 1},10.0.0.1,10.0.0.2,1,2,TCP\n"
+        f"{-2**63 - 1},0,10.0.0.1,10.0.0.2,1,2,TCP\n")
+    assert [(f.t_start, f.t_end) for f in flows] == [(-2**63, 2**63 - 2)]
+    assert [lineno for lineno, _ in report.errors] == [2, 3]
+    assert all("outside the signed 64-bit range" in message for _, message in report.errors)
+
+
 def test_bad_address_and_timestamp_reported():
     flows, report = parse_text(
         "x,2000,10.0.0.1,10.0.0.2,1,2,TCP\n"
         "1000,2000,10.0.0.999,10.0.0.2,1,2,TCP\n")
     assert flows == []
     assert [lineno for lineno, _ in report.errors] == [1, 2]
+
+
+def test_repeated_invalid_address_is_an_error_on_each_of_its_lines():
+    flows, report = parse_text(
+        "1,2,10.0.0.999,10.0.0.2,1,2,TCP\n"
+        "3,4,10.0.0.1,10.0.0.2,1,2,TCP\n"
+        "5,6,10.0.0.3,10.0.0.999,1,2,TCP\n")
+    assert len(flows) == 1
+    assert report.errors == [(1, "invalid IP address '10.0.0.999'"),
+                             (3, "invalid IP address '10.0.0.999'")]
+
+
+def test_address_tokens_parse_to_their_canonical_text():
+    flows, report = parse_text(
+        "1,2,2001:DB8::1,2001:db8::2,1,2,TCP\n"
+        "3,4,2001:db8::1,2001:0db8:0:0::2,1,2,TCP\n"
+        "5,6, 010.0.0.1,10.0.0.2,1,2,TCP\n"
+        "7,8, 2001:DB8::1 ,10.0.0.2,1,2,TCP\n")
+    # IPv4 octets with leading zeros are rejected by ``ipaddress``
+    assert report.errors == [(3, "invalid IP address '010.0.0.1'")]
+    assert [(f.src_ip, f.dst_ip) for f in flows] == [
+        ("2001:db8::1", "2001:db8::2"), ("2001:db8::1", "2001:db8::2"), ("2001:db8::1", "10.0.0.2")]
+
+
+ADDRESSES = st.one_of(
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded),
+    st.ip_addresses(v=6).map(lambda a: str(a).upper()),
+    st.sampled_from(["10.0.0.999", "2001:db8::g", "", "host"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**13), st.integers(0, 10**4), ADDRESSES, ADDRESSES,
+                          st.integers(0, 65535), st.integers(0, 65535),
+                          st.sampled_from(["TCP", "UDP", "6", "ICMP"])), max_size=12))
+def test_jsonl_records_equal_the_equivalent_csv(rows):
+    csv_lines, json_lines = [], []
+    for start, duration, src, dst, sport, dport, proto in rows:
+        cells = (start, start + duration, src, dst, sport, dport, proto)
+        csv_lines.append(",".join(map(str, cells)) + "\n")
+        json_lines.append(json.dumps(dict(zip(CSV_COLUMNS, cells))) + "\n")
+    from_csv = parse_text("".join(csv_lines))
+    from_json = parse_text("".join(json_lines), FlowFormat.JSONL)
+    assert from_json == from_csv
+
+
+def test_jsonl_line_that_is_not_an_object_is_an_error_on_its_line():
+    _, report = parse_text('5\n"t_start"\n[1, 2]\n', FlowFormat.JSONL)
+    assert [lineno for lineno, _ in report.errors] == [1, 2, 3]
+    assert all(message.startswith("missing fields: t_start,") for _, message in report.errors)
 
 
 def test_input_order_preserved():

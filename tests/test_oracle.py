@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refimpl
 from conftest import flow, repeat_pair
@@ -192,6 +194,48 @@ def test_matches_reference_on_random_fixtures():
                    epsilon=r.choice([200, 400, 800]))
         assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
             refimpl.reference_dependencies(flows, cfg), f"seed {seed}"
+
+
+# Hop paths of a chain: a second middle (B2), a second head (E), and a tail
+# that revisits the head, so both middle paths and the no-revisit rule occur.
+CHAIN_PATHS = (("A", "B", "C", "D"), ("A", "B2", "C", "D"), ("E", "B", "C", "D"),
+               ("A", "B", "C", "A"), ("B", "C", "D", "E"))
+
+
+@st.composite
+def nested_flows(draw):
+    """Chains of flows, each hop placed on, just inside or just outside the
+    bounds of the flow it hangs from: equal starts, equal ends, zero-length
+    flows, several middles under one outer flow, and middles of which only
+    some hold a third-hop flow."""
+    flows = []
+
+    def grow(path, hop, start, end):
+        flows.append(flow(path[hop], path[hop + 1], start, end))
+        if hop + 2 >= len(path):
+            return
+        for _ in range(draw(st.integers(0, 3))):
+            inner_start = start + draw(st.integers(-1, 2))
+            inner_end = max(inner_start, end + draw(st.integers(-2, 1)))
+            grow(path, hop + 1, inner_start, inner_end)
+
+    for _ in range(draw(st.integers(1, 6))):
+        path = draw(st.sampled_from(CHAIN_PATHS))
+        start = draw(st.integers(0, 40))
+        grow(path, draw(st.integers(0, 1)), start, start + draw(st.integers(0, 6)))
+    return flows
+
+
+def _transitive(rows):
+    return [row for row in rows if row[0] in ("TD", "TD3")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_flows(), st.integers(1, 3))
+def test_td_and_td3_equal_the_exhaustive_reference(flows, n_t_dd):
+    cfg = ocfg(n_t_dd=n_t_dd)
+    assert _transitive(refimpl.records_as_tuples(enumerate_all(flows, cfg))) == \
+        _transitive(refimpl.reference_dependencies(flows, cfg))
 
 
 def test_ground_truth_csv_round_trip(tmp_path):

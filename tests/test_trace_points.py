@@ -70,3 +70,13 @@ def test_every_scored_row_is_one_predict_proba_call(traced_run):
     calls = sum(entry[0] for (name, _), entry in traced_run.tracer.aggregates.items()
                 if name == "forest.predict_proba")
     assert calls == predict_rows + eval_rows + simindex_rows
+
+
+def test_one_enumerate_td_span_counts_every_preprocessed_flow(traced_run):
+    # oracle.td_s_per_kflow divides the TD time by this counter
+    spans = traced_run.tracer.spans
+    td = [span for span in spans if span["name"] == "oracle.enumerate_td"]
+    assert len(td) == 1
+    assert spans[td[0]["parent"]]["name"] == "oracle.enumerate_all"
+    flows = len((traced_run.workdir / "flows.csv").read_text().splitlines())  # no header
+    assert flows > 0 and td[0]["counters"] == {"flows": flows}
