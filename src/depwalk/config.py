@@ -1,15 +1,15 @@
 """Pipeline configuration: one YAML document with a section per stage.
 
-All per-stage RNG seeds are derived from the single ``master_seed`` via the
-documented SHA-256 fan-out (see :mod:`depwalk.seeds`); the config file does
-not expose per-stage seeds.  Validation collects every violated constraint
-before raising.
+The fields of :class:`PipelineConfig` other than ``master_seed`` and
+``workdir`` are the sections.  A section with an ``rng_seed`` gets a seed
+derived from ``master_seed`` via the documented SHA-256 fan-out (see
+:mod:`depwalk.seeds`); the config file does not expose per-stage seeds.
+Validation collects every violated constraint before raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from pathlib import Path
 
 import yaml
 
@@ -34,7 +34,6 @@ class IngestSettings:
 @dataclass(frozen=True)
 class ContextSettings:
     size: int = 4
-    include_trailing: bool = False
 
 
 @dataclass(frozen=True)
@@ -64,18 +63,6 @@ class PipelineConfig:
         return derive_seed(self.master_seed, stage)
 
 
-_SECTIONS = {
-    "ingest": IngestSettings,
-    "sampler": SamplerConfig,
-    "walks": WalkConfig,
-    "context": ContextSettings,
-    "embedding": EmbeddingConfig,
-    "forest": ForestConfig,
-    "oracle": OracleConfig,
-    "evaluation": EvalSettings,
-    "synth": ScenarioConfig,
-}
-
 _COERCE = {
     "format": FlowFormat,
     "split_mode": SplitMode,
@@ -85,12 +72,14 @@ _COERCE = {
 }
 
 
-def _build_section(name: str, cls, data: dict, defaults, problems: list[str]):
-    allowed = {f.name for f in fields(cls)} - {"rng_seed"}
-    unknown = set(data) - allowed
-    for key in sorted(unknown):
+def _build_section(name: str, default, data: dict, seed: int, problems: list[str]):
+    """``default`` with the keys of ``data`` applied and, when the section has
+    an ``rng_seed``, the seed derived for it; the seed is not a key."""
+    names = {f.name for f in fields(default)}
+    allowed = names - {"rng_seed"}
+    for key in sorted(set(data) - allowed):
         problems.append(f"{name}: unknown key {key!r}")
-    kwargs = {}
+    kwargs = {"rng_seed": seed} if "rng_seed" in names else {}
     for key in sorted(set(data) & allowed):
         value = data[key]
         if key in _COERCE:
@@ -101,11 +90,10 @@ def _build_section(name: str, cls, data: dict, defaults, problems: list[str]):
                 continue
         kwargs[key] = value
     try:
-        base = defaults if defaults is not None else cls()
-        return replace(base, **kwargs) if kwargs else base
+        return replace(default, **kwargs)
     except (ConfigError, ValueError, TypeError) as exc:
         problems.append(f"{name}: {exc}")
-        return defaults if defaults is not None else None
+        return default
 
 
 def load_config(path=None, master_seed: int | None = None,
@@ -121,33 +109,25 @@ def load_config(path=None, master_seed: int | None = None,
             raise ConfigError(f"{path}: top level must be a mapping")
 
     problems: list[str] = []
-    known = set(_SECTIONS) | {"master_seed", "workdir"}
-    for key in sorted(set(raw) - known):
+    for key in sorted(set(raw) - {f.name for f in fields(PipelineConfig)}):
         problems.append(f"unknown section {key!r}")
 
-    seed = master_seed if master_seed is not None else int(raw.get("master_seed", 0))
-    directory = workdir if workdir is not None else str(raw.get("workdir", "out"))
-
-    defaults = PipelineConfig()
+    cfg = PipelineConfig(
+        master_seed=master_seed if master_seed is not None else int(raw.get("master_seed", 0)),
+        workdir=workdir if workdir is not None else str(raw.get("workdir", "out")))
     sections = {}
-    for name, cls in _SECTIONS.items():
-        data = raw.get(name, {})
+    for f in fields(PipelineConfig):
+        if f.name in ("master_seed", "workdir"):
+            continue
+        data = raw.get(f.name, {})
         if data is None:
             data = {}
         if not isinstance(data, dict):
-            problems.append(f"{name}: section must be a mapping")
+            problems.append(f"{f.name}: section must be a mapping")
             data = {}
-        sections[name] = _build_section(name, cls, data, getattr(defaults, name), problems)
-
-    cfg = PipelineConfig(master_seed=seed, workdir=directory, **sections)
-    cfg = replace(
-        cfg,
-        sampler=replace(cfg.sampler, rng_seed=cfg.seed_for("sampler")),
-        walks=replace(cfg.walks, rng_seed=cfg.seed_for("walks")),
-        embedding=replace(cfg.embedding, rng_seed=cfg.seed_for("embedding")),
-        forest=replace(cfg.forest, rng_seed=cfg.seed_for("forest")),
-        synth=replace(cfg.synth, rng_seed=cfg.seed_for("synth")),
-    )
+        sections[f.name] = _build_section(f.name, getattr(cfg, f.name), data,
+                                          cfg.seed_for(f.name), problems)
+    cfg = replace(cfg, **sections)
 
     # cross-field constraints
     if cfg.context.size < 2:
@@ -171,7 +151,3 @@ def load_config(path=None, master_seed: int | None = None,
     if problems:
         raise ConfigError("\n".join(problems))
     return cfg
-
-
-def workdir_path(cfg: PipelineConfig) -> Path:
-    return Path(cfg.workdir)

@@ -17,30 +17,22 @@ class CandidateDependency:
     source_label: WalkLabel
 
 
-def split_walk(walk: RandomWalk, context_size: int,
-               include_trailing: bool = False) -> list[CandidateDependency]:
+def split_walk(walk: RandomWalk, context_size: int) -> list[CandidateDependency]:
     """One-sided context pairs: each window head pairs with every later
     member of its window.
 
     Windows of ``context_size`` consecutive vertices slide by one; a walk
-    shorter than the window yields its single truncated window.  With
-    ``include_trailing`` the shrinking windows at the tail are emitted as
-    well.  Pairs whose head equals the member are skipped; duplicates across
-    windows are kept, since pair frequency is signal for embedding training.
+    shorter than the window yields its single truncated window.  Pairs whose
+    head equals the member are skipped; duplicates across windows are kept,
+    since pair frequency is signal for embedding training.
     """
     if context_size < 2:
         raise ValueError("context_size must be >= 2")
     vertices = walk.vertices
     if len(vertices) < 2:
         raise ValueError("walk must have at least two vertices")
-    if len(vertices) < context_size:
-        starts = range(1)
-    elif include_trailing:
-        starts = range(len(vertices) - 1)
-    else:
-        starts = range(len(vertices) - context_size + 1)
     pairs: list[CandidateDependency] = []
-    for s in starts:
+    for s in range(max(1, len(vertices) - context_size + 1)):
         head = vertices[s]
         for other in vertices[s + 1:s + context_size]:
             if other != head:

@@ -53,7 +53,10 @@ class EmbeddingConfig:
 
 @dataclass
 class EmbeddingMatrix:
-    """Per-vertex vectors plus the context matrix kept from training."""
+    """Per-vertex vectors plus the context matrix kept from training.
+
+    ``context_vectors`` is not saved; it is kept so that a test of training
+    (``test_single_pair_converges``) can read the learned pair score."""
 
     vertex_index: dict[str, int]
     vectors: np.ndarray

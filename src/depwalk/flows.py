@@ -226,10 +226,8 @@ def flow_to_csv_line(flow: FlowRecord) -> str:
             f"{flow.src_port},{flow.dst_port},{flow.proto.value}")
 
 
-def write_flows_csv(flows: Iterable[FlowRecord], path, header: bool = False) -> None:
+def write_flows_csv(flows: Iterable[FlowRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
         for flow in flows:
             fh.write(flow_to_csv_line(flow) + "\n")
 

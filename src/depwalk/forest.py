@@ -131,9 +131,10 @@ def _best_split(XT: np.ndarray, ys: np.ndarray, idx: np.ndarray, n_pos: int, k: 
 
     The node's rows of the k sorted candidate features are scored in one
     (k, n) pass: one stable sort per row, one cumulative sum and the Gini of
-    every cut.  Thresholds are midpoints between consecutive distinct values;
-    both sides must keep at least ``min_leaf`` samples.  Ties resolve to the
-    first candidate in (feature, position) scan order.
+    every cut.  Thresholds are midpoints between consecutive distinct values,
+    or the lower value when the midpoint rounds up to the upper; both sides
+    must keep at least ``min_leaf`` samples.  Ties resolve to the first
+    candidate in (feature, position) scan order.
     """
     n = len(idx)
     feats = rng.choice(XT.shape[0], size=k, replace=False)
@@ -157,8 +158,10 @@ def _best_split(XT: np.ndarray, ys: np.ndarray, idx: np.ndarray, n_pos: int, k: 
     row, j = divmod(int(weighted.argmin()), hi - lo)  # first minimum, row-major
     if not distinct[row, j]:
         return None
-    j += lo
-    return int(feats[row]), float((sv[row, j] + sv[row, j + 1]) / 2.0)
+    a, b = sv[row, j + lo], sv[row, j + lo + 1]
+    mid = (a + b) / 2.0
+    # between adjacent floats the midpoint can round to b; a keeps b right
+    return int(feats[row]), float(mid if mid < b else a)
 
 
 def _grow_tree(XT: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
@@ -253,11 +256,6 @@ def predict_proba(model: ForestModel, features) -> float:
             node = left[node] if x[feature[node]] <= threshold[node] else right[node]
         votes += tree.leaf_p[node] >= 0.5
     return votes / len(model.trees)
-
-
-def classify(model: ForestModel, features) -> bool:
-    """Dependency verdict; a probability of exactly 0.5 counts as positive."""
-    return predict_proba(model, features) >= 0.5
 
 
 def save_forest(model: ForestModel, path) -> None:

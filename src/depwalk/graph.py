@@ -21,9 +21,7 @@ class SamplerConfig:
     """Vertex selection and edge reservoir parameters.
 
     Addresses inside ``internal_prefixes`` count as internal; everything else
-    (including unparseable tokens) is external.  ``exclude_scanners`` drops
-    addresses whose initiated traffic is mostly unanswered one-way pairs
-    before ranking, a guard against scan-heavy sources.
+    (including unparseable tokens) is external.
     """
 
     n_internal: int
@@ -31,8 +29,6 @@ class SamplerConfig:
     k_edges: int
     internal_prefixes: tuple[str, ...] = ()
     rng_seed: int = 0
-    exclude_scanners: bool = False
-    scan_max_unanswered: float = 0.25
 
     def __post_init__(self):
         problems = []
@@ -42,8 +38,6 @@ class SamplerConfig:
             problems.append("m_external must be >= 0")
         if self.k_edges < 1:
             problems.append("k_edges must be >= 1")
-        if not 0.0 <= self.scan_max_unanswered <= 1.0:
-            problems.append("scan_max_unanswered must be in [0, 1]")
         for prefix in self.internal_prefixes:
             try:
                 ip_network(prefix, strict=False)
@@ -61,20 +55,6 @@ def _is_internal(addr: str, networks) -> bool:
     return any(parsed in net for net in networks if net.version == parsed.version)
 
 
-def _scanner_addresses(flows, cfg: SamplerConfig) -> set[str]:
-    # A flow is "unanswered" when nothing in the batch travels the opposite
-    # direction between the same two addresses.
-    pairs = {(f.src_ip, f.dst_ip) for f in flows}
-    unanswered: Counter = Counter()
-    total: Counter = Counter()
-    for f in flows:
-        total[f.src_ip] += 1
-        total[f.dst_ip] += 1
-        if (f.dst_ip, f.src_ip) not in pairs:
-            unanswered[f.src_ip] += 1
-    return {a for a in total if unanswered[a] > cfg.scan_max_unanswered * total[a]}
-
-
 def select_top_addresses(flows: Iterable[FlowRecord], cfg: SamplerConfig) -> set[str]:
     """The ``n_internal`` internal and ``m_external`` external addresses with
     the most flow appearances (as source or destination).
@@ -83,18 +63,14 @@ def select_top_addresses(flows: Iterable[FlowRecord], cfg: SamplerConfig) -> set
     distinct addresses exist than requested, everything available is returned
     and a warning is logged.
     """
-    flows = list(flows)
     counts: Counter = Counter()
     for f in flows:
         counts[f.src_ip] += 1
         counts[f.dst_ip] += 1
-    excluded = _scanner_addresses(flows, cfg) if cfg.exclude_scanners else set()
     networks = [ip_network(p, strict=False) for p in cfg.internal_prefixes]
     internal: list[str] = []
     external: list[str] = []
     for addr in counts:
-        if addr in excluded:
-            continue
         (internal if _is_internal(addr, networks) else external).append(addr)
 
     def top(addrs: list[str], wanted: int, kind: str) -> list[str]:
@@ -155,9 +131,6 @@ class CommGraph:
 
     def has_edge(self, src: str, dst: str) -> bool:
         return (src, dst) in self._pairs
-
-    def pairs(self) -> Iterator[tuple[str, str]]:
-        return iter(self._pairs)
 
     def all_edges(self) -> Iterator[FlowRecord]:
         for instances in self._pairs.values():

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 from typing import Callable
 
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
-from .config import PipelineConfig, workdir_path
+from .config import PipelineConfig
 from .errors import DepwalkError, StageError
 from .flows import biflow_to_uniflows, filter_tcp_udp, parse_flows, read_flows_csv, write_flows_csv
 from .graph import read_graph_jsonl, reservoir_sample_edges, select_top_addresses, write_graph_jsonl
@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 
 def artifact(cfg: PipelineConfig, name: str) -> Path:
-    return workdir_path(cfg) / name
+    return Path(cfg.workdir) / name
 
 
 def stage_synth(cfg: PipelineConfig) -> Path:
@@ -99,7 +99,7 @@ def stage_embed(cfg: PipelineConfig) -> Path:
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
-        pairs = contexts.split_walk(walk, cfg.context.size, cfg.context.include_trailing)
+        pairs = contexts.split_walk(walk, cfg.context.size)
         (pos_pairs if walk.label is WalkLabel.POSITIVE else neg_pairs).extend(pairs)
     emb = embedding.train_embedding(pos_pairs, neg_pairs, graph.vertices, cfg.embedding)
     out = artifact(cfg, "embedding.bin")
@@ -171,6 +171,8 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
             for row in reader:
                 if not row or row[0] == "src":
                     continue
+                if len(row) < 2:
+                    raise ValueError(f"{pairs_path}:{reader.line_num}: expected src,dst columns")
                 pairs.append((row[0], row[1]))
     else:
         pairs = [(p.src, p.dst) for p in _read_labels(cfg, emb)]
@@ -285,7 +287,7 @@ def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
     """Run one stage once its inputs exist.  A missing input raises
     FileNotFoundError naming the stage that produces it; a failure inside the
     stage is re-raised as StageError naming this one."""
-    workdir_path(cfg).mkdir(parents=True, exist_ok=True)
+    Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
     for name in stage.inputs:
         path = artifact(cfg, name)
         if not path.exists():

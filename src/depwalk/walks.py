@@ -43,6 +43,9 @@ from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
 
+# A negative walk of length L gets NEG_RETRY_FACTOR * L draws before giving up.
+NEG_RETRY_FACTOR = 100
+
 
 class Condition(str, Enum):
     LR_OPEN = "LR_OPEN"
@@ -65,7 +68,6 @@ class WalkConfig:
     epsilon: int = 1000
     n_t: int = 10
     rng_seed: int = 0
-    neg_retry_factor: int = 100
 
     def __post_init__(self):
         problems = []
@@ -77,8 +79,6 @@ class WalkConfig:
             problems.append("epsilon must be >= 0")
         if self.n_t < 1:
             problems.append("n_t must be >= 1")
-        if self.neg_retry_factor < 1:
-            problems.append("neg_retry_factor must be >= 1")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -238,7 +238,7 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
     Vertices are drawn uniformly (never repeating the immediate predecessor,
     since self-pairs are not meaningful non-edges) until at least one
     consecutive pair is not an edge of the graph.  Each walk gets a retry
-    budget of ``neg_retry_factor * length`` draws.
+    budget of ``NEG_RETRY_FACTOR * length`` draws.
     """
     if not positives:
         return []
@@ -250,7 +250,7 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
     negatives: list[RandomWalk] = []
     for pos in positives:
         length = len(pos.vertices)
-        budget = cfg.neg_retry_factor * length
+        budget = NEG_RETRY_FACTOR * length
         for _ in range(budget):
             seq = [verts[rng.randrange(len(verts))]]
             while len(seq) < length:

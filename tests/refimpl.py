@@ -298,8 +298,9 @@ def _reference_best_split(X, ys, idx, k, min_leaf, rng):
         i = int(np.argmin(weighted))
         score = float(weighted[i])
         if best is None or score < best[0]:
-            threshold = float((sv[cut[i]] + sv[cut[i] + 1]) / 2.0)
-            best = (score, int(f), threshold)
+            lower, upper = sv[cut[i]], sv[cut[i] + 1]
+            mid = (lower + upper) / 2.0
+            best = (score, int(f), float(mid if mid < upper else lower))
     if best is None:
         return None
     return best[1], best[2]

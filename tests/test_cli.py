@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -6,8 +8,9 @@ import yaml
 
 from depwalk import pipeline
 from depwalk.cli import main
-from depwalk.config import load_config
+from depwalk.config import PipelineConfig, load_config
 from depwalk.errors import ConfigError
+from depwalk.seeds import derive_seed
 
 SMALL_SCENARIO = {
     "master_seed": 11,
@@ -101,12 +104,51 @@ def test_config_unknown_keys_rejected(tmp_path):
     assert "walk_lenght" in str(err.value)
 
 
-def test_removed_oracle_chain_key_rejected(tmp_path):
+# Keys older versions accepted with one useful value each, now unknown.
+REMOVED_KEYS = [("oracle", "max_chain_vertices", 4),
+                ("sampler", "exclude_scanners", False),
+                ("sampler", "scan_max_unanswered", 0.25),
+                ("walks", "neg_retry_factor", 100),
+                ("context", "include_trailing", False)]
+
+
+@pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
+                         ids=[f"{section}.{key}" for section, key, _ in REMOVED_KEYS])
+def test_removed_key_rejected(tmp_path, section, key, value):
     doc = dict(SMALL_SCENARIO)
-    doc["oracle"] = {**SMALL_SCENARIO["oracle"], "max_chain_vertices": 4}
+    doc[section] = {**SMALL_SCENARIO[section], key: value}
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
-    assert "max_chain_vertices" in str(err.value)
+    assert f"{section}: unknown key {key!r}" in str(err.value)
+
+
+SECTIONS = [f.name for f in fields(PipelineConfig) if f.name not in ("master_seed", "workdir")]
+
+
+def test_each_seeded_section_gets_its_derived_seed():
+    for master in (0, 11, 2**40 + 3):
+        cfg = load_config(master_seed=master)
+        seeded = {name: getattr(cfg, name).rng_seed for name in SECTIONS
+                  if hasattr(getattr(cfg, name), "rng_seed")}
+        assert seeded == {name: derive_seed(master, name)
+                          for name in ("sampler", "walks", "embedding", "forest", "synth")}
+
+
+def test_rng_seed_is_not_a_config_key(tmp_path):
+    with pytest.raises(ConfigError) as err:
+        load_config(write_config(tmp_path, {name: {"rng_seed": 1} for name in SECTIONS}))
+    for name in SECTIONS:
+        assert f"{name}: unknown key 'rng_seed'" in str(err.value)
+
+
+def test_readme_config_blocks_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    assert blocks
+    for block in blocks:
+        path = tmp_path / "config.yaml"
+        path.write_text(block)
+        load_config(path)
 
 
 def test_pipeline_deterministic_across_workdirs(tmp_path):
@@ -222,3 +264,17 @@ def test_predict_with_explicit_pairs(tmp_path):
     for line in lines[1:]:
         prob = float(line.split(",")[2])
         assert 0.0 <= prob <= 1.0
+
+
+def test_predict_short_pairs_row_is_an_error_naming_its_line(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    base = ["-c", str(cfg_path), "-w", str(tmp_path / "out")]
+    assert main(base + ["synth"]) == 0
+    assert main(base + ["ingest", "--flows", str(tmp_path / "out" / "synth_flows.csv")]) == 0
+    for stage in ("sample", "walks", "embed", "oracle", "train"):
+        assert main(base + [stage]) == 0, stage
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("src,dst\n10.0.0.1\n")
+    assert main(base + ["predict", "--pairs", str(pairs)]) == 1
+    err = capsys.readouterr().err
+    assert f"depwalk: predict failed: {pairs}:2: expected src,dst columns" in err

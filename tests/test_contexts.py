@@ -8,8 +8,8 @@ def walk_of(*vertices, label=WalkLabel.POSITIVE):
     return RandomWalk(tuple(vertices), (), label, ())
 
 
-def pairs_of(walk, size, **kwargs):
-    return [(p.first, p.second) for p in split_walk(walk, size, **kwargs)]
+def pairs_of(walk, size):
+    return [(p.first, p.second) for p in split_walk(walk, size)]
 
 
 def test_documented_chain_example():
@@ -30,14 +30,6 @@ def test_pair_count_formula_without_repeats():
     for size in (2, 3, 4, 5):
         expected = (len(walk.vertices) - size + 1) * (size - 1)
         assert len(pairs_of(walk, size)) == expected
-
-
-def test_trailing_windows_add_shrinking_tail():
-    walk = walk_of(*"ABCDEFG")
-    for size in (3, 4, 5):
-        base = (len(walk.vertices) - size + 1) * (size - 1)
-        tail = sum(range(1, size - 1))
-        assert len(pairs_of(walk, size, include_trailing=True)) == base + tail
 
 
 def test_one_sidedness():

@@ -49,6 +49,12 @@ def test_tied_scores_give_half_auc():
     assert report.roc_auc == 0.5
 
 
+def test_score_equal_to_the_threshold_counts_as_positive():
+    report = compute_metrics([0.5, 0.5], [True, False])
+    assert report.recall == 1.0 and report.precision == 0.5
+    assert compute_metrics([0.3, 0.3], [True, False], threshold=0.3).recall == 1.0
+
+
 def test_single_class_reports_undefined_auc():
     report = compute_metrics([0.9, 0.1], [True, True])
     assert report.roc_auc is None and report.average_precision is None

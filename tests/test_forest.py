@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from depwalk.errors import LabelBalanceError, UnknownAddressError
 from depwalk.forest import (ForestConfig, ForestModel, LabeledPair, _TreeNodes,
-                            build_label_set, classify, load_forest, predict_proba,
+                            build_label_set, load_forest, predict_proba,
                             save_forest, train_forest)
 from refimpl import reference_predict_proba, reference_train_forest
 
@@ -25,7 +25,7 @@ def separable_set(n=40, seed=0):
 def test_separable_training_accuracy():
     data = separable_set()
     model = train_forest(data, ForestConfig(n_trees=50, rng_seed=1))
-    assert all(classify(model, p.features) == p.label for p in data)
+    assert all((predict_proba(model, p.features) >= 0.5) == p.label for p in data)
 
 
 def test_depth_one_cannot_solve_xor():
@@ -34,7 +34,7 @@ def test_depth_one_cannot_solve_xor():
     data = pairs_from(X, y)
     model = train_forest(data, ForestConfig(n_trees=1, max_depth=1, bootstrap=False,
                                             features_per_split=2, rng_seed=0))
-    accuracy = sum(classify(model, p.features) == p.label for p in data) / 4
+    accuracy = sum((predict_proba(model, p.features) >= 0.5) == p.label for p in data) / 4
     assert accuracy <= 0.75
 
 
@@ -63,7 +63,15 @@ def test_probability_is_vote_fraction():
     assert predict_proba(model, [0.0, 0.0]) == 1.0
     split_model = ForestModel(2, tuple([leaf_tree(1.0)] * 50 + [leaf_tree(0.0)] * 50))
     assert predict_proba(split_model, [0.0, 0.0]) == 0.5
-    assert classify(split_model, [0.0, 0.0])  # ties count as positive
+
+
+@pytest.mark.parametrize("low,high", [(-5e-324, 0.0), (np.nextafter(1.0, 0.0), 1.0)])
+def test_cut_between_adjacent_floats_separates_them(low, high):
+    # their midpoint rounds to ``high``, a threshold that sends both rows left
+    data = pairs_from([[high], [low]], [True, False])
+    model = train_forest(data, ForestConfig(n_trees=1, bootstrap=False, rng_seed=0))
+    assert model.trees[0].threshold[0] == low
+    assert predict_proba(model, [high]) == 1.0 and predict_proba(model, [low]) == 0.0
 
 
 def test_prediction_invariant_to_tree_order():

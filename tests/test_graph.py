@@ -60,16 +60,6 @@ def test_fewer_available_than_requested_warns(caplog):
     assert any("available" in rec.message for rec in caplog.records)
 
 
-def test_scanner_exclusion_flag():
-    scanner = [flow("10.0.0.9", f"10.0.7.{i}", 0, 1) for i in range(1, 21)]
-    answered = repeat_pair("10.0.0.1", "10.0.0.2", 5, 0, 1) + repeat_pair("10.0.0.2", "10.0.0.1", 5, 0, 1)
-    flows = scanner + answered
-    with_guard = select_top_addresses(flows, cfg(n_internal=1, m_external=0, exclude_scanners=True))
-    assert with_guard == {"10.0.0.1"}
-    without = select_top_addresses(flows, cfg(n_internal=1, m_external=0))
-    assert without == {"10.0.0.9"}
-
-
 def test_reservoir_keeps_everything_when_larger_than_stream():
     flows = repeat_pair("10.0.0.1", "10.0.0.2", 5, 0, 1, spread=10)
     g = reservoir_sample_edges(flows, {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=10))

@@ -1,0 +1,49 @@
+"""The package's public surface is used by the package itself.
+
+A public top-level function or class that no other part of ``src/`` names is
+surface nothing needs: delete it, or make it private if only tests reach it.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "depwalk"
+
+
+def _names(node) -> list[str]:
+    """Every identifier under ``node``: plain names, attributes and imports."""
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.append(sub.attr)
+        elif isinstance(sub, ast.alias):
+            found.append(sub.name.rsplit(".", 1)[-1])
+    return found
+
+
+def unused_public_definitions(src: Path = SRC) -> list[str]:
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(src.glob("*.py"))}
+    counts = Counter(name for tree in trees.values() for name in _names(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # references inside the definition itself (recursion) do not count
+            if counts[node.name] == _names(node).count(node.name):
+                unused.append(f"{module}: {node.name}")
+    return unused
+
+
+def test_every_public_definition_is_named_elsewhere_in_src():
+    assert unused_public_definitions() == []
+
+
+def test_an_unused_public_function_is_found(tmp_path):
+    (tmp_path / "a.py").write_text("def used():\n    return used()\n\n"
+                                   "def unused():\n    return 1\n\nclass Kept:\n    pass\n")
+    (tmp_path / "b.py").write_text("from .a import used\nx = Kept()\n")
+    assert unused_public_definitions(tmp_path) == ["a.py: unused"]
