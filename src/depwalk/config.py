@@ -4,12 +4,15 @@ The fields of :class:`PipelineConfig` other than ``master_seed`` and
 ``workdir`` are the sections.  A section with an ``rng_seed`` gets a seed
 derived from ``master_seed`` via the documented SHA-256 fan-out (see
 :mod:`depwalk.seeds`); the config file does not expose per-stage seeds.
-Validation collects every violated constraint before raising.
+Every value is checked against its field's annotation, and validation
+collects every violated constraint before raising.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from enum import Enum
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -41,7 +44,6 @@ class EvalSettings:
     n_splits: int = 15
     fractions: tuple[float, ...] = (0.25, 0.5)
     unordered_pairs: bool = False
-    threshold: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,32 +65,45 @@ class PipelineConfig:
         return derive_seed(self.master_seed, stage)
 
 
-_COERCE = {
-    "format": FlowFormat,
-    "split_mode": SplitMode,
-    "internal_prefixes": tuple,
-    "fractions": tuple,
-    "latency_ms": tuple,
-}
+def _fits(value, hint) -> bool:
+    """Whether a YAML value has the field type ``hint``; a float field takes
+    an integer, and a tuple field a list."""
+    if hint in (int, float):
+        return isinstance(value, (int, hint)) and not isinstance(value, bool)
+    if isinstance(hint, type):
+        return isinstance(value, hint)
+    args = get_args(hint)
+    if get_origin(hint) is not tuple:  # a union such as int | None
+        return any(_fits(value, arg) for arg in args)
+    if isinstance(value, list) and args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+
+
+def _convert(value, hint):
+    """A YAML value as the field type ``hint``: a list becomes a tuple, a
+    string an enum member.  TypeError or ValueError names the expected type."""
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return hint(value)
+    if not _fits(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise TypeError(f"expected {expected}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _build_section(name: str, default, data: dict, seed: int, problems: list[str]):
     """``default`` with the keys of ``data`` applied and, when the section has
     an ``rng_seed``, the seed derived for it; the seed is not a key."""
-    names = {f.name for f in fields(default)}
-    allowed = names - {"rng_seed"}
+    hints = get_type_hints(type(default))
+    allowed = set(hints) - {"rng_seed"}
     for key in sorted(set(data) - allowed):
         problems.append(f"{name}: unknown key {key!r}")
-    kwargs = {"rng_seed": seed} if "rng_seed" in names else {}
+    kwargs = {"rng_seed": seed} if "rng_seed" in hints else {}
     for key in sorted(set(data) & allowed):
-        value = data[key]
-        if key in _COERCE:
-            try:
-                value = _COERCE[key](value)
-            except (TypeError, ValueError) as exc:
-                problems.append(f"{name}.{key}: {exc}")
-                continue
-        kwargs[key] = value
+        try:
+            kwargs[key] = _convert(data[key], hints[key])
+        except (TypeError, ValueError) as exc:
+            problems.append(f"{name}.{key}: {exc}")
     try:
         return replace(default, **kwargs)
     except (ConfigError, ValueError, TypeError) as exc:
@@ -112,9 +127,16 @@ def load_config(path=None, master_seed: int | None = None,
     for key in sorted(set(raw) - {f.name for f in fields(PipelineConfig)}):
         problems.append(f"unknown section {key!r}")
 
-    cfg = PipelineConfig(
-        master_seed=master_seed if master_seed is not None else int(raw.get("master_seed", 0)),
-        workdir=workdir if workdir is not None else str(raw.get("workdir", "out")))
+    top = {}
+    for key, override in (("master_seed", master_seed), ("workdir", workdir)):
+        if override is not None:
+            top[key] = override
+        elif key in raw:
+            try:
+                top[key] = _convert(raw[key], get_type_hints(PipelineConfig)[key])
+            except TypeError as exc:
+                problems.append(f"{key}: {exc}")
+    cfg = PipelineConfig(**top)
     sections = {}
     for f in fields(PipelineConfig):
         if f.name in ("master_seed", "workdir"):
@@ -145,8 +167,6 @@ def load_config(path=None, master_seed: int | None = None,
             problems.append(f"evaluation.fractions entry {fraction} must be in (0, 1)")
     if cfg.evaluation.n_splits < 1:
         problems.append("evaluation.n_splits must be >= 1")
-    if not 0.0 <= cfg.evaluation.threshold <= 1.0:
-        problems.append("evaluation.threshold must be in [0, 1]")
 
     if problems:
         raise ConfigError("\n".join(problems))

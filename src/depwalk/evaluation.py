@@ -22,7 +22,6 @@ from .seeds import derive_seed
 
 @dataclass
 class EvalReport:
-    test_fraction: float | None
     accuracy: float
     precision: float
     recall: float
@@ -32,22 +31,6 @@ class EvalReport:
     roc_points: tuple[tuple[float, float], ...]
     pr_points: tuple[tuple[float, float], ...]
     chance_level: float
-    n_scored: int
-
-    def to_dict(self) -> dict:
-        return {
-            "test_fraction": self.test_fraction,
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-            "average_precision": self.average_precision,
-            "roc_points": [list(p) for p in self.roc_points],
-            "pr_points": [list(p) for p in self.pr_points],
-            "chance_level": self.chance_level,
-            "n_scored": self.n_scored,
-        }
 
 
 def split(data: Sequence, test_fraction: float, seed: int) -> tuple[list, list]:
@@ -74,7 +57,7 @@ def split(data: Sequence, test_fraction: float, seed: int) -> tuple[list, list]:
 
 
 def compute_metrics(scores: Sequence[float], labels: Sequence[bool],
-                    threshold: float = 0.5, test_fraction: float | None = None) -> EvalReport:
+                    threshold: float = 0.5) -> EvalReport:
     """Thresholded confusion metrics plus ROC-AUC and average precision.
 
     With a single class present, AUC and AP are reported as None and the
@@ -130,8 +113,8 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[bool],
         roc_points = tuple(roc)
         pr_points = tuple(pr)
 
-    return EvalReport(test_fraction, accuracy, precision, recall, f1,
-                      roc_auc, average_precision, roc_points, pr_points, chance, n)
+    return EvalReport(accuracy, precision, recall, f1,
+                      roc_auc, average_precision, roc_points, pr_points, chance)
 
 
 @dataclass
@@ -177,10 +160,10 @@ def _check_both_classes(train: Sequence[LabeledPair], pairs: Sequence[LabeledPai
 
 def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
                   seed: int, n_splits: int = 15,
-                  fractions: Sequence[float] = (0.25, 0.5),
-                  threshold: float = 0.5) -> EvalSummary:
-    """Mean accuracy/precision/recall/F1 over ``n_splits`` seeded splits per
-    test fraction; the classifier is retrained on every split.
+                  fractions: Sequence[float] = (0.25, 0.5)) -> EvalSummary:
+    """Mean accuracy/precision/recall/F1 at the threshold 0.5 over ``n_splits``
+    seeded splits per test fraction; the classifier is retrained on every
+    split.
 
     The ROC-AUC / AP figures come from one dedicated 50% split, independent of
     the fraction sweep, and the scoring pass is recorded in the metadata.  A
@@ -196,8 +179,7 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
             model = train_forest(train, replace(forest_cfg,
                                                 rng_seed=derive_seed(seed, f"forest:{fraction}:{i}")))
             scores = [predict_proba(model, p.features) for p in test]
-            reports.append(compute_metrics(scores, [p.label for p in test],
-                                           threshold, test_fraction=fraction))
+            reports.append(compute_metrics(scores, [p.label for p in test]))
         per_fraction[float(fraction)] = {
             "accuracy": sum(r.accuracy for r in reports) / n_splits,
             "precision": sum(r.precision for r in reports) / n_splits,
@@ -208,7 +190,7 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
     _check_both_classes(train, pairs, "test fraction 0.5, dedicated AUC/AP split")
     model = train_forest(train, replace(forest_cfg, rng_seed=derive_seed(seed, "auc-ap-forest")))
     scores = [predict_proba(model, p.features) for p in test]
-    headline = compute_metrics(scores, [p.label for p in test], threshold, test_fraction=0.5)
+    headline = compute_metrics(scores, [p.label for p in test])
     return EvalSummary(
         n_splits=n_splits,
         fractions=per_fraction,
@@ -218,5 +200,5 @@ def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
         pr_points=headline.pr_points,
         chance_level=headline.chance_level,
         metadata={"auc_ap_test_fraction": 0.5, "auc_ap_split": "dedicated",
-                  "threshold": threshold},
+                  "threshold": 0.5},
     )

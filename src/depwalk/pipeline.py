@@ -3,9 +3,11 @@
 Every stage reads its inputs from files and writes its artifacts back to the
 work directory, so running the stages one by one is equivalent to running
 ``pipeline`` (feature vectors are always rebuilt from the on-disk embedding,
-never from in-memory training state).  ``STAGES`` at the end of this module
-is the one list of stages: the CLI subcommands, the prerequisite checks, the
-``pipeline`` order and ``--resume`` all derive from it.
+never from in-memory training state).  ``predict`` is the only stage that
+scores pairs with the model; ``simindex`` ranks its ``predictions.csv``.
+``STAGES`` at the end of this module is the one list of stages: the CLI
+subcommands, the prerequisite checks, the ``pipeline`` order and
+``--resume`` all derive from it.
 """
 
 from __future__ import annotations
@@ -79,12 +81,8 @@ def stage_sample(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _read_graph(cfg: PipelineConfig):
-    return read_graph_jsonl(artifact(cfg, "graph.jsonl"))
-
-
 def stage_walks(cfg: PipelineConfig) -> Path:
-    graph = _read_graph(cfg)
+    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
     positives = walks.generate_walks(graph, cfg.walks)
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
     out = artifact(cfg, "walks.jsonl")
@@ -94,7 +92,7 @@ def stage_walks(cfg: PipelineConfig) -> Path:
 
 
 def stage_embed(cfg: PipelineConfig) -> Path:
-    graph = _read_graph(cfg)
+    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
     all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"))
     pos_pairs = []
     neg_pairs = []
@@ -118,23 +116,24 @@ def stage_oracle(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _read_embedding(cfg: PipelineConfig):
-    return embedding.load_embedding(artifact(cfg, "embedding.bin"))
-
-
-def _read_labels(cfg: PipelineConfig, emb) -> list[forest.LabeledPair]:
-    pairs = []
-    with open(artifact(cfg, "labels.csv"), "r", encoding="utf-8", newline="") as fh:
+def _read_rows(path, *columns: str) -> list[list[str]]:
+    """The rows of a CSV file whose leading columns are ``columns``, without
+    the header and blank lines; a row with fewer cells is an error naming its
+    line."""
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        for src, dst, label in reader:
-            pairs.append(forest.LabeledPair(src, dst, embedding.dependency_vector(emb, src, dst),
-                                            label == "1"))
-    return pairs
+        for row in reader:
+            if not row or row[0] == "src":
+                continue
+            if len(row) < len(columns):
+                raise ValueError(f"{path}:{reader.line_num}: expected {','.join(columns)} columns")
+            rows.append(row)
+    return rows
 
 
 def stage_train(cfg: PipelineConfig) -> Path:
-    emb = _read_embedding(cfg)
+    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     records = oracle.read_ground_truth(artifact(cfg, "ground_truth.csv"))
     known = set(emb.vertex_index)
     gt_pairs = sorted({(r.src, r.dst) for r in records
@@ -157,30 +156,16 @@ def stage_train(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _read_model(cfg: PipelineConfig):
-    return forest.load_forest(artifact(cfg, "model.json"))
-
-
 def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
-    emb = _read_embedding(cfg)
-    model = _read_model(cfg)
-    if pairs_path is not None:
-        pairs = []
-        with open(pairs_path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for row in reader:
-                if not row or row[0] == "src":
-                    continue
-                if len(row) < 2:
-                    raise ValueError(f"{pairs_path}:{reader.line_num}: expected src,dst columns")
-                pairs.append((row[0], row[1]))
-    else:
-        pairs = [(p.src, p.dst) for p in _read_labels(cfg, emb)]
+    """Score the pairs of ``pairs_path``, by default those of labels.csv."""
+    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
+    model = forest.load_forest(artifact(cfg, "model.json"))
+    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), "src", "dst")
     out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "probability"])
-        for src, dst in pairs:
+        for src, dst, *_ in pairs:
             prob = forest.predict_proba(model, embedding.dependency_vector(emb, src, dst))
             writer.writerow([src, dst, repr(prob)])
     log.info("predict: %d pairs scored", len(pairs))
@@ -188,14 +173,15 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
 
 
 def stage_eval(cfg: PipelineConfig) -> Path:
-    emb = _read_embedding(cfg)
-    labels = _read_labels(cfg, emb)
+    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
+    rows = _read_rows(artifact(cfg, "labels.csv"), "src", "dst", "label")
+    labels = [forest.LabeledPair(src, dst, embedding.dependency_vector(emb, src, dst), label == "1")
+              for src, dst, label, *_ in rows]
     summary = evaluation.repeated_eval(
         labels, cfg.forest,
         seed=cfg.seed_for("evaluation"),
         n_splits=cfg.evaluation.n_splits,
         fractions=cfg.evaluation.fractions,
-        threshold=cfg.evaluation.threshold,
     )
     out = artifact(cfg, "eval_report.json")
     with open(out, "w", encoding="utf-8") as fh:
@@ -206,11 +192,11 @@ def stage_eval(cfg: PipelineConfig) -> Path:
 
 
 def stage_simindex(cfg: PipelineConfig) -> Path:
-    graph = _read_graph(cfg)
-    emb = _read_embedding(cfg)
-    model = _read_model(cfg)
-    labels = _read_labels(cfg, emb)
-    scored = [(p.src, p.dst, forest.predict_proba(model, p.features)) for p in labels]
+    """The similarity indices of the pairs predict scored, next to the model's
+    probabilities."""
+    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
+    scored = [(src, dst, float(prob)) for src, dst, prob, *_
+              in _read_rows(artifact(cfg, "predictions.csv"), "src", "dst", "probability")]
     rows, correlations = simindex.baseline_report(graph, scored)
     out = artifact(cfg, "baseline.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -270,13 +256,12 @@ STAGES = (
           ("embedding.bin", "model.json", "labels.csv"), ("predictions.csv",),
           lambda cfg, args: stage_predict(cfg, args.pairs),
           (("--pairs", {"default": None,
-                        "help": "CSV of src,dst pairs (defaults to the label set)"}),)),
+                        "help": "CSV of src,dst pairs (defaults to labels.csv)"}),)),
     Stage("eval", "repeated train/test evaluation",
           ("embedding.bin", "labels.csv"), ("eval_report.json",),
           lambda cfg, args: stage_eval(cfg)),
     Stage("simindex", "baseline similarity indices and correlations",
-          ("graph.jsonl", "embedding.bin", "model.json", "labels.csv"),
-          ("baseline.csv", "baseline_summary.json"),
+          ("graph.jsonl", "predictions.csv"), ("baseline.csv", "baseline_summary.json"),
           lambda cfg, args: stage_simindex(cfg)),
 )
 STAGE = {stage.name: stage for stage in STAGES}

@@ -1,5 +1,6 @@
 import json
 import re
+import shutil
 from dataclasses import fields
 from pathlib import Path
 
@@ -109,7 +110,8 @@ REMOVED_KEYS = [("oracle", "max_chain_vertices", 4),
                 ("sampler", "exclude_scanners", False),
                 ("sampler", "scan_max_unanswered", 0.25),
                 ("walks", "neg_retry_factor", 100),
-                ("context", "include_trailing", False)]
+                ("context", "include_trailing", False),
+                ("evaluation", "threshold", 0.5)]
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
@@ -120,6 +122,24 @@ def test_removed_key_rejected(tmp_path, section, key, value):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
     assert f"{section}: unknown key {key!r}" in str(err.value)
+
+
+# A config document with one mistyped value, and the problem it reports: the
+# key and the type it expects.
+MISTYPED = [({"master_seed": "abc"}, "master_seed: expected int, got 'abc'"),
+            ({"context": {"size": "4"}}, "context.size: expected int, got '4'"),
+            ({"evaluation": {"n_splits": "3"}}, "evaluation.n_splits: expected int, got '3'"),
+            ({"walks": {"walk_length": "5"}}, "walks.walk_length: expected int, got '5'"),
+            ({"sampler": {"internal_prefixes": "10.0.0.0/8"}},
+             "sampler.internal_prefixes: expected tuple[str, ...], got '10.0.0.0/8'")]
+
+
+@pytest.mark.parametrize("doc,problem", MISTYPED, ids=[m[1].split(":")[0] for m in MISTYPED])
+def test_mistyped_value_is_a_config_error_naming_its_key(tmp_path, capsys, doc, problem):
+    status = main(["-c", str(write_config(tmp_path, doc)), "-w", str(tmp_path / "out"), "synth"])
+    assert status == 2
+    assert capsys.readouterr().err == f"depwalk: invalid configuration:\n{problem}\n"
+    assert not (tmp_path / "out").exists()
 
 
 SECTIONS = [f.name for f in fields(PipelineConfig) if f.name not in ("master_seed", "workdir")]
@@ -173,6 +193,50 @@ def test_stagewise_equals_pipeline(tmp_path):
     for stage in ("sample", "walks", "embed", "oracle", "train", "predict", "eval", "simindex"):
         assert main(base + [stage]) == 0, stage
     assert (out_pipe / "eval_report.json").read_bytes() == (out_step / "eval_report.json").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """One ``pipeline --synth`` run of SMALL_SCENARIO: its config and work directory."""
+    tmp_path = tmp_path_factory.mktemp("small")
+    cfg_path = write_config(tmp_path)
+    workdir = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 0
+    return cfg_path, workdir
+
+
+def copy_inputs(stage: pipeline.Stage, workdir: Path, fresh: Path) -> None:
+    fresh.mkdir()
+    for name in stage.inputs:
+        shutil.copyfile(workdir / name, fresh / name)
+
+
+STAGES_WITH_INPUTS = [stage for stage in pipeline.STAGES if stage.inputs]
+
+
+@pytest.mark.parametrize("stage", STAGES_WITH_INPUTS, ids=[s.name for s in STAGES_WITH_INPUTS])
+def test_stage_rebuilds_its_outputs_from_its_declared_inputs(small_run, tmp_path, stage):
+    cfg_path, workdir = small_run
+    copy_inputs(stage, workdir, tmp_path / "fresh")
+    assert main(["-c", str(cfg_path), "-w", str(tmp_path / "fresh"), stage.name]) == 0
+    for name in stage.outputs:
+        assert (tmp_path / "fresh" / name).read_bytes() == (workdir / name).read_bytes(), name
+
+
+def test_simindex_ranks_the_pairs_predict_scored(small_run, tmp_path):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    shutil.copyfile(workdir / "graph.jsonl", fresh / "graph.jsonl")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("src,dst\n10.0.0.1,10.0.1.1\n10.0.0.2,10.0.0.1\n10.0.1.1,10.0.0.3\n")
+    base = ["-c", str(cfg_path), "-w", str(fresh)]
+    assert main(base + ["predict", "--pairs", str(pairs)]) == 0
+    assert main(base + ["simindex"]) == 0
+    predictions = [line.split(",") for line in (fresh / "predictions.csv").read_text().splitlines()]
+    baseline = [line.split(",") for line in (fresh / "baseline.csv").read_text().splitlines()]
+    assert [row[:2] + row[-1:] for row in baseline[1:]] == predictions[1:]
+    assert len(predictions) == 4
 
 
 def test_pipeline_resume_skips_existing(tmp_path):

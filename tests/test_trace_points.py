@@ -66,10 +66,20 @@ def test_every_scored_row_is_one_predict_proba_call(traced_run):
                     for fraction in settings.fractions)
     eval_rows += len(split(range(n_labels), 0.5, 0)[1])
     predict_rows = _data_rows(traced_run.workdir / "predictions.csv")
-    simindex_rows = n_labels
     calls = sum(entry[0] for (name, _), entry in traced_run.tracer.aggregates.items()
                 if name == "forest.predict_proba")
-    assert calls == predict_rows + eval_rows + simindex_rows
+    # simindex ranks predictions.csv and scores nothing itself
+    assert calls == predict_rows + eval_rows
+
+
+def test_only_predict_loads_the_model(traced_run):
+    spans = traced_run.tracer.spans
+
+    def loaders(name):
+        return [spans[span["parent"]]["name"] for span in spans if span["name"] == name]
+
+    assert loaders("embedding.load_embedding") == ["stage.train", "stage.predict", "stage.eval"]
+    assert loaders("forest.load_forest") == ["stage.predict"]
 
 
 def test_one_enumerate_td_span_counts_every_preprocessed_flow(traced_run):
