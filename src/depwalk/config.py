@@ -43,7 +43,6 @@ class ContextSettings:
 class EvalSettings:
     n_splits: int = 15
     fractions: tuple[float, ...] = (0.25, 0.5)
-    unordered_pairs: bool = False
 
 
 @dataclass(frozen=True)
@@ -158,10 +157,6 @@ def load_config(path=None, master_seed: int | None = None,
         problems.append(
             f"context.size ({cfg.context.size}) must not exceed walks.walk_length "
             f"({cfg.walks.walk_length})")
-    if cfg.forest.features_per_split is not None and cfg.forest.features_per_split > cfg.embedding.dims:
-        problems.append(
-            f"forest.features_per_split ({cfg.forest.features_per_split}) must not exceed "
-            f"embedding.dims ({cfg.embedding.dims})")
     for fraction in cfg.evaluation.fractions:
         if not 0.0 < fraction < 1.0:
             problems.append(f"evaluation.fractions entry {fraction} must be in (0, 1)")

@@ -215,11 +215,14 @@ def load_embedding(data_path) -> EmbeddingMatrix:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{data_path}: not an embedding file (bad magic {magic!r})")
-        dims, count = struct.unpack("<II", fh.read(8))
-        addrs = []
-        for _ in range(count):
-            (length,) = struct.unpack("<H", fh.read(2))
-            addrs.append(fh.read(length).decode("utf-8"))
-        raw = fh.read(4 * dims * count)
-        matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dims)
+        try:  # a short read fails to unpack, decode or reshape
+            dims, count = struct.unpack("<II", fh.read(8))
+            addrs = []
+            for _ in range(count):
+                (length,) = struct.unpack("<H", fh.read(2))
+                addrs.append(fh.read(length).decode("utf-8"))
+            raw = fh.read(4 * dims * count)
+            matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dims)
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"{data_path}: truncated or damaged embedding file ({exc})") from exc
     return EmbeddingMatrix({a: i for i, a in enumerate(addrs)}, matrix.copy())

@@ -246,3 +246,21 @@ def flow_to_dict(flow: FlowRecord) -> dict:
 def flow_from_dict(obj: dict) -> FlowRecord:
     return FlowRecord(obj["src_ip"], obj["dst_ip"], int(obj["src_port"]), int(obj["dst_port"]),
                       Proto(obj["proto"]), int(obj["t_start"]), int(obj["t_end"]))
+
+
+def _json_lines(fh, path, convert, start: int = 1) -> list:
+    """``convert`` of the JSON object on each non-blank line of ``fh``, whose
+    first line is line ``start`` of ``path``.  A line that is not JSON, or
+    whose object ``convert`` rejects (a missing field, a wrong type or
+    value), is a ValueError naming ``path`` and the line."""
+    out = []
+    lineno = start  # bound even when the first line fails to decode
+    try:
+        for lineno, line in enumerate(fh, start):
+            if line.strip():
+                out.append(convert(json.loads(line)))
+    except KeyError as exc:
+        raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return out

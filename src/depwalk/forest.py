@@ -1,10 +1,11 @@
 """Random forest over dependency feature vectors.
 
-CART-style trees grown on bootstrap resamples with Gini impurity splits over
-a random feature subset per node.  The predicted probability is the fraction
-of trees voting true.  Bootstrap draws are keyed to (seed, tree index) and
-training rows are put into a canonical order first, so training is invariant
-to the order rows arrive in.
+CART-style trees, each grown on a bootstrap resample with Gini impurity splits
+over ``ceil(sqrt(dims))`` random candidate features per node, until every
+leaf is pure (a leaf may hold one row).  The predicted probability is the
+fraction of trees voting true.  Bootstrap draws are keyed to (seed, tree
+index) and training rows are put into a canonical order first, so training is
+invariant to the order rows arrive in.
 """
 
 from __future__ import annotations
@@ -34,21 +35,11 @@ class LabeledPair:
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None  # default: ceil(sqrt(dims)) at fit time
-    bootstrap: bool = True
     rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
-        if self.max_depth is not None and self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1 or None")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise ValueError("features_per_split must be >= 1 or None")
 
 
 @dataclass(frozen=True)
@@ -69,20 +60,16 @@ class ForestModel:
 
 
 def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[str],
-                    rng_seed: int, unordered: bool = False) -> list[LabeledPair]:
+                    rng_seed: int) -> list[LabeledPair]:
     """Ground-truth pairs labelled true plus an equal number of uniformly
     drawn distinct non-dependency pairs labelled false.
 
-    Pairs are ordered by default; ``unordered`` collapses each pair to its
-    sorted form for the direction-free reading.  Feature vectors are left
-    unset.  Raises when the vertex universe cannot supply enough negatives.
+    Pairs are ordered: (a, b) says that a depends on b.  Feature vectors are
+    left unset.  Raises when the vertex universe cannot supply enough
+    negatives.
     """
     verts = sorted(set(vertices))
     vset = set(verts)
-
-    def canon(a: str, b: str) -> tuple[str, str]:
-        return tuple(sorted((a, b))) if unordered else (a, b)
-
     positives: set[tuple[str, str]] = set()
     for a, b in ground_truth:
         if a not in vset:
@@ -91,12 +78,12 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             raise UnknownAddressError(b)
         if a == b:
             raise ValueError(f"self pair in ground truth: {a}")
-        positives.add(canon(a, b))
+        positives.add((a, b))
     if not positives:
         raise LabelBalanceError("ground truth contains no usable pairs")
 
     n = len(verts)
-    universe = n * (n - 1) // (2 if unordered else 1)
+    universe = n * (n - 1)
     need = len(positives)
     if universe - need < need:
         raise LabelBalanceError(
@@ -106,9 +93,8 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
     negatives: set[tuple[str, str]] = set()
     if need > (universe - need) // 2:
         # dense label set: enumerate the complement instead of rejecting
-        pool = [canon(a, b) for a in verts for b in verts
-                if a != b and canon(a, b) not in positives]
-        pool = sorted(set(pool))
+        pool = [(a, b) for a in verts for b in verts
+                if a != b and (a, b) not in positives]
         negatives = set(rng.sample(pool, need))
     else:
         while len(negatives) < need:
@@ -116,7 +102,7 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             b = verts[rng.randrange(n)]
             if a == b:
                 continue
-            pair = canon(a, b)
+            pair = (a, b)
             if pair in positives or pair in negatives:
                 continue
             negatives.add(pair)
@@ -126,15 +112,14 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
 
 
 def _best_split(XT: np.ndarray, ys: np.ndarray, idx: np.ndarray, n_pos: int, k: int,
-                min_leaf: int, rng: np.random.Generator):
+                rng: np.random.Generator):
     """Best (feature, threshold) by weighted Gini over k random features.
 
     The node's rows of the k sorted candidate features are scored in one
     (k, n) pass: one stable sort per row, one cumulative sum and the Gini of
     every cut.  Thresholds are midpoints between consecutive distinct values,
-    or the lower value when the midpoint rounds up to the upper; both sides
-    must keep at least ``min_leaf`` samples.  Ties resolve to the first
-    candidate in (feature, position) scan order.
+    or the lower value when the midpoint rounds up to the upper.  Ties
+    resolve to the first candidate in (feature, position) scan order.
     """
     n = len(idx)
     feats = rng.choice(XT.shape[0], size=k, replace=False)
@@ -142,32 +127,30 @@ def _best_split(XT: np.ndarray, ys: np.ndarray, idx: np.ndarray, n_pos: int, k: 
     vals = XT[feats[:, None], idx]
     order = vals.argsort(axis=1, kind="stable")
     sv = vals[np.arange(k)[:, None], order]
-    # cut j puts sorted positions 0..j on the left; only the cuts that leave
-    # min_leaf rows on each side are scored
-    lo, hi = min_leaf - 1, n - min_leaf
-    left_n = np.arange(lo + 1, hi + 1)
+    # cut j puts sorted positions 0..j on the left
+    left_n = np.arange(1, n)
     right_n = n - left_n
-    left_pos = ys[order].cumsum(axis=1)[:, lo:hi]
+    left_pos = ys[order].cumsum(axis=1)[:, :-1]
     right_pos = n_pos - left_pos
     pl = left_pos / left_n
     pr = right_pos / right_n
     weighted = (left_n * (1.0 - pl * pl - (1.0 - pl) ** 2)
                 + right_n * (1.0 - pr * pr - (1.0 - pr) ** 2)) / n
-    distinct = sv[:, lo + 1:hi + 1] > sv[:, lo:hi]
+    distinct = sv[:, 1:] > sv[:, :-1]
     weighted[~distinct] = np.inf
-    row, j = divmod(int(weighted.argmin()), hi - lo)  # first minimum, row-major
+    row, j = divmod(int(weighted.argmin()), n - 1)  # first minimum, row-major
     if not distinct[row, j]:
         return None
-    a, b = sv[row, j + lo], sv[row, j + lo + 1]
+    a, b = sv[row, j], sv[row, j + 1]
     mid = (a + b) / 2.0
     # between adjacent floats the midpoint can round to b; a keeps b right
     return int(feats[row]), float(mid if mid < b else a)
 
 
-def _grow_tree(XT: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
-               cfg: ForestConfig, k: int, rng: np.random.Generator) -> _TreeNodes:
-    """One tree in DFS pre-order; ``XT`` is the training matrix transposed
-    (one contiguous row per feature)."""
+def _grow_tree(XT: np.ndarray, y: np.ndarray, sample_idx: np.ndarray, k: int,
+               rng: np.random.Generator) -> _TreeNodes:
+    """One tree in DFS pre-order, split until every leaf is pure; ``XT`` is
+    the training matrix transposed (one contiguous row per feature)."""
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -182,29 +165,27 @@ def _grow_tree(XT: np.ndarray, y: np.ndarray, sample_idx: np.ndarray,
         leaf_p.append(0.0)
         return len(feature) - 1
 
-    def build(idx: np.ndarray, depth: int) -> int:
+    def build(idx: np.ndarray) -> int:
         node = new_node()
         ys = y[idx]
         n_node = len(idx)
         n_pos = int(np.count_nonzero(ys))
-        stop = (n_pos == 0 or n_pos == n_node
-                or (cfg.max_depth is not None and depth >= cfg.max_depth)
-                or n_node < 2 * cfg.min_samples_leaf)
-        split = None if stop else _best_split(XT, ys, idx, n_pos, k, cfg.min_samples_leaf, rng)
+        pure = n_pos == 0 or n_pos == n_node
+        split = None if pure else _best_split(XT, ys, idx, n_pos, k, rng)
         if split is None:
             leaf_p[node] = n_pos / n_node
             return node
         f, thr = split
         mask = XT[f, idx] <= thr
-        left_child = build(idx[mask], depth + 1)
-        right_child = build(idx[~mask], depth + 1)
+        left_child = build(idx[mask])
+        right_child = build(idx[~mask])
         feature[node] = f
         threshold[node] = thr
         left[node] = left_child
         right[node] = right_child
         return node
 
-    build(np.asarray(sample_idx), 0)
+    build(np.asarray(sample_idx))
     return _TreeNodes(tuple(feature), tuple(threshold), tuple(left), tuple(right), tuple(leaf_p))
 
 
@@ -230,15 +211,13 @@ def train_forest(data: Sequence[LabeledPair], cfg: ForestConfig) -> ForestModel:
     y = y[order]
 
     dims = X.shape[1]
-    k = cfg.features_per_split if cfg.features_per_split is not None else math.ceil(math.sqrt(dims))
-    k = min(k, dims)
+    k = math.ceil(math.sqrt(dims))
     n = len(y)
     XT = np.ascontiguousarray(X.T)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, f"tree:{t}"))
-        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        trees.append(_grow_tree(XT, y, idx, cfg, k, rng))
+        trees.append(_grow_tree(XT, y, rng.integers(0, n, size=n), k, rng))
     return ForestModel(dims, tuple(trees))
 
 
@@ -276,12 +255,17 @@ def save_forest(model: ForestModel, path) -> None:
 
 def load_forest(path) -> ForestModel:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != "depwalk-forest" or obj.get("version") != 1:
-        raise ValueError(f"{path}: not a version-1 forest file")
-    trees = tuple(
-        _TreeNodes(tuple(t["feature"]), tuple(t["threshold"]),
-                   tuple(t["left"]), tuple(t["right"]), tuple(t["leaf_p"]))
-        for t in obj["trees"]
-    )
-    return ForestModel(int(obj["n_features"]), trees)
+        try:
+            obj = json.load(fh)
+            if obj.get("format") != "depwalk-forest" or obj.get("version") != 1:
+                raise ValueError("not a version-1 forest file")
+            trees = tuple(
+                _TreeNodes(tuple(t["feature"]), tuple(t["threshold"]),
+                           tuple(t["left"]), tuple(t["right"]), tuple(t["leaf_p"]))
+                for t in obj["trees"]
+            )
+            return ForestModel(int(obj["n_features"]), trees)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -11,7 +11,7 @@ from ipaddress import ip_address, ip_network
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
-from .flows import FlowRecord, flow_from_dict, flow_to_dict
+from .flows import FlowRecord, _json_lines, flow_from_dict, flow_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -190,8 +190,6 @@ def read_graph_jsonl(path) -> CommGraph:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}: empty graph file")
-        manifest = json.loads(first)
-        if "vertices" not in manifest:
-            raise ValueError(f"{path}: missing vertex manifest on the first line")
-        edges = [flow_from_dict(json.loads(line)) for line in fh if line.strip()]
-    return CommGraph.from_flows(manifest["vertices"], edges)
+        (vertices,) = _json_lines([first], path, lambda manifest: manifest["vertices"])
+        edges = _json_lines(fh, path, flow_from_dict, start=2)
+    return CommGraph.from_flows(vertices, edges)

@@ -253,18 +253,3 @@ def write_ground_truth(records: Iterable[DependencyRecord], path) -> None:
         for rec in records:
             writer.writerow([rec.kind.value, rec.src, rec.dst, rec.witness_count])
 
-
-def read_ground_truth(path) -> list[DependencyRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header[:1] != ["kind"]:
-            fh.seek(0)
-            reader = csv.reader(fh)
-        for row in reader:
-            if not row:
-                continue
-            kind, src, dst, count = row
-            records.append(DependencyRecord(DepKind(kind), src, dst, int(count)))
-    return records

@@ -116,32 +116,50 @@ def stage_oracle(cfg: PipelineConfig) -> Path:
     return out
 
 
-def _read_rows(path, *columns: str) -> list[list[str]]:
-    """The rows of a CSV file whose leading columns are ``columns``, without
-    the header and blank lines; a row with fewer cells is an error naming its
-    line."""
+def _label(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+def _probability(cell: str) -> float:
+    value = float(cell)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"probability must be in [0, 1], got {cell!r}")
+    return value
+
+
+def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
+    """The rows of a CSV file as tuples, one cell per key of ``columns``
+    converted by its function, without the header (a row that starts with
+    the column names) and blank lines.  A short row, or a cell its function
+    rejects, is an error naming its line."""
+    names = list(columns)
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
-            if not row or row[0] == "src":
+            if not row or row[:len(names)] == names:
                 continue
-            if len(row) < len(columns):
-                raise ValueError(f"{path}:{reader.line_num}: expected {','.join(columns)} columns")
-            rows.append(row)
+            try:
+                if len(row) < len(names):
+                    raise ValueError(f"expected {','.join(names)} columns")
+                rows.append(tuple(convert(cell) for convert, cell in zip(columns.values(), row)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
 
 
 def stage_train(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    records = oracle.read_ground_truth(artifact(cfg, "ground_truth.csv"))
+    records = _read_rows(artifact(cfg, "ground_truth.csv"),
+                         kind=oracle.DepKind, src=str, dst=str, witness_count=int)
     known = set(emb.vertex_index)
-    gt_pairs = sorted({(r.src, r.dst) for r in records
-                       if r.src in known and r.dst in known})
+    gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
+                       if src in known and dst in known})
     if not gt_pairs:
         raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
-    labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"),
-                                    unordered=cfg.evaluation.unordered_pairs)
+    labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
     for pair in labels:
         pair.features = embedding.dependency_vector(emb, pair.src, pair.dst)
     with open(artifact(cfg, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
@@ -160,12 +178,12 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     """Score the pairs of ``pairs_path``, by default those of labels.csv."""
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     model = forest.load_forest(artifact(cfg, "model.json"))
-    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), "src", "dst")
+    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), src=str, dst=str)
     out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "probability"])
-        for src, dst, *_ in pairs:
+        for src, dst in pairs:
             prob = forest.predict_proba(model, embedding.dependency_vector(emb, src, dst))
             writer.writerow([src, dst, repr(prob)])
     log.info("predict: %d pairs scored", len(pairs))
@@ -174,9 +192,9 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
 
 def stage_eval(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    rows = _read_rows(artifact(cfg, "labels.csv"), "src", "dst", "label")
-    labels = [forest.LabeledPair(src, dst, embedding.dependency_vector(emb, src, dst), label == "1")
-              for src, dst, label, *_ in rows]
+    rows = _read_rows(artifact(cfg, "labels.csv"), src=str, dst=str, label=_label)
+    labels = [forest.LabeledPair(src, dst, embedding.dependency_vector(emb, src, dst), label)
+              for src, dst, label in rows]
     summary = evaluation.repeated_eval(
         labels, cfg.forest,
         seed=cfg.seed_for("evaluation"),
@@ -195,8 +213,7 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
     """The similarity indices of the pairs predict scored, next to the model's
     probabilities."""
     graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
-    scored = [(src, dst, float(prob)) for src, dst, prob, *_
-              in _read_rows(artifact(cfg, "predictions.csv"), "src", "dst", "probability")]
+    scored = _read_rows(artifact(cfg, "predictions.csv"), src=str, dst=str, probability=_probability)
     rows, correlations = simindex.baseline_report(graph, scored)
     out = artifact(cfg, "baseline.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -37,7 +37,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, NegativeWalkError
-from .flows import FlowRecord, flow_from_dict, flow_to_dict
+from .flows import FlowRecord, _json_lines, flow_from_dict, flow_to_dict
 from .graph import CommGraph
 from .seeds import derive_seed
 
@@ -279,18 +279,16 @@ def write_walks_jsonl(walks: Iterable[RandomWalk], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _walk_from_dict(obj: dict) -> RandomWalk:
+    return RandomWalk(
+        vertices=tuple(obj["vertices"]),
+        step_edges=tuple(flow_from_dict(e) for e in obj["step_edges"]),
+        label=WalkLabel(obj["label"]),
+        condition_trace=tuple(frozenset(Condition(c) for c in conds)
+                              for conds in obj["condition_trace"]),
+    )
+
+
 def read_walks_jsonl(path) -> list[RandomWalk]:
-    walks = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            walks.append(RandomWalk(
-                vertices=tuple(obj["vertices"]),
-                step_edges=tuple(flow_from_dict(e) for e in obj["step_edges"]),
-                label=WalkLabel(obj["label"]),
-                condition_trace=tuple(frozenset(Condition(c) for c in conds)
-                                      for conds in obj["condition_trace"]),
-            ))
-    return walks
+        return _json_lines(fh, path, _walk_from_dict)

@@ -268,7 +268,7 @@ def records_as_tuples(records) -> list[tuple]:
 # forest oracle: the fit path scanned one candidate feature at a time
 
 
-def _reference_best_split(X, ys, idx, k, min_leaf, rng):
+def _reference_best_split(X, ys, idx, k, rng):
     """Per-feature scan: first strictly lower score wins, so ties go to the
     first candidate in (feature, position) order."""
     n = len(idx)
@@ -285,16 +285,12 @@ def _reference_best_split(X, ys, idx, k, min_leaf, rng):
             continue
         left_n = cut + 1
         right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
         left_pos = np.cumsum(sy)[cut]
         right_pos = n_pos - left_pos
         pl = left_pos / left_n
         pr = right_pos / right_n
         weighted = (left_n * (1.0 - pl * pl - (1.0 - pl) ** 2)
                     + right_n * (1.0 - pr * pr - (1.0 - pr) ** 2)) / n
-        weighted = np.where(valid, weighted, np.inf)
         i = int(np.argmin(weighted))
         score = float(weighted[i])
         if best is None or score < best[0]:
@@ -306,30 +302,28 @@ def _reference_best_split(X, ys, idx, k, min_leaf, rng):
     return best[1], best[2]
 
 
-def _reference_tree(X, y, idx, cfg, k, rng):
+def _reference_tree(X, y, idx, k, rng):
     nodes = []  # [feature, threshold, left, right, leaf_p] in DFS pre-order
 
-    def build(idx, depth):
+    def build(idx):
         node = len(nodes)
         nodes.append([-1, 0.0, -1, -1, 0.0])
         ys = y[idx]
         n_node = len(idx)
         n_pos = int(ys.sum())
-        stop = (n_pos == 0 or n_pos == n_node
-                or (cfg.max_depth is not None and depth >= cfg.max_depth)
-                or n_node < 2 * cfg.min_samples_leaf)
-        split = None if stop else _reference_best_split(X, ys, idx, k, cfg.min_samples_leaf, rng)
+        pure = n_pos in (0, n_node)
+        split = None if pure else _reference_best_split(X, ys, idx, k, rng)
         if split is None:
             nodes[node][4] = n_pos / n_node
             return node
         f, thr = split
         mask = X[idx, f] <= thr
-        left = build(idx[mask], depth + 1)
-        right = build(idx[~mask], depth + 1)
+        left = build(idx[mask])
+        right = build(idx[~mask])
         nodes[node][:4] = [f, thr, left, right]
         return node
 
-    build(np.asarray(idx), 0)
+    build(np.asarray(idx))
     return _TreeNodes(*(tuple(column) for column in zip(*nodes)))
 
 
@@ -342,13 +336,13 @@ def reference_train_forest(data, cfg) -> ForestModel:
     order = np.lexsort([y.astype(float)] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)])
     X, y = X[order], y[order]
     dims = X.shape[1]
-    k = min(cfg.features_per_split or math.ceil(math.sqrt(dims)), dims)
+    k = math.ceil(math.sqrt(dims))
     n = len(y)
     trees = []
     for t in range(cfg.n_trees):
         rng = np.random.default_rng(derive_seed(cfg.rng_seed, f"tree:{t}"))
-        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        trees.append(_reference_tree(X, y, idx, cfg, k, rng))
+        idx = rng.integers(0, n, size=n)
+        trees.append(_reference_tree(X, y, idx, k, rng))
     return ForestModel(dims, tuple(trees))
 
 

@@ -111,7 +111,12 @@ REMOVED_KEYS = [("oracle", "max_chain_vertices", 4),
                 ("sampler", "scan_max_unanswered", 0.25),
                 ("walks", "neg_retry_factor", 100),
                 ("context", "include_trailing", False),
-                ("evaluation", "threshold", 0.5)]
+                ("evaluation", "threshold", 0.5),
+                ("forest", "max_depth", 8),
+                ("forest", "min_samples_leaf", 1),
+                ("forest", "features_per_split", 8),
+                ("forest", "bootstrap", True),
+                ("evaluation", "unordered_pairs", False)]
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
@@ -122,6 +127,16 @@ def test_removed_key_rejected(tmp_path, section, key, value):
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
     assert f"{section}: unknown key {key!r}" in str(err.value)
+
+
+def test_readme_lists_exactly_the_removed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    intro = "keys that older versions accepted:\n\n"
+    listing = readme[readme.index(intro) + len(intro):].split("\n\n")[0]
+    # each bullet names its keys before the first colon
+    heads = [bullet.split(":")[0] for bullet in listing.split("\n* ")]
+    listed = {key for head in heads for key in re.findall(r"`(\w+\.\w+)`", head)}
+    assert listed == {f"{section}.{key}" for section, key, _ in REMOVED_KEYS}
 
 
 # A config document with one mistyped value, and the problem it reports: the
@@ -342,3 +357,70 @@ def test_predict_short_pairs_row_is_an_error_naming_its_line(tmp_path, capsys):
     assert main(base + ["predict", "--pairs", str(pairs)]) == 1
     err = capsys.readouterr().err
     assert f"depwalk: predict failed: {pairs}:2: expected src,dst columns" in err
+
+
+def drop_field(lineno, key):
+    """Delete ``key`` from the JSON object on line ``lineno``."""
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[lineno - 1])
+        del obj[key]
+        lines[lineno - 1] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+    return corrupt
+
+
+def edit_first_row(change):
+    """Replace the cells of a CSV file's first data row by ``change(cells)``."""
+    def corrupt(path):
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = ",".join(change(lines[1].rstrip("\r\n").split(","))) + "\r\n"
+        path.write_text("".join(lines))
+    return corrupt
+
+
+def truncate(size):
+    def corrupt(path):
+        path.write_bytes(path.read_bytes()[:size])
+    return corrupt
+
+
+# (stage, the input it reads, how the input is damaged, the error after the
+# file's name)
+DAMAGED_INPUTS = [
+    pytest.param("walks", "graph.jsonl", drop_field(2, "dst_ip"),
+                 ":2: missing field 'dst_ip'", id="graph-edge-field"),
+    pytest.param("embed", "walks.jsonl", drop_field(1, "vertices"),
+                 ":1: missing field 'vertices'", id="walk-field"),
+    pytest.param("predict", "model.json", drop_field(1, "trees"),
+                 ": missing field 'trees'", id="model-trees"),
+    pytest.param("eval", "embedding.bin", truncate(100),
+                 ": truncated or damaged embedding file (unpack requires a buffer of 2 bytes)",
+                 id="embedding-truncated"),
+    pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: cells[:2]),
+                 ":2: expected kind,src,dst,witness_count columns", id="ground-truth-short-row"),
+    pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: ["XX"] + cells[1:]),
+                 ":2: 'XX' is not a valid DepKind", id="ground-truth-kind"),
+    pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: cells[:3] + ["many"]),
+                 ":2: invalid literal for int() with base 10: 'many'", id="ground-truth-count"),
+    pytest.param("eval", "labels.csv", edit_first_row(lambda cells: cells[:2] + ["yes"]),
+                 ":2: label must be 0 or 1, got 'yes'", id="label"),
+    pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["abc"]),
+                 ":2: could not convert string to float: 'abc'", id="probability"),
+    pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["nan"]),
+                 ":2: probability must be in [0, 1], got 'nan'", id="probability-nan"),
+]
+
+
+@pytest.mark.parametrize("stage,name,corrupt,problem", DAMAGED_INPUTS)
+def test_damaged_input_is_a_stage_error_naming_the_file(small_run, tmp_path, capsys,
+                                                        stage, name, corrupt, problem):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE[stage], workdir, fresh)
+    corrupt(fresh / name)
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), stage]) == 1
+    err = capsys.readouterr().err
+    assert f"depwalk: {stage} failed: {fresh / name}{problem}\n" in err
+    assert "Traceback" not in err

@@ -28,16 +28,6 @@ def test_separable_training_accuracy():
     assert all((predict_proba(model, p.features) >= 0.5) == p.label for p in data)
 
 
-def test_depth_one_cannot_solve_xor():
-    X = [[0, 0], [0, 1], [1, 0], [1, 1]]
-    y = [False, True, True, False]
-    data = pairs_from(X, y)
-    model = train_forest(data, ForestConfig(n_trees=1, max_depth=1, bootstrap=False,
-                                            features_per_split=2, rng_seed=0))
-    accuracy = sum((predict_proba(model, p.features) >= 0.5) == p.label for p in data) / 4
-    assert accuracy <= 0.75
-
-
 def test_duplicate_rows_leave_predictions_stable():
     # duplicating every row does not change the distribution bootstrap samples
     # draw from; mean vote over seeds stays within one tree of the original
@@ -67,9 +57,11 @@ def test_probability_is_vote_fraction():
 
 @pytest.mark.parametrize("low,high", [(-5e-324, 0.0), (np.nextafter(1.0, 0.0), 1.0)])
 def test_cut_between_adjacent_floats_separates_them(low, high):
-    # their midpoint rounds to ``high``, a threshold that sends both rows left
-    data = pairs_from([[high], [low]], [True, False])
-    model = train_forest(data, ForestConfig(n_trees=1, bootstrap=False, rng_seed=0))
+    # their midpoint rounds to ``high``, a threshold that sends both rows left;
+    # ten copies of each row make a bootstrap sample hold both
+    data = pairs_from([[high]] * 10 + [[low]] * 10, [True] * 10 + [False] * 10)
+    model = train_forest(data, ForestConfig(n_trees=1, rng_seed=0))
+    assert model.trees[0].feature[0] == 0
     assert model.trees[0].threshold[0] == low
     assert predict_proba(model, [high]) == 1.0 and predict_proba(model, [low]) == 0.0
 
@@ -151,12 +143,7 @@ def forest_problems(draw):
     labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     labels[first], labels[second] = True, False  # both classes
-    cfg = ForestConfig(n_trees=draw(st.integers(1, 4)),
-                       max_depth=draw(st.one_of(st.none(), st.integers(1, 3))),
-                       min_samples_leaf=draw(st.integers(1, 3)),
-                       features_per_split=draw(st.integers(1, dims)),
-                       bootstrap=draw(st.booleans()),
-                       rng_seed=draw(st.integers(0, 2**32 - 1)))
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 4)), rng_seed=draw(st.integers(0, 2**32 - 1)))
     # halves of the levels land exactly on midpoint thresholds
     probe_values = st.one_of(st.integers(-4, 4).map(lambda v: v / 2), FREE_VALUES)
     probes = draw(st.lists(st.lists(probe_values, min_size=dims, max_size=dims), max_size=10))
@@ -203,14 +190,6 @@ def test_label_set_deterministic():
     one = build_label_set(truth, VERTS, rng_seed=5)
     two = build_label_set(truth, VERTS, rng_seed=5)
     assert [(p.src, p.dst, p.label) for p in one] == [(p.src, p.dst, p.label) for p in two]
-
-
-def test_label_set_unordered_flag():
-    truth = [(VERTS[1], VERTS[0])]
-    labels = build_label_set(truth, VERTS, rng_seed=2, unordered=True)
-    assert labels[0].src < labels[0].dst  # canonical order
-    negatives = [p for p in labels if not p.label]
-    assert all(p.src < p.dst for p in negatives)
 
 
 def test_label_set_rejects_foreign_vertices():

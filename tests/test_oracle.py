@@ -8,8 +8,8 @@ import refimpl
 from conftest import flow, repeat_pair
 from depwalk.errors import ConfigError
 from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all,
-                            enumerate_dd, enumerate_rr, enumerate_td,
-                            read_ground_truth, write_ground_truth)
+                            enumerate_dd, enumerate_rr, enumerate_td, write_ground_truth)
+from depwalk.pipeline import _read_rows
 
 
 def ocfg(**kwargs):
@@ -242,6 +242,5 @@ def test_ground_truth_csv_round_trip(tmp_path):
     records = enumerate_all(lr_fixture(), ocfg())
     path = tmp_path / "gt.csv"
     write_ground_truth(records, path)
-    loaded = read_ground_truth(path)
-    assert [(r.kind, r.src, r.dst, r.witness_count) for r in loaded] == \
-        [(r.kind, r.src, r.dst, r.witness_count) for r in records]
+    loaded = _read_rows(path, kind=DepKind, src=str, dst=str, witness_count=int)
+    assert loaded == [(r.kind, r.src, r.dst, r.witness_count) for r in records]
