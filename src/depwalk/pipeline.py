@@ -178,7 +178,13 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     """Score the pairs of ``pairs_path``, by default those of labels.csv."""
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     model = forest.load_forest(artifact(cfg, "model.json"))
-    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), src=str, dst=str)
+
+    def address(cell: str) -> str:
+        if cell not in emb.vertex_index:
+            raise ValueError(f"unknown address: {cell}")
+        return cell
+
+    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), src=address, dst=address)
     out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -287,8 +293,11 @@ PRODUCER = {name: stage.name for stage in STAGES for name in stage.outputs}
 
 def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
     """Run one stage once its inputs exist.  A missing input raises
-    FileNotFoundError naming the stage that produces it; a failure inside the
-    stage is re-raised as StageError naming this one."""
+    FileNotFoundError naming the stage that produces it, and so does a
+    missing file the stage is given.  Any other failure inside the stage
+    first deletes the stage's outputs, so that ``--resume`` cannot take a
+    partial artifact for a finished one; a DepwalkError, ValueError or
+    OSError is then re-raised as StageError naming the stage."""
     Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
     for name in stage.inputs:
         path = artifact(cfg, name)
@@ -298,8 +307,12 @@ def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
         stage.run(cfg, args)
     except FileNotFoundError:
         raise
-    except (DepwalkError, ValueError, OSError) as exc:
-        raise StageError(stage.name, exc) from exc
+    except BaseException as exc:  # an interrupt too may leave a partial output
+        for name in stage.outputs:
+            artifact(cfg, name).unlink(missing_ok=True)
+        if isinstance(exc, (DepwalkError, ValueError, OSError)):
+            raise StageError(stage.name, exc) from exc
+        raise
 
 
 def run_pipeline(cfg: PipelineConfig, flows_input=None, use_synth: bool = False,

@@ -359,6 +359,39 @@ def test_predict_short_pairs_row_is_an_error_naming_its_line(tmp_path, capsys):
     assert f"depwalk: predict failed: {pairs}:2: expected src,dst columns" in err
 
 
+def unknown_address_pairs(workdir: Path, path: Path) -> Path:
+    """A pairs file whose line 2 is a labelled pair and line 3 names an
+    address outside the sample."""
+    known = (workdir / "labels.csv").read_text().splitlines()[1].split(",")[:2]
+    path.write_text(f"src,dst\n{','.join(known)}\n1.2.3.4,{known[1]}\n")
+    return path
+
+
+def test_predict_unknown_address_is_an_error_naming_its_line(small_run, tmp_path, capsys):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    pairs = unknown_address_pairs(workdir, tmp_path / "pairs.csv")
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"depwalk: predict failed: {pairs}:3: unknown address: 1.2.3.4\n")
+
+
+def test_a_failed_stage_leaves_no_output_for_resume(small_run, tmp_path):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    shutil.copytree(workdir, fresh)
+    pairs = unknown_address_pairs(workdir, tmp_path / "pairs.csv")
+    base = ["-c", str(cfg_path), "-w", str(fresh)]
+    assert main(base + ["predict", "--pairs", str(pairs)]) == 1
+    assert not (fresh / "predictions.csv").exists()
+    (fresh / "baseline.csv").unlink()
+    assert main(base + ["pipeline", "--synth", "--resume"]) == 0
+    n_labels = len((fresh / "labels.csv").read_text().splitlines()) - 1
+    assert json.loads((fresh / "baseline_summary.json").read_text())["n_pairs"] == n_labels
+
+
 def drop_field(lineno, key):
     """Delete ``key`` from the JSON object on line ``lineno``."""
     def corrupt(path):
@@ -379,6 +412,15 @@ def edit_first_row(change):
     return corrupt
 
 
+def edit_tree(change):
+    """Apply ``change`` to the first tree of a model file."""
+    def corrupt(path):
+        obj = json.loads(path.read_text())
+        change(obj["trees"][0])
+        path.write_text(json.dumps(obj))
+    return corrupt
+
+
 def truncate(size):
     def corrupt(path):
         path.write_bytes(path.read_bytes()[:size])
@@ -394,6 +436,13 @@ DAMAGED_INPUTS = [
                  ":1: missing field 'vertices'", id="walk-field"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
+    pytest.param("predict", "model.json", edit_tree(lambda tree: tree["feature"].__setitem__(0, 99)),
+                 ": tree 0: node 0: feature 99 is neither -1 nor in [0, 12)", id="model-feature"),
+    pytest.param("predict", "model.json",
+                 edit_tree(lambda tree: tree.update(feature=[0, -1, -1], threshold=[0.5, 0.0, 0.0],
+                                                    left=[1, -1], right=[2, -1, -1],
+                                                    leaf_p=[0.0, 1.0, 0.0])),
+                 ": tree 0: 2 left entries for 3 nodes", id="model-short-left"),
     pytest.param("eval", "embedding.bin", truncate(100),
                  ": truncated or damaged embedding file (unpack requires a buffer of 2 bytes)",
                  id="embedding-truncated"),

@@ -1,8 +1,12 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from depwalk import forest
 from depwalk.errors import LabelBalanceError, UnknownAddressError
 from depwalk.forest import (ForestConfig, ForestModel, LabeledPair, _TreeNodes,
                             build_label_set, load_forest, predict_proba,
@@ -122,6 +126,29 @@ def test_serialization_round_trip_bit_for_bit(tmp_path):
         assert predict_proba(loaded, x) == predict_proba(model, x)
 
 
+@pytest.mark.parametrize("change,problem", [
+    (lambda tree: tree.update(leaf_p=[0.0, 1.5, 0.0]), "tree 0: node 1: leaf_p 1.5 is not in [0, 1]"),
+    (lambda tree: tree.update(feature=[0, -2, -1]), "tree 0: node 1: feature -2 is neither -1 nor in [0, 2)"),
+    (lambda tree: tree.update(feature=[2, -1, -1]), "tree 0: node 0: feature 2 is neither -1 nor in [0, 2)"),
+    (lambda tree: tree.update(right=[0, -1, -1]), "tree 0: node 0: children (1, 0) are not in (0, 3)"),
+    (lambda tree: tree.update(left=[3, -1, -1]), "tree 0: node 0: children (3, 2) are not in (0, 3)"),
+    (lambda tree: tree.update(threshold=[0.5, 0.0]), "tree 0: 2 threshold entries for 3 nodes"),
+    (lambda tree: tree.update(feature=[], threshold=[], left=[], right=[], leaf_p=[]),
+     "tree 0: no nodes"),
+])
+def test_structurally_damaged_model_is_rejected_at_load(tmp_path, change, problem):
+    stump = _TreeNodes((0, -1, -1), (0.5, 0.0, 0.0), (1, -1, -1), (2, -1, -1), (0.0, 1.0, 0.0))
+    path = tmp_path / "model.json"
+    save_forest(ForestModel(2, (stump,)), path)
+    assert load_forest(path) == ForestModel(2, (stump,))
+    obj = json.loads(path.read_text())
+    change(obj["trees"][0])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError) as info:
+        load_forest(path)
+    assert str(info.value) == f"{path}: {problem}"
+
+
 # --- the split-search kernel against the per-feature reference scan -----------
 
 FREE_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -143,7 +170,7 @@ def forest_problems(draw):
     labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     first, second = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
     labels[first], labels[second] = True, False  # both classes
-    cfg = ForestConfig(n_trees=draw(st.integers(1, 4)), rng_seed=draw(st.integers(0, 2**32 - 1)))
+    cfg = ForestConfig(n_trees=draw(st.integers(1, 12)), rng_seed=draw(st.integers(0, 2**32 - 1)))
     # halves of the levels land exactly on midpoint thresholds
     probe_values = st.one_of(st.integers(-4, 4).map(lambda v: v / 2), FREE_VALUES)
     probes = draw(st.lists(st.lists(probe_values, min_size=dims, max_size=dims), max_size=10))
@@ -158,6 +185,45 @@ def test_train_forest_equals_the_per_feature_reference(problem):
     assert model == reference_train_forest(data, cfg)
     for x in [p.features for p in data] + probes:
         assert predict_proba(model, x) == reference_predict_proba(model, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_problems())
+def test_one_node_per_split_search_grows_the_same_forest(problem):
+    # with a budget of one element every node is searched in a pass of its own
+    data, cfg, _ = problem
+    with mock.patch.object(forest, "_CHUNK_ELEMENTS", 1):
+        model = train_forest(data, cfg)
+    assert model == reference_train_forest(data, cfg)
+
+
+def test_no_split_search_holds_more_than_the_budget_but_one_node():
+    gen = np.random.default_rng(11)
+    X = gen.normal(size=(250, 16))
+    y = X[:, 0] + gen.normal(size=250) > 0
+    passes = []
+    search = forest._best_splits
+
+    def record(XT, keys, key_bits, y, chunk):
+        k = len(chunk[0][4])
+        passes.append((len(chunk), k * sum(len(entry[2]) for entry in chunk)))
+        return search(XT, keys, key_bits, y, chunk)
+
+    with mock.patch.object(forest, "_best_splits", record):
+        model = train_forest(pairs_from(X, y), ForestConfig(n_trees=40, rng_seed=3))
+    assert all(elements <= forest._CHUNK_ELEMENTS or nodes == 1 for nodes, elements in passes)
+    # 40 roots of 250 rows and 4 candidates: passes do hold several nodes
+    assert max(nodes for nodes, _ in passes) > 1
+    # continuous features, so every searched node splits: each once
+    assert sum(nodes for nodes, _ in passes) == sum(
+        f >= 0 for tree in model.trees for f in tree.feature)
+
+
+def test_nan_features_are_rejected():
+    data = separable_set()
+    data[3].features = np.array([np.nan, 0.0])
+    with pytest.raises(ValueError, match="NaN"):
+        train_forest(data, ForestConfig(n_trees=2))
 
 
 # --- label set construction ---------------------------------------------------
