@@ -119,13 +119,17 @@ def _parse_port(token, name: str) -> int:
     return port
 
 
-def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: dict[str, str]) -> FlowRecord | None:
-    """Validated FlowRecord, or None for a dropped self-loop."""
-    ts, te = _parse_timestamp(t_start), _parse_timestamp(t_end)
+def _check_interval(ts: int, te: int) -> None:
     if te < ts:
         raise ValueError(f"t_end {te} earlier than t_start {ts}")
     if ts < -2**63 or te >= 2**63 - 1:  # the oracle's int64 arrays keep int64 max as "never"
         raise ValueError(f"timestamps {ts}..{te} outside the signed 64-bit range")
+
+
+def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: dict[str, str]) -> FlowRecord | None:
+    """Validated FlowRecord, or None for a dropped self-loop."""
+    ts, te = _parse_timestamp(t_start), _parse_timestamp(t_end)
+    _check_interval(ts, te)
     src_ip = _parse_address(src, canonical)
     dst_ip = _parse_address(dst, canonical)
     sp = _parse_port(src_port, "src_port")
@@ -244,8 +248,16 @@ def flow_to_dict(flow: FlowRecord) -> dict:
 
 
 def flow_from_dict(obj: dict) -> FlowRecord:
-    return FlowRecord(obj["src_ip"], obj["dst_ip"], int(obj["src_port"]), int(obj["dst_port"]),
-                      Proto(obj["proto"]), int(obj["t_start"]), int(obj["t_end"]))
+    """A flow written by :func:`flow_to_dict`, held to the interval and port
+    checks of parsing; a self-loop, which parsing drops, is an error here."""
+    src_ip, dst_ip = obj["src_ip"], obj["dst_ip"]
+    ts, te = int(obj["t_start"]), int(obj["t_end"])
+    _check_interval(ts, te)
+    sp = _parse_port(obj["src_port"], "src_port")
+    dp = _parse_port(obj["dst_port"], "dst_port")
+    if src_ip == dst_ip:
+        raise ValueError(f"self-loop flow {src_ip}->{dst_ip}")
+    return FlowRecord(src_ip, dst_ip, sp, dp, Proto(obj["proto"]), ts, te)
 
 
 def _json_lines(fh, path, convert, start: int = 1) -> list:

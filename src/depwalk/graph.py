@@ -185,11 +185,32 @@ def write_graph_jsonl(graph: CommGraph, path) -> None:
             fh.write(json.dumps(flow_to_dict(edge), sort_keys=True) + "\n")
 
 
-def read_graph_jsonl(path) -> CommGraph:
+def _read_manifest(fh, path) -> list[str]:
+    first = fh.readline()
+    if not first.strip():
+        raise ValueError(f"{path}: empty graph file")
+    (vertices,) = _json_lines([first], path, lambda manifest: manifest["vertices"])
+    return vertices
+
+
+def read_graph_vertices(path) -> list[str]:
+    """The vertex manifest of a graph file, without reading its edges."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-        if not first.strip():
-            raise ValueError(f"{path}: empty graph file")
-        (vertices,) = _json_lines([first], path, lambda manifest: manifest["vertices"])
-        edges = _json_lines(fh, path, flow_from_dict, start=2)
+        return _read_manifest(fh, path)
+
+
+def read_graph_jsonl(path) -> CommGraph:
+    """A graph file back; an edge must pass the flow checks of parsing and
+    join two manifest vertices, or it is an error naming its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        vertices = _read_manifest(fh, path)
+        known = set(vertices)
+
+        def edge(obj: dict) -> FlowRecord:
+            flow = flow_from_dict(obj)
+            if flow.src_ip not in known or flow.dst_ip not in known:
+                raise ValueError(f"edge endpoint outside vertex set: {flow.src_ip}->{flow.dst_ip}")
+            return flow
+
+        edges = _json_lines(fh, path, edge, start=2)
     return CommGraph.from_flows(vertices, edges)

@@ -24,7 +24,8 @@ from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, 
 from .config import PipelineConfig
 from .errors import DepwalkError, StageError
 from .flows import biflow_to_uniflows, filter_tcp_udp, parse_flows, read_flows_csv, write_flows_csv
-from .graph import read_graph_jsonl, reservoir_sample_edges, select_top_addresses, write_graph_jsonl
+from .graph import (read_graph_jsonl, read_graph_vertices, reservoir_sample_edges,
+                    select_top_addresses, write_graph_jsonl)
 from .walks import WalkLabel
 
 log = logging.getLogger(__name__)
@@ -67,7 +68,9 @@ def _read_preprocessed(cfg: PipelineConfig):
     path = artifact(cfg, "flows.csv")
     flows, report = read_flows_csv(path)
     if not report.ok:
-        raise DepwalkError(f"{path}: {len(report.errors)} invalid lines in a pipeline artifact")
+        (lineno, message), n = report.errors[0], len(report.errors)
+        raise DepwalkError(f"{path}:{lineno}: {message}; {n} invalid "
+                           f"{'line' if n == 1 else 'lines'} in a pipeline artifact")
     return flows
 
 
@@ -92,14 +95,14 @@ def stage_walks(cfg: PipelineConfig) -> Path:
 
 
 def stage_embed(cfg: PipelineConfig) -> Path:
-    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
+    vertices = read_graph_vertices(artifact(cfg, "graph.jsonl"))
     all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"))
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
         pairs = contexts.split_walk(walk, cfg.context.size)
         (pos_pairs if walk.label is WalkLabel.POSITIVE else neg_pairs).extend(pairs)
-    emb = embedding.train_embedding(pos_pairs, neg_pairs, graph.vertices, cfg.embedding)
+    emb = embedding.train_embedding(pos_pairs, neg_pairs, vertices, cfg.embedding)
     out = artifact(cfg, "embedding.bin")
     embedding.save_embedding(emb, out, artifact(cfg, "embedding.json"))
     log.info("embed: %d vertices x %d dims from %d/%d context pairs",

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -137,54 +138,105 @@ def cond_rev_return(e_fwd: FlowRecord, e_rev: FlowRecord, epsilon: int) -> bool:
             and abs(e_fwd.t_end - e_rev.t_end) <= epsilon)
 
 
-def _condition_candidates(g: CommGraph, cfg: WalkConfig, prefix: list[str],
-                          e_prev: FlowRecord) -> dict[str, tuple[set[Condition], list[FlowRecord]]]:
+class _WalkIndex:
+    """What the candidate scan reads at every step, built once per
+    :func:`generate_walks` call: for each vertex its out-neighbours whose
+    pair holds at least ``n_t`` sampled flows, in order, and for each such
+    pair its instances with their start times.  ``CommGraph`` keeps a pair's
+    instances sorted by ``FlowRecord.sort_key``, so the start times are
+    sorted and a condition's start-time window is found by bisection."""
+
+    def __init__(self, g: CommGraph, n_t: int):
+        self.qualified: dict[str, list[str]] = {}
+        self.pairs: dict[str, list[tuple[str, tuple[FlowRecord, ...], tuple[int, ...]]]] = {}
+        for v in g.vertices:
+            targets = [w for w in g.out_neighbors(v) if g.pair_flow_count(v, w) >= n_t]
+            self.qualified[v] = targets
+            self.pairs[v] = []
+            for w in targets:
+                insts = g.edge_instances(v, w)
+                self.pairs[v].append((w, insts, tuple(f.t_start for f in insts)))
+
+
+def _condition_candidates(g: CommGraph, cfg: WalkConfig, prefix: list[str], e_prev: FlowRecord,
+                          index: _WalkIndex | None = None
+                          ) -> dict[str, tuple[set[Condition], list[FlowRecord]]]:
     """Map candidate vertex -> (satisfied conditions, satisfying instances).
 
     LR and reply candidates are scanned over edges leaving the current
     vertex; RR candidates over edges leaving the previous flow's source,
     skipping the current vertex.  Either way the scanned pair must hold at
-    least ``n_t`` sampled flows.
+    least ``n_t`` sampled flows.  A condition's predicate is applied only to
+    the instances whose start time lies in the window where it can hold:
+
+    * LR_OPEN: ``prev.t_start <= t_start <= prev.t_end``;
+    * LR_RETURN: ``t_start <= prev.t_start``, and only for a candidate that
+      precedes the current vertex earlier in the prefix;
+    * REV_RETURN: ``t_start >= prev.t_start``, only for the previous flow's
+      source;
+    * RR_OPEN: ``prev.t_end <= t_start <= prev.t_end + epsilon``.
+
+    Each window holds every instance its predicate accepts, whatever the
+    records' times, so the map equals a scan of every instance.  A
+    candidate's instances are listed in the pair's sorted order, each once.
+    Without ``index`` one is built for this call.
     """
+    if index is None:
+        index = _WalkIndex(g, cfg.n_t)
     current = prefix[-1]
+    t_start, t_end, prev_src = e_prev.t_start, e_prev.t_end, e_prev.src_ip
+    # candidates w with (w, current) strictly before the triplet under evaluation
+    returns = {prefix[j] for j in range(len(prefix) - 2) if prefix[j + 1] == current}
     found: dict[str, tuple[set[Condition], list[FlowRecord]]] = {}
 
-    def add(vertex: str, cond: Condition, inst: FlowRecord) -> None:
-        conds, insts = found.setdefault(vertex, (set(), []))
-        conds.add(cond)
-        if inst not in insts:
-            insts.append(inst)
+    for w, insts, starts in index.pairs.get(current, ()):
+        n = len(starts)
+        open_lo, open_hi = bisect_left(starts, t_start), bisect_right(starts, t_end)
+        return_hi = bisect_right(starts, t_start) if w in returns else 0
+        reply_lo = open_lo if w == prev_src else n
+        lo, hi = n, 0  # the span of the non-empty windows
+        for a, b in ((open_lo, open_hi), (0, return_hi), (reply_lo, n)):
+            if a < b:
+                lo, hi = min(lo, a), max(hi, b)
+        for i in range(lo, hi):
+            inst = insts[i]
+            conds = []
+            if open_lo <= i < open_hi and cond_lr_open(e_prev, inst):
+                conds.append(Condition.LR_OPEN)
+            if i < return_hi and cond_lr_return(e_prev, inst, prefix, w):
+                conds.append(Condition.LR_RETURN)
+            if i >= reply_lo and cond_rev_return(e_prev, inst, cfg.epsilon):
+                conds.append(Condition.REV_RETURN)
+            if conds:
+                conds_found, kept = found.setdefault(w, (set(), []))
+                conds_found.update(conds)
+                if not kept or kept[-1] != inst:  # equal records are adjacent
+                    kept.append(inst)
 
-    for w in g.out_neighbors(current):
-        if g.pair_flow_count(current, w) < cfg.n_t:
+    for w, insts, starts in index.pairs.get(prev_src, ()):
+        if w == current:
             continue
-        rev_possible = w == e_prev.src_ip
-        for inst in g.edge_instances(current, w):
-            if cond_lr_open(e_prev, inst):
-                add(w, Condition.LR_OPEN, inst)
-            if cond_lr_return(e_prev, inst, prefix, w):
-                add(w, Condition.LR_RETURN, inst)
-            if rev_possible and cond_rev_return(e_prev, inst, cfg.epsilon):
-                add(w, Condition.REV_RETURN, inst)
-    prev_src = e_prev.src_ip
-    for w in g.out_neighbors(prev_src):
-        if w == current or g.pair_flow_count(prev_src, w) < cfg.n_t:
-            continue
-        for inst in g.edge_instances(prev_src, w):
+        # instances kept above for w came from another scan: compare with all
+        seen = w in found
+        for i in range(bisect_left(starts, t_end), bisect_right(starts, t_end + cfg.epsilon)):
+            inst = insts[i]
             if cond_rr_open(e_prev, inst, cfg.epsilon):
-                add(w, Condition.RR_OPEN, inst)
+                conds_found, kept = found.setdefault(w, (set(), []))
+                conds_found.add(Condition.RR_OPEN)
+                if not (inst in kept if seen else kept and kept[-1] == inst):
+                    kept.append(inst)
     return found
 
 
-def _single_walk(g: CommGraph, cfg: WalkConfig, start: str, rng: random.Random) -> RandomWalk:
+def _single_walk(g: CommGraph, cfg: WalkConfig, start: str, rng: random.Random,
+                 index: _WalkIndex) -> RandomWalk:
     vertices = [start]
     edges: list[FlowRecord] = []
     trace: list[frozenset[Condition]] = []
 
-    outs = g.out_neighbors(start)
-    qualified = [u for u in outs if g.pair_flow_count(start, u) >= cfg.n_t]
-    nxt = rng.choice(qualified if qualified else list(outs))
-    edges.append(rng.choice(list(g.edge_instances(start, nxt))))
+    qualified = index.qualified[start]
+    nxt = rng.choice(qualified if qualified else g.out_neighbors(start))
+    edges.append(rng.choice(g.edge_instances(start, nxt)))
     vertices.append(nxt)
 
     while len(vertices) < cfg.walk_length:
@@ -192,21 +244,21 @@ def _single_walk(g: CommGraph, cfg: WalkConfig, start: str, rng: random.Random) 
         outs = g.out_neighbors(current)
         if not outs:
             break
-        candidates = _condition_candidates(g, cfg, vertices, edges[-1])
+        candidates = _condition_candidates(g, cfg, vertices, edges[-1], index)
         if candidates:
             w = rng.choice(sorted(candidates))
             conds, instances = candidates[w]
             chosen = rng.choice(instances)
             trace.append(frozenset(conds))
         else:
-            qualified = [u for u in outs if g.pair_flow_count(current, u) >= cfg.n_t]
+            qualified = index.qualified[current]
             if qualified:
                 w = rng.choice(qualified)
                 trace.append(frozenset({Condition.FALLBACK_THRESHOLD}))
             else:
-                w = rng.choice(list(outs))
+                w = rng.choice(outs)
                 trace.append(frozenset({Condition.FALLBACK_ANY}))
-            chosen = rng.choice(list(g.edge_instances(current, w)))
+            chosen = rng.choice(g.edge_instances(current, w))
         vertices.append(w)
         edges.append(chosen)
     return RandomWalk(tuple(vertices), tuple(edges), WalkLabel.POSITIVE, tuple(trace))
@@ -219,13 +271,14 @@ def generate_walks(g: CommGraph, cfg: WalkConfig) -> list[RandomWalk]:
     Each start vertex derives its own RNG stream from (seed, vertex), so the
     output does not depend on vertex scheduling order.
     """
+    index = _WalkIndex(g, cfg.n_t)
     walks: list[RandomWalk] = []
     for v in g.vertices:
         if g.out_degree(v) == 0:
             continue
         rng = random.Random(derive_seed(cfg.rng_seed, f"walk:{v}"))
         for _ in range(cfg.walks_per_vertex):
-            walk = _single_walk(g, cfg, v, rng)
+            walk = _single_walk(g, cfg, v, rng, index)
             if len(walk.vertices) >= 3:
                 walks.append(walk)
     return walks

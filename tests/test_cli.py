@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import shutil
@@ -220,6 +221,21 @@ def small_run(tmp_path_factory):
     return cfg_path, workdir
 
 
+# The sampled graph and the walks of SMALL_SCENARIO.  A change to either
+# file's bytes is a change to the walk specification: record why, then
+# update the digest.
+PINNED_SHA256 = {
+    "graph.jsonl": "df9908e1e6e3c08360756c22d0e480c181e9e72ee41f9efe72f354e9ec86e6f0",
+    "walks.jsonl": "cdb4f35a82162793d593b7814257a299184d6b96008a9175e9ec6e3f69cf7e8c",
+}
+
+
+def test_graph_and_walks_keep_their_pinned_bytes(small_run):
+    _, workdir = small_run
+    assert {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in PINNED_SHA256} == PINNED_SHA256
+
+
 def copy_inputs(stage: pipeline.Stage, workdir: Path, fresh: Path) -> None:
     fresh.mkdir()
     for name in stage.inputs:
@@ -392,15 +408,24 @@ def test_a_failed_stage_leaves_no_output_for_resume(small_run, tmp_path):
     assert json.loads((fresh / "baseline_summary.json").read_text())["n_pairs"] == n_labels
 
 
-def drop_field(lineno, key):
-    """Delete ``key`` from the JSON object on line ``lineno``."""
+def edit_json_line(lineno, change):
+    """Apply ``change`` to the JSON object on line ``lineno``."""
     def corrupt(path):
         lines = path.read_text().splitlines(keepends=True)
         obj = json.loads(lines[lineno - 1])
-        del obj[key]
+        change(obj)
         lines[lineno - 1] = json.dumps(obj) + "\n"
         path.write_text("".join(lines))
     return corrupt
+
+
+def drop_field(lineno, key):
+    return edit_json_line(lineno, lambda obj: obj.pop(key))
+
+
+def edit_edge(**fields):
+    """Set ``fields`` of the first edge of a graph file."""
+    return edit_json_line(2, lambda obj: obj.update(fields))
 
 
 def edit_first_row(change):
@@ -432,8 +457,23 @@ def truncate(size):
 DAMAGED_INPUTS = [
     pytest.param("walks", "graph.jsonl", drop_field(2, "dst_ip"),
                  ":2: missing field 'dst_ip'", id="graph-edge-field"),
+    pytest.param("walks", "graph.jsonl", edit_edge(t_start=20, t_end=10),
+                 ":2: t_end 10 earlier than t_start 20", id="graph-edge-interval"),
+    pytest.param("walks", "graph.jsonl", edit_edge(src_port=70000),
+                 ":2: src_port 70000 out of range 0-65535", id="graph-edge-port"),
+    pytest.param("walks", "graph.jsonl", edit_edge(src_ip="10.0.1.1", dst_ip="10.0.1.1"),
+                 ":2: self-loop flow 10.0.1.1->10.0.1.1", id="graph-edge-self-loop"),
+    pytest.param("walks", "graph.jsonl", edit_edge(src_ip="9.9.9.9", dst_ip="10.0.1.1"),
+                 ":2: edge endpoint outside vertex set: 9.9.9.9->10.0.1.1",
+                 id="graph-edge-endpoint"),
     pytest.param("embed", "walks.jsonl", drop_field(1, "vertices"),
                  ":1: missing field 'vertices'", id="walk-field"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_port=-1)),
+                 ":1: dst_port -1 out of range 0-65535", id="walk-step-edge-port"),
+    pytest.param("sample", "flows.csv", edit_first_row(lambda cells: cells[:6]),
+                 ":2: expected 7 columns, got 6; 1 invalid line in a pipeline artifact",
+                 id="flows-short-row"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
     pytest.param("predict", "model.json", edit_tree(lambda tree: tree["feature"].__setitem__(0, 99)),

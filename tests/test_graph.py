@@ -6,8 +6,8 @@ from conftest import flow, graph_from, repeat_pair
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
 from depwalk.graph import (CommGraph, SamplerConfig, read_graph_jsonl,
-                           reservoir_sample_edges, select_top_addresses,
-                           write_graph_jsonl)
+                           read_graph_vertices, reservoir_sample_edges,
+                           select_top_addresses, write_graph_jsonl)
 
 INTERNAL = ("10.0.0.0/16",)
 
@@ -160,3 +160,15 @@ def test_graph_jsonl_round_trip(tmp_path):
     path = tmp_path / "graph.jsonl"
     write_graph_jsonl(g, path)
     assert read_graph_jsonl(path) == g
+
+
+def test_vertex_manifest_is_read_without_the_edges(tmp_path):
+    g = CommGraph.from_flows(["10.0.0.1", "10.0.0.2", "10.0.0.9"],
+                             [flow("10.0.0.1", "10.0.0.2", 0, 1)])
+    path = tmp_path / "graph.jsonl"
+    write_graph_jsonl(g, path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json\n")
+    assert read_graph_vertices(path) == list(g.vertices)
+    with pytest.raises(ValueError, match=r"graph.jsonl:3: "):
+        read_graph_jsonl(path)

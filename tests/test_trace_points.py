@@ -45,6 +45,7 @@ def test_traced_pipeline_has_one_span_per_stage_and_restores_modules(traced_run)
     stages = traced_run.tracing.STAGES
     assert {s: counts[f"stage.{s}"] for s in stages} == {s: 1 for s in stages}
     assert counts["flows.parse_flows"] == 3
+    assert counts["graph.read_graph_jsonl"] == 2  # walks and simindex; embed reads the manifest
     for module, attr, fn in traced_run.originals:
         assert getattr(importlib.import_module(module), attr) is fn, f"{module}.{attr}"
 

@@ -1,11 +1,16 @@
 import math
 from collections import Counter
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refimpl
 from conftest import flow, graph_from, repeat_pair
+from depwalk import walks as walks_module
 from depwalk.errors import ConfigError, NegativeWalkError
+from depwalk.flows import FlowRecord, Proto
 from depwalk.walks import (Condition, RandomWalk, WalkConfig, WalkLabel,
                            cond_lr_open, cond_lr_return, cond_rev_return,
                            cond_rr_open, generate_negative_walks, generate_walks,
@@ -209,6 +214,83 @@ def test_soundness_on_a_messy_graph(rng):
     assert walks
     for w in walks:
         assert refimpl.check_positive_walk(g, w, config) == []
+
+
+# --- the candidate scan against its reference --------------------------------
+
+NAMES = ("A", "B", "C", "D")
+
+
+@st.composite
+def flow_records(draw, src=st.sampled_from(NAMES), dst=st.sampled_from(NAMES)):
+    """A record built directly: few distinct times and ports, so starts tie
+    and records repeat; zero-length, self-loop and ``t_end < t_start``
+    records included."""
+    t_start = draw(st.integers(0, 12))
+    return FlowRecord(draw(src), draw(dst), draw(st.sampled_from((1, 2))),
+                      draw(st.sampled_from((1, 2))), Proto.TCP,
+                      t_start, t_start + draw(st.integers(-3, 8)))
+
+
+@st.composite
+def candidate_problems(draw):
+    flows = draw(st.lists(flow_records(), min_size=1, max_size=40))
+    flows += draw(st.lists(st.sampled_from(flows), max_size=10))  # duplicates
+    g = graph_from(flows, vertices=NAMES)
+    cfg = WalkConfig(epsilon=draw(st.sampled_from((0, 1, 3, 10))), n_t=draw(st.integers(1, 3)))
+    prefix = draw(st.lists(st.sampled_from(NAMES), min_size=2, max_size=6))
+    if draw(st.booleans()):  # ..., w, current, x, current: LR_RETURN may step back to w
+        prefix += [draw(st.sampled_from(NAMES)), prefix[-1]]
+    if draw(st.booleans()):
+        e_prev = draw(st.sampled_from(flows))
+    else:
+        e_prev = draw(flow_records(dst=st.just(prefix[-1])))
+    return g, cfg, prefix, e_prev
+
+
+@settings(max_examples=400, deadline=None)
+@given(candidate_problems())
+def test_candidate_scan_equals_the_reference(problem):
+    # dict equality compares each candidate's condition set and the order of
+    # its instance list, which fixes the instance a walk draws
+    g, cfg, prefix, e_prev = problem
+    assert walks_module._condition_candidates(g, cfg, prefix, e_prev) == \
+        refimpl.candidate_map(g, cfg, prefix, e_prev)
+
+
+def test_rescanned_pair_lists_each_instance_once():
+    # a previous flow that leaves the current vertex makes the RR scan visit
+    # the pairs the LR scan visited; both zero-length flows at its end meet
+    # LR_OPEN and RR_OPEN, and each is listed once, in sorted order
+    twins = [flow("A", "C", 10, 10, sport=1), flow("A", "C", 10, 10, sport=2)]
+    g = graph_from(twins, vertices=NAMES)
+    e_prev = FlowRecord("A", "A", 1, 1, Proto.TCP, 0, 10)
+    cfg = wcfg(epsilon=0)
+    found = walks_module._condition_candidates(g, cfg, ["B", "A"], e_prev)
+    assert found == {"C": ({Condition.LR_OPEN, Condition.RR_OPEN}, twins)}
+    assert found == refimpl.candidate_map(g, cfg, ["B", "A"], e_prev)
+
+
+@pytest.mark.parametrize("epsilon", [0, 100])
+def test_walks_are_unchanged_under_the_reference_candidate_map(rng, epsilon):
+    addrs = [f"10.0.0.{i}" for i in range(1, 7)]
+    flows = []
+    for _ in range(400):
+        a, b = rng.sample(addrs, 2)
+        t = rng.randrange(0, 1500)
+        flows.append(flow(a, b, t, t + rng.randrange(0, 150),
+                          sport=rng.choice([50000, 443]), dport=rng.choice([443, 50000])))
+    g = graph_from(flows)
+    config = wcfg(walk_length=6, walks_per_vertex=30, n_t=2, epsilon=epsilon, rng_seed=3)
+    kernel = generate_walks(g, config)
+
+    def reference(g, cfg, prefix, e_prev, index):
+        return refimpl.candidate_map(g, cfg, prefix, e_prev)
+
+    with mock.patch.object(walks_module, "_condition_candidates", reference):
+        assert generate_walks(g, config) == kernel
+    assert any(not conds & {Condition.FALLBACK_ANY, Condition.FALLBACK_THRESHOLD}
+               for w in kernel for conds in w.condition_trace)
 
 
 # --- negative walks ----------------------------------------------------------
