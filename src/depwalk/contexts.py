@@ -2,24 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .walks import RandomWalk, WalkLabel
+from .walks import RandomWalk
 
 
-@dataclass(frozen=True)
-class CandidateDependency:
-    """Ordered address pair from one context window; the first address is the
-    window head."""
-
-    first: str
-    second: str
-    source_label: WalkLabel
-
-
-def split_walk(walk: RandomWalk, context_size: int) -> list[CandidateDependency]:
+def split_walk(walk: RandomWalk, context_size: int) -> list[tuple[str, str]]:
     """One-sided context pairs: each window head pairs with every later
-    member of its window.
+    member of its window, as ``(head, member)`` tuples.
 
     Windows of ``context_size`` consecutive vertices slide by one; a walk
     shorter than the window yields its single truncated window.  Pairs whose
@@ -31,10 +19,5 @@ def split_walk(walk: RandomWalk, context_size: int) -> list[CandidateDependency]
     vertices = walk.vertices
     if len(vertices) < 2:
         raise ValueError("walk must have at least two vertices")
-    pairs: list[CandidateDependency] = []
-    for s in range(max(1, len(vertices) - context_size + 1)):
-        head = vertices[s]
-        for other in vertices[s + 1:s + context_size]:
-            if other != head:
-                pairs.append(CandidateDependency(head, other, walk.label))
-    return pairs
+    return [(vertices[s], other) for s in range(max(1, len(vertices) - context_size + 1))
+            for other in vertices[s + 1:s + context_size] if other != vertices[s]]

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .contexts import CandidateDependency
 from .errors import ConfigError, TrainingDivergedError, UnknownAddressError
 
 log = logging.getLogger(__name__)
@@ -103,11 +102,12 @@ def pair_loss_and_grads(target: np.ndarray, context: np.ndarray,
     return loss, d_target, d_context
 
 
-def train_embedding(pos_pairs: Sequence[CandidateDependency],
-                    neg_pairs: Sequence[CandidateDependency],
+def train_embedding(pos_pairs: Sequence[tuple[str, str]],
+                    neg_pairs: Sequence[tuple[str, str]],
                     vertices: Iterable[str],
                     cfg: EmbeddingConfig) -> EmbeddingMatrix:
-    """Stochastic gradient descent over head-vertex batches.
+    """Stochastic gradient descent over head-vertex batches of ``(head,
+    context)`` address pairs.
 
     Explicit negative pairs train with the negated objective; on top of that
     ``neg_samples_per_positive`` uniform negatives are drawn per positive
@@ -117,11 +117,9 @@ def train_embedding(pos_pairs: Sequence[CandidateDependency],
     """
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
-    for pair in chain(pos_pairs, neg_pairs):
-        if pair.first not in index:
-            raise UnknownAddressError(pair.first)
-        if pair.second not in index:
-            raise UnknownAddressError(pair.second)
+    for addr in chain.from_iterable(chain(pos_pairs, neg_pairs)):
+        if addr not in index:
+            raise UnknownAddressError(addr)
 
     n, dims = len(verts), cfg.dims
     rng = np.random.default_rng(cfg.rng_seed)
@@ -131,8 +129,8 @@ def train_embedding(pos_pairs: Sequence[CandidateDependency],
 
     by_head: dict[int, tuple[list[int], list[int]]] = {}
     n_positives: dict[int, int] = {}
-    for pair, sign in chain(((p, 1) for p in pos_pairs), ((p, -1) for p in neg_pairs)):
-        h, c = index[pair.first], index[pair.second]
+    for (first, second), sign in chain(((p, 1) for p in pos_pairs), ((p, -1) for p in neg_pairs)):
+        h, c = index[first], index[second]
         ctx_list, sign_list = by_head.setdefault(h, ([], []))
         ctx_list.append(c)
         sign_list.append(sign)

@@ -15,8 +15,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import EvaluationError
-from .forest import ForestConfig, LabeledPair, predict_proba, train_forest
+from .forest import ForestConfig, predict_proba, train_forest
 from .seeds import derive_seed
 
 
@@ -147,50 +149,49 @@ class EvalSummary:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _check_both_classes(train: Sequence[LabeledPair], pairs: Sequence[LabeledPair],
-                        where: str) -> None:
-    """The forest needs both classes on the training side of every split."""
-    if len({p.label for p in train}) < 2:
-        n_pos = sum(1 for p in pairs if p.label)
+def _fit_and_score(X: np.ndarray, y: np.ndarray, forest_cfg: ForestConfig,
+                   test_fraction: float, split_seed: int, forest_seed: int,
+                   where: str) -> EvalReport:
+    """Split the rows, fit a forest on the training side and score the test
+    side.  The forest needs both classes on the training side, or the split
+    named by ``where`` is an EvaluationError."""
+    train, test = split(range(len(y)), test_fraction, split_seed)
+    if len(set(y[train])) < 2:
+        n_pos = int(y.sum())
         raise EvaluationError(
             f"{where}: the training side holds one class only (the labelled set has "
-            f"{n_pos} positive and {len(pairs) - n_pos} negative pairs); raise "
+            f"{n_pos} positive and {len(y) - n_pos} negative pairs); raise "
             "sampler.n_internal or the scenario size for more labelled pairs")
+    model = train_forest(X[train], y[train], replace(forest_cfg, rng_seed=forest_seed))
+    return compute_metrics([predict_proba(model, x) for x in X[test]], y[test])
 
 
-def repeated_eval(pairs: Sequence[LabeledPair], forest_cfg: ForestConfig, *,
+def repeated_eval(X, y, forest_cfg: ForestConfig, *,
                   seed: int, n_splits: int = 15,
                   fractions: Sequence[float] = (0.25, 0.5)) -> EvalSummary:
     """Mean accuracy/precision/recall/F1 at the threshold 0.5 over ``n_splits``
-    seeded splits per test fraction; the classifier is retrained on every
-    split.
+    seeded splits per test fraction of the feature matrix ``X`` and its
+    labels ``y``; the classifier is retrained on every split.
 
     The ROC-AUC / AP figures come from one dedicated 50% split, independent of
     the fraction sweep, and the scoring pass is recorded in the metadata.  A
     split whose training side holds one class only is an EvaluationError.
     """
-    pairs = list(pairs)
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
     per_fraction: dict[float, dict[str, float]] = {}
     for fraction in fractions:
-        reports = []
-        for i in range(n_splits):
-            train, test = split(pairs, fraction, derive_seed(seed, f"split:{fraction}:{i}"))
-            _check_both_classes(train, pairs, f"test fraction {fraction}, split {i}")
-            model = train_forest(train, replace(forest_cfg,
-                                                rng_seed=derive_seed(seed, f"forest:{fraction}:{i}")))
-            scores = [predict_proba(model, p.features) for p in test]
-            reports.append(compute_metrics(scores, [p.label for p in test]))
+        reports = [_fit_and_score(X, y, forest_cfg, fraction,
+                                  derive_seed(seed, f"split:{fraction}:{i}"),
+                                  derive_seed(seed, f"forest:{fraction}:{i}"),
+                                  f"test fraction {fraction}, split {i}")
+                   for i in range(n_splits)]
         per_fraction[float(fraction)] = {
-            "accuracy": sum(r.accuracy for r in reports) / n_splits,
-            "precision": sum(r.precision for r in reports) / n_splits,
-            "recall": sum(r.recall for r in reports) / n_splits,
-            "f1": sum(r.f1 for r in reports) / n_splits,
-        }
-    train, test = split(pairs, 0.5, derive_seed(seed, "auc-ap-split"))
-    _check_both_classes(train, pairs, "test fraction 0.5, dedicated AUC/AP split")
-    model = train_forest(train, replace(forest_cfg, rng_seed=derive_seed(seed, "auc-ap-forest")))
-    scores = [predict_proba(model, p.features) for p in test]
-    headline = compute_metrics(scores, [p.label for p in test])
+            name: sum(getattr(r, name) for r in reports) / n_splits
+            for name in ("accuracy", "precision", "recall", "f1")}
+    headline = _fit_and_score(X, y, forest_cfg, 0.5, derive_seed(seed, "auc-ap-split"),
+                              derive_seed(seed, "auc-ap-forest"),
+                              "test fraction 0.5, dedicated AUC/AP split")
     return EvalSummary(
         n_splits=n_splits,
         fractions=per_fraction,

@@ -247,10 +247,12 @@ def flow_to_dict(flow: FlowRecord) -> dict:
             "proto": flow.proto.value, "t_start": flow.t_start, "t_end": flow.t_end}
 
 
-def flow_from_dict(obj: dict) -> FlowRecord:
-    """A flow written by :func:`flow_to_dict`, held to the interval and port
-    checks of parsing; a self-loop, which parsing drops, is an error here."""
-    src_ip, dst_ip = obj["src_ip"], obj["dst_ip"]
+def flow_from_dict(obj: dict, canonical: dict[str, str]) -> FlowRecord:
+    """A flow written by :func:`flow_to_dict`, held to the address, interval
+    and port checks of parsing, with ``canonical`` memoising the addresses
+    as in parsing; a self-loop, which parsing drops, is an error here."""
+    src_ip = _parse_address(obj["src_ip"], canonical)
+    dst_ip = _parse_address(obj["dst_ip"], canonical)
     ts, te = int(obj["t_start"]), int(obj["t_end"])
     _check_interval(ts, te)
     sp = _parse_port(obj["src_port"], "src_port")

@@ -20,22 +20,12 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import LabelBalanceError, UnknownAddressError
 from .seeds import derive_seed
-
-
-@dataclass
-class LabeledPair:
-    """An address pair with its feature vector and dependency label."""
-
-    src: str
-    dst: str
-    features: np.ndarray | None
-    label: bool
 
 
 @dataclass(frozen=True)
@@ -66,13 +56,13 @@ class ForestModel:
 
 
 def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[str],
-                    rng_seed: int) -> list[LabeledPair]:
-    """Ground-truth pairs labelled true plus an equal number of uniformly
-    drawn distinct non-dependency pairs labelled false.
+                    rng_seed: int) -> list[tuple[str, str, bool]]:
+    """``(src, dst, label)`` triples: the ground-truth pairs labelled true,
+    sorted, then as many uniformly drawn distinct non-dependency pairs
+    labelled false, sorted.
 
-    Pairs are ordered: (a, b) says that a depends on b.  Feature vectors are
-    left unset.  Raises when the vertex universe cannot supply enough
-    negatives.
+    Pairs are ordered: (a, b) says that a depends on b.  Raises when the
+    vertex universe cannot supply enough negatives.
     """
     verts = sorted(set(vertices))
     vset = set(verts)
@@ -112,9 +102,8 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             if pair in positives or pair in negatives:
                 continue
             negatives.add(pair)
-    out = [LabeledPair(a, b, None, True) for a, b in sorted(positives)]
-    out += [LabeledPair(a, b, None, False) for a, b in sorted(negatives)]
-    return out
+    return ([(a, b, True) for a, b in sorted(positives)]
+            + [(a, b, False) for a, b in sorted(negatives)])
 
 
 # The most elements (candidate features times rows) one vectorised split
@@ -291,19 +280,17 @@ def _grow_forest(XT: np.ndarray, y: np.ndarray, samples: list[np.ndarray], k: in
     return [_TreeNodes(*map(tuple, tree)) for tree in nodes]
 
 
-def train_forest(data: Sequence[LabeledPair], cfg: ForestConfig) -> ForestModel:
-    """Grow ``n_trees`` trees on bootstrap resamples of the labelled pairs."""
-    if not data:
+def train_forest(X, y, cfg: ForestConfig) -> ForestModel:
+    """Grow ``n_trees`` trees on bootstrap resamples of the rows of the
+    feature matrix ``X`` and their labels ``y``."""
+    if not len(X):
         raise ValueError("training data is empty")
-    features = [p.features for p in data]
-    if any(f is None for f in features):
-        raise ValueError("training pairs are missing feature vectors")
-    X = np.asarray(features, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("inconsistent feature vector lengths")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
+    if X.ndim != 2 or y.shape != (len(X),):
+        raise ValueError("need a 2-D feature matrix with one label per row")
     if np.isnan(X).any():
         raise ValueError("training feature vectors contain NaN")
-    y = np.asarray([bool(p.label) for p in data])
     if bool(y.all()) or not bool(y.any()):
         raise ValueError("training data must contain both classes")
 

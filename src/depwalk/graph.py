@@ -11,7 +11,7 @@ from ipaddress import ip_address, ip_network
 from typing import Iterable, Iterator
 
 from .errors import ConfigError
-from .flows import FlowRecord, _json_lines, flow_from_dict, flow_to_dict
+from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -185,29 +185,31 @@ def write_graph_jsonl(graph: CommGraph, path) -> None:
             fh.write(json.dumps(flow_to_dict(edge), sort_keys=True) + "\n")
 
 
-def _read_manifest(fh, path) -> list[str]:
+def _read_manifest(fh, path, canonical: dict[str, str]) -> list[str]:
     first = fh.readline()
     if not first.strip():
         raise ValueError(f"{path}: empty graph file")
-    (vertices,) = _json_lines([first], path, lambda manifest: manifest["vertices"])
+    (vertices,) = _json_lines([first], path, lambda manifest: [
+        _parse_address(v, canonical) for v in manifest["vertices"]])
     return vertices
 
 
 def read_graph_vertices(path) -> list[str]:
     """The vertex manifest of a graph file, without reading its edges."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _read_manifest(fh, path)
+        return _read_manifest(fh, path, {})
 
 
 def read_graph_jsonl(path) -> CommGraph:
     """A graph file back; an edge must pass the flow checks of parsing and
     join two manifest vertices, or it is an error naming its line."""
+    canonical: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        vertices = _read_manifest(fh, path)
+        vertices = _read_manifest(fh, path, canonical)
         known = set(vertices)
 
         def edge(obj: dict) -> FlowRecord:
-            flow = flow_from_dict(obj)
+            flow = flow_from_dict(obj, canonical)
             if flow.src_ip not in known or flow.dst_ip not in known:
                 raise ValueError(f"edge endpoint outside vertex set: {flow.src_ip}->{flow.dst_ip}")
             return flow

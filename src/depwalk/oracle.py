@@ -191,8 +191,9 @@ def _containing(starts: np.ndarray, sufmin: np.ndarray, outer: np.ndarray) -> np
 
 
 def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
-                 dd_records: Sequence[DependencyRecord] | None = None) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
-    """TD and TD3 records over the DD pairs.
+                 dd_records: Sequence[DependencyRecord]) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
+    """TD and TD3 records over the pairs of ``dd_records``, the DD records of
+    ``flows``.
 
     A TD witness for DD(A,B) chained with DD(B,C) is an (A,B) flow that
     temporally contains some (B,C) flow; TD3 nests a third hop inside the
@@ -200,7 +201,7 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
     emitted per middle path.
     """
     flows = list(flows)
-    dd_pairs = {(r.src, r.dst) for r in (enumerate_dd(flows, cfg) if dd_records is None else dd_records)}
+    dd_pairs = {(r.src, r.dst) for r in dd_records}
     by_pair: dict[tuple[str, str], list[tuple[int, int]]] = defaultdict(list)
     for f in flows:
         if (f.src_ip, f.dst_ip) in dd_pairs:

@@ -20,6 +20,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+import numpy as np
+
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
 from .config import PipelineConfig
 from .errors import DepwalkError, StageError
@@ -153,6 +155,23 @@ def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     return rows
 
 
+def _read_pairs(emb: embedding.EmbeddingMatrix, path, **columns: Callable[[str], object]) -> list[tuple]:
+    """:func:`_read_rows` of ``src``, ``dst`` and ``columns``, where an
+    address outside ``emb`` is an error naming its line."""
+    def address(cell: str) -> str:
+        if cell not in emb.vertex_index:
+            raise ValueError(f"unknown address: {cell}")
+        return cell
+    return _read_rows(path, src=address, dst=address, **columns)
+
+
+def _features(emb: embedding.EmbeddingMatrix, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The feature matrix of ``(src, dst, label)`` rows, one dependency
+    vector per row, and their labels."""
+    X = np.array([embedding.dependency_vector(emb, src, dst) for src, dst, _ in labels])
+    return X, np.array([label for _, _, label in labels], dtype=bool)
+
+
 def stage_train(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     records = _read_rows(artifact(cfg, "ground_truth.csv"),
@@ -163,14 +182,12 @@ def stage_train(cfg: PipelineConfig) -> Path:
     if not gt_pairs:
         raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
     labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
-    for pair in labels:
-        pair.features = embedding.dependency_vector(emb, pair.src, pair.dst)
     with open(artifact(cfg, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "label"])
-        for pair in labels:
-            writer.writerow([pair.src, pair.dst, int(pair.label)])
-    model = forest.train_forest(labels, cfg.forest)
+        writer.writerows((src, dst, int(label)) for src, dst, label in labels)
+    X, y = _features(emb, labels)
+    model = forest.train_forest(X, y, cfg.forest)
     out = artifact(cfg, "model.json")
     forest.save_forest(model, out)
     log.info("train: %d labelled pairs, %d trees", len(labels), len(model.trees))
@@ -181,13 +198,7 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     """Score the pairs of ``pairs_path``, by default those of labels.csv."""
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     model = forest.load_forest(artifact(cfg, "model.json"))
-
-    def address(cell: str) -> str:
-        if cell not in emb.vertex_index:
-            raise ValueError(f"unknown address: {cell}")
-        return cell
-
-    pairs = _read_rows(pairs_path or artifact(cfg, "labels.csv"), src=address, dst=address)
+    pairs = _read_pairs(emb, pairs_path or artifact(cfg, "labels.csv"))
     out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -201,15 +212,10 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
 
 def stage_eval(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    rows = _read_rows(artifact(cfg, "labels.csv"), src=str, dst=str, label=_label)
-    labels = [forest.LabeledPair(src, dst, embedding.dependency_vector(emb, src, dst), label)
-              for src, dst, label in rows]
-    summary = evaluation.repeated_eval(
-        labels, cfg.forest,
-        seed=cfg.seed_for("evaluation"),
-        n_splits=cfg.evaluation.n_splits,
-        fractions=cfg.evaluation.fractions,
-    )
+    X, y = _features(emb, _read_pairs(emb, artifact(cfg, "labels.csv"), label=_label))
+    summary = evaluation.repeated_eval(X, y, cfg.forest, seed=cfg.seed_for("evaluation"),
+                                       n_splits=cfg.evaluation.n_splits,
+                                       fractions=cfg.evaluation.fractions)
     out = artifact(cfg, "eval_report.json")
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(summary.to_json())

@@ -158,10 +158,10 @@ class _WalkIndex:
                 self.pairs[v].append((w, insts, tuple(f.t_start for f in insts)))
 
 
-def _condition_candidates(g: CommGraph, cfg: WalkConfig, prefix: list[str], e_prev: FlowRecord,
-                          index: _WalkIndex | None = None
+def _condition_candidates(index: _WalkIndex, cfg: WalkConfig, prefix: list[str], e_prev: FlowRecord
                           ) -> dict[str, tuple[set[Condition], list[FlowRecord]]]:
-    """Map candidate vertex -> (satisfied conditions, satisfying instances).
+    """Map candidate vertex -> (satisfied conditions, satisfying instances),
+    read from the ``index`` of the graph.
 
     LR and reply candidates are scanned over edges leaving the current
     vertex; RR candidates over edges leaving the previous flow's source,
@@ -179,10 +179,7 @@ def _condition_candidates(g: CommGraph, cfg: WalkConfig, prefix: list[str], e_pr
     Each window holds every instance its predicate accepts, whatever the
     records' times, so the map equals a scan of every instance.  A
     candidate's instances are listed in the pair's sorted order, each once.
-    Without ``index`` one is built for this call.
     """
-    if index is None:
-        index = _WalkIndex(g, cfg.n_t)
     current = prefix[-1]
     t_start, t_end, prev_src = e_prev.t_start, e_prev.t_end, e_prev.src_ip
     # candidates w with (w, current) strictly before the triplet under evaluation
@@ -244,7 +241,7 @@ def _single_walk(g: CommGraph, cfg: WalkConfig, start: str, rng: random.Random,
         outs = g.out_neighbors(current)
         if not outs:
             break
-        candidates = _condition_candidates(g, cfg, vertices, edges[-1], index)
+        candidates = _condition_candidates(index, cfg, vertices, edges[-1])
         if candidates:
             w = rng.choice(sorted(candidates))
             conds, instances = candidates[w]
@@ -332,10 +329,10 @@ def write_walks_jsonl(walks: Iterable[RandomWalk], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _walk_from_dict(obj: dict) -> RandomWalk:
+def _walk_from_dict(obj: dict, canonical: dict[str, str]) -> RandomWalk:
     return RandomWalk(
         vertices=tuple(obj["vertices"]),
-        step_edges=tuple(flow_from_dict(e) for e in obj["step_edges"]),
+        step_edges=tuple(flow_from_dict(e, canonical) for e in obj["step_edges"]),
         label=WalkLabel(obj["label"]),
         condition_trace=tuple(frozenset(Condition(c) for c in conds)
                               for conds in obj["condition_trace"]),
@@ -344,4 +341,5 @@ def _walk_from_dict(obj: dict) -> RandomWalk:
 
 def read_walks_jsonl(path) -> list[RandomWalk]:
     with open(path, "r", encoding="utf-8") as fh:
-        return _json_lines(fh, path, _walk_from_dict)
+        canonical: dict[str, str] = {}
+        return _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical))

@@ -327,12 +327,12 @@ def _reference_tree(X, y, idx, k, rng):
     return _TreeNodes(*(tuple(column) for column in zip(*nodes)))
 
 
-def reference_train_forest(data, cfg) -> ForestModel:
+def reference_train_forest(X, y, cfg) -> ForestModel:
     """Rows sorted by the first feature, then the next, with the label last;
     one generator per (seed, tree) for the bootstrap draw and then the
     per-node feature draws."""
-    X = np.asarray([p.features for p in data], dtype=float)
-    y = np.asarray([bool(p.label) for p in data])
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=bool)
     order = np.lexsort([y.astype(float)] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)])
     X, y = X[order], y[order]
     dims = X.shape[1]

@@ -221,16 +221,22 @@ def small_run(tmp_path_factory):
     return cfg_path, workdir
 
 
-# The sampled graph and the walks of SMALL_SCENARIO.  A change to either
-# file's bytes is a change to the walk specification: record why, then
-# update the digest.
+# The sampled graph, the walks and the downstream artifacts of
+# SMALL_SCENARIO.  A change to a graph or walks file's bytes is a change to
+# the walk specification, and one to a later file a change to labelling,
+# training, scoring or evaluation: record why, then update the digest.
 PINNED_SHA256 = {
     "graph.jsonl": "df9908e1e6e3c08360756c22d0e480c181e9e72ee41f9efe72f354e9ec86e6f0",
     "walks.jsonl": "cdb4f35a82162793d593b7814257a299184d6b96008a9175e9ec6e3f69cf7e8c",
+    "labels.csv": "5ad7b12cd270fc44785eeea4c7268a83a89963059003fead69e15142c5176a93",
+    "model.json": "ad2cc3eba57d272271688f29e9750a373753f3d52e4561d78626ba2a01d91810",
+    "predictions.csv": "affd8c7098fe8a8867f3d17b15ec6501c196b971fbd607e3147cae6b1f968ade",
+    "eval_report.json": "806b7f852acb4559930cd398ec3ffc3a15019301bb0fdb246b902838d02dd90f",
+    "baseline.csv": "b7492043498b899b31d89907793d675959369217124d45618a333b19eb98bbbf",
 }
 
 
-def test_graph_and_walks_keep_their_pinned_bytes(small_run):
+def test_small_run_artifacts_keep_their_pinned_bytes(small_run):
     _, workdir = small_run
     assert {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
             for name in PINNED_SHA256} == PINNED_SHA256
@@ -466,11 +472,19 @@ DAMAGED_INPUTS = [
     pytest.param("walks", "graph.jsonl", edit_edge(src_ip="9.9.9.9", dst_ip="10.0.1.1"),
                  ":2: edge endpoint outside vertex set: 9.9.9.9->10.0.1.1",
                  id="graph-edge-endpoint"),
+    pytest.param("walks", "graph.jsonl", edit_edge(src_ip="not-an-ip"),
+                 ":2: invalid IP address 'not-an-ip'", id="graph-edge-address"),
+    pytest.param("embed", "graph.jsonl",
+                 edit_json_line(1, lambda manifest: manifest["vertices"].__setitem__(0, "not-an-ip")),
+                 ":1: invalid IP address 'not-an-ip'", id="graph-manifest-address"),
     pytest.param("embed", "walks.jsonl", drop_field(1, "vertices"),
                  ":1: missing field 'vertices'", id="walk-field"),
     pytest.param("embed", "walks.jsonl",
                  edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_port=-1)),
                  ":1: dst_port -1 out of range 0-65535", id="walk-step-edge-port"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_ip="not-an-ip")),
+                 ":1: invalid IP address 'not-an-ip'", id="walk-step-edge-address"),
     pytest.param("sample", "flows.csv", edit_first_row(lambda cells: cells[:6]),
                  ":2: expected 7 columns, got 6; 1 invalid line in a pipeline artifact",
                  id="flows-short-row"),
@@ -494,6 +508,8 @@ DAMAGED_INPUTS = [
                  ":2: invalid literal for int() with base 10: 'many'", id="ground-truth-count"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: cells[:2] + ["yes"]),
                  ":2: label must be 0 or 1, got 'yes'", id="label"),
+    pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["1.2.3.4"] + cells[1:]),
+                 ":2: unknown address: 1.2.3.4", id="label-unknown-address"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["abc"]),
                  ":2: could not convert string to float: 'abc'", id="probability"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["nan"]),

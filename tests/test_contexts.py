@@ -4,49 +4,40 @@ from depwalk.contexts import split_walk
 from depwalk.walks import RandomWalk, WalkLabel
 
 
-def walk_of(*vertices, label=WalkLabel.POSITIVE):
-    return RandomWalk(tuple(vertices), (), label, ())
-
-
-def pairs_of(walk, size):
-    return [(p.first, p.second) for p in split_walk(walk, size)]
+def walk_of(*vertices):
+    return RandomWalk(tuple(vertices), (), WalkLabel.POSITIVE, ())
 
 
 def test_documented_chain_example():
-    assert pairs_of(walk_of("11", "12", "13", "16"), 3) == \
+    assert split_walk(walk_of("11", "12", "13", "16"), 3) == \
         [("11", "12"), ("11", "13"), ("12", "13"), ("12", "16")]
 
 
 def test_short_walk_yields_single_truncated_window():
-    assert pairs_of(walk_of("A", "B"), 4) == [("A", "B")]
+    assert split_walk(walk_of("A", "B"), 4) == [("A", "B")]
 
 
 def test_head_equals_member_skipped():
-    assert pairs_of(walk_of("A", "B", "A"), 3) == [("A", "B")]
+    assert split_walk(walk_of("A", "B", "A"), 3) == [("A", "B")]
 
 
 def test_pair_count_formula_without_repeats():
     walk = walk_of(*"ABCDEFG")
     for size in (2, 3, 4, 5):
         expected = (len(walk.vertices) - size + 1) * (size - 1)
-        assert len(pairs_of(walk, size)) == expected
+        assert len(split_walk(walk, size)) == expected
 
 
 def test_one_sidedness():
     walk = walk_of(*"ABCDE")
     order = {v: i for i, v in enumerate(walk.vertices)}
-    for p in split_walk(walk, 3):
-        assert order[p.first] < order[p.second]
+    for head, member in split_walk(walk, 3):
+        assert order[head] < order[member]
 
 
 def test_duplicates_are_retained():
-    pairs = pairs_of(walk_of("A", "B", "A", "B"), 2)
+    pairs = split_walk(walk_of("A", "B", "A", "B"), 2)
     assert pairs == [("A", "B"), ("B", "A"), ("A", "B")]
-
-
-def test_label_inherited():
-    walk = walk_of("A", "B", "C", label=WalkLabel.NEGATIVE)
-    assert all(p.source_label is WalkLabel.NEGATIVE for p in split_walk(walk, 3))
 
 
 def test_invalid_inputs():

@@ -4,20 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import graph_from, repeat_pair
-from depwalk.contexts import CandidateDependency, split_walk
+from depwalk.contexts import split_walk
 from depwalk.embedding import (EmbeddingConfig, EmbeddingMatrix, dependency_vector,
                                load_embedding, pair_loss_and_grads, save_embedding,
                                train_embedding)
 from depwalk.errors import ConfigError, TrainingDivergedError, UnknownAddressError
-from depwalk.walks import WalkConfig, WalkLabel, generate_walks
-
-
-def pos(a, b):
-    return CandidateDependency(a, b, WalkLabel.POSITIVE)
-
-
-def neg(a, b):
-    return CandidateDependency(a, b, WalkLabel.NEGATIVE)
+from depwalk.walks import WalkConfig, generate_walks
 
 
 def test_zero_epochs_is_a_config_error():
@@ -32,14 +24,14 @@ def test_zero_epochs_is_a_config_error():
 def test_unknown_endpoint_rejected():
     cfg = EmbeddingConfig(dims=4, epochs=1)
     with pytest.raises(UnknownAddressError):
-        train_embedding([pos("a", "zz")], [], ["a", "b"], cfg)
+        train_embedding([("a", "zz")], [], ["a", "b"], cfg)
 
 
 def test_single_pair_converges():
     # one positive pair trained long enough saturates its score
     cfg = EmbeddingConfig(dims=8, epochs=500, learning_rate=0.5,
                           neg_samples_per_positive=0, rng_seed=3)
-    emb = train_embedding([pos("a", "b")], [], ["a", "b"], cfg)
+    emb = train_embedding([("a", "b")], [], ["a", "b"], cfg)
     score = float(emb.vectors[emb.vertex_index["a"]] @ emb.context_vectors[emb.vertex_index["b"]])
     assert 1.0 / (1.0 + math.exp(-score)) > 0.9
     # per-pair loss decreases monotonically for the one-pair objective
@@ -75,8 +67,8 @@ def test_gradients_match_finite_differences(rng):
 def test_epoch_loss_nonincreasing_with_tolerance():
     gen = np.random.default_rng(11)
     verts = [f"v{i}" for i in range(12)]
-    pos_pairs = [pos(verts[i], verts[(i + 1) % 6]) for i in range(6) for _ in range(10)]
-    neg_pairs = [neg(verts[6 + i], verts[6 + (i + 3) % 6]) for i in range(6) for _ in range(10)]
+    pos_pairs = [(verts[i], verts[(i + 1) % 6]) for i in range(6) for _ in range(10)]
+    neg_pairs = [(verts[6 + i], verts[6 + (i + 3) % 6]) for i in range(6) for _ in range(10)]
     cfg = EmbeddingConfig(dims=8, epochs=8, learning_rate=0.2, rng_seed=4)
     emb = train_embedding(pos_pairs, neg_pairs, verts, cfg)
     losses = emb.epoch_losses
@@ -87,7 +79,7 @@ def test_epoch_loss_nonincreasing_with_tolerance():
 
 
 def test_training_is_deterministic():
-    pairs = [pos("a", "b"), pos("b", "c"), neg("a", "c")]
+    pairs = [("a", "b"), ("b", "c"), ("a", "c")]
     cfg = EmbeddingConfig(dims=6, epochs=4, rng_seed=9)
     one = train_embedding(pairs[:2], pairs[2:], ["a", "b", "c"], cfg)
     two = train_embedding(pairs[:2], pairs[2:], ["a", "b", "c"], cfg)
@@ -99,8 +91,8 @@ def test_divergence_raises_with_epoch_and_rate():
     cfg = EmbeddingConfig(dims=4, epochs=20, learning_rate=1e160,
                           neg_samples_per_positive=1, rng_seed=2)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
-        train_embedding([pos("a", "b"), pos("b", "c"), pos("c", "a")],
-                        [neg("a", "c")], ["a", "b", "c"], cfg)
+        train_embedding([("a", "b"), ("b", "c"), ("c", "a")],
+                        [("a", "c")], ["a", "b", "c"], cfg)
     assert "epoch" in str(err.value) and "1e+160" in str(err.value)
 
 

@@ -6,7 +6,7 @@ import pytest
 import refimpl
 from depwalk.errors import EvaluationError
 from depwalk.evaluation import compute_metrics, repeated_eval, split
-from depwalk.forest import ForestConfig, LabeledPair
+from depwalk.forest import ForestConfig
 
 
 def test_split_sizes():
@@ -109,35 +109,33 @@ def test_random_scores_ap_near_chance():
 
 
 def label_fixture(n=60, seed=0):
+    """A feature matrix and its alternating labels, each row drawn around
+    its class centre."""
     gen = np.random.default_rng(seed)
-    pairs = []
-    for i in range(n):
-        label = bool(i % 2)
-        center = 1.0 if label else -1.0
-        pairs.append(LabeledPair(f"s{i}", f"d{i}", gen.normal(center, 1.0, size=4), label))
-    return pairs
+    y = np.arange(n) % 2 == 1
+    return gen.normal(np.where(y, 1.0, -1.0)[:, None], 1.0, size=(n, 4)), y
 
 
 def test_repeated_eval_deterministic():
-    pairs = label_fixture()
+    X, y = label_fixture()
     cfg = ForestConfig(n_trees=10, rng_seed=0)
-    one = repeated_eval(pairs, cfg, seed=5, n_splits=3)
-    two = repeated_eval(pairs, cfg, seed=5, n_splits=3)
+    one = repeated_eval(X, y, cfg, seed=5, n_splits=3)
+    two = repeated_eval(X, y, cfg, seed=5, n_splits=3)
     assert one.to_json() == two.to_json()
 
 
 def test_repeated_eval_single_split_equals_report():
-    pairs = label_fixture()
+    X, y = label_fixture()
     cfg = ForestConfig(n_trees=10, rng_seed=0)
-    summary = repeated_eval(pairs, cfg, seed=7, n_splits=1, fractions=(0.25,))
+    summary = repeated_eval(X, y, cfg, seed=7, n_splits=1, fractions=(0.25,))
     from depwalk.evaluation import split as do_split
     from depwalk.forest import predict_proba, train_forest
     from depwalk.seeds import derive_seed
     from dataclasses import replace
-    train, test = do_split(pairs, 0.25, derive_seed(7, "split:0.25:0"))
-    model = train_forest(train, replace(cfg, rng_seed=derive_seed(7, "forest:0.25:0")))
-    scores = [predict_proba(model, p.features) for p in test]
-    single = compute_metrics(scores, [p.label for p in test])
+    train, test = do_split(range(len(y)), 0.25, derive_seed(7, "split:0.25:0"))
+    model = train_forest(X[train], y[train], replace(cfg, rng_seed=derive_seed(7, "forest:0.25:0")))
+    scores = [predict_proba(model, x) for x in X[test]]
+    single = compute_metrics(scores, y[test])
     got = summary.fractions[0.25]
     assert got["accuracy"] == single.accuracy
     assert got["precision"] == single.precision
@@ -145,6 +143,6 @@ def test_repeated_eval_single_split_equals_report():
 
 
 def test_repeated_eval_metadata_flags_auc_source():
-    summary = repeated_eval(label_fixture(), ForestConfig(n_trees=5), seed=1, n_splits=2)
+    summary = repeated_eval(*label_fixture(), ForestConfig(n_trees=5), seed=1, n_splits=2)
     assert summary.metadata["auc_ap_test_fraction"] == 0.5
     assert summary.roc_auc is not None

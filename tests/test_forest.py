@@ -8,42 +8,37 @@ from hypothesis import strategies as st
 
 from depwalk import forest
 from depwalk.errors import LabelBalanceError, UnknownAddressError
-from depwalk.forest import (ForestConfig, ForestModel, LabeledPair, _TreeNodes,
+from depwalk.forest import (ForestConfig, ForestModel, _TreeNodes,
                             build_label_set, load_forest, predict_proba,
                             save_forest, train_forest)
 from refimpl import reference_predict_proba, reference_train_forest
 
 
-def pairs_from(X, y):
-    return [LabeledPair(f"s{i}", f"d{i}", np.asarray(row, dtype=float), bool(label))
-            for i, (row, label) in enumerate(zip(X, y))]
-
-
 def separable_set(n=40, seed=0):
+    """A feature matrix and its labels, separable on the first feature."""
     gen = np.random.default_rng(seed)
     X = gen.normal(size=(n, 2))
-    y = X[:, 0] > 0
-    return pairs_from(X, y)
+    return X, X[:, 0] > 0
 
 
 def test_separable_training_accuracy():
-    data = separable_set()
-    model = train_forest(data, ForestConfig(n_trees=50, rng_seed=1))
-    assert all((predict_proba(model, p.features) >= 0.5) == p.label for p in data)
+    X, y = separable_set()
+    model = train_forest(X, y, ForestConfig(n_trees=50, rng_seed=1))
+    assert all((predict_proba(model, x) >= 0.5) == label for x, label in zip(X, y))
 
 
 def test_duplicate_rows_leave_predictions_stable():
     # duplicating every row does not change the distribution bootstrap samples
     # draw from; mean vote over seeds stays within one tree of the original
-    base = separable_set(n=30, seed=5)
-    doubled = base + [LabeledPair(p.src, p.dst, p.features, p.label) for p in base]
+    X, y = separable_set(n=30, seed=5)
+    X2, y2 = np.concatenate([X, X]), np.concatenate([y, y])
     probe = np.array([1.5, 0.0])
     n_trees = 100
     votes_base = []
     votes_dup = []
     for seed in range(20):
-        votes_base.append(predict_proba(train_forest(base, ForestConfig(n_trees=n_trees, rng_seed=seed)), probe))
-        votes_dup.append(predict_proba(train_forest(doubled, ForestConfig(n_trees=n_trees, rng_seed=seed)), probe))
+        votes_base.append(predict_proba(train_forest(X, y, ForestConfig(n_trees=n_trees, rng_seed=seed)), probe))
+        votes_dup.append(predict_proba(train_forest(X2, y2, ForestConfig(n_trees=n_trees, rng_seed=seed)), probe))
     diff = abs(sum(votes_base) / 20 - sum(votes_dup) / 20)
     assert diff <= 1.0 / n_trees
 
@@ -63,8 +58,8 @@ def test_probability_is_vote_fraction():
 def test_cut_between_adjacent_floats_separates_them(low, high):
     # their midpoint rounds to ``high``, a threshold that sends both rows left;
     # ten copies of each row make a bootstrap sample hold both
-    data = pairs_from([[high]] * 10 + [[low]] * 10, [True] * 10 + [False] * 10)
-    model = train_forest(data, ForestConfig(n_trees=1, rng_seed=0))
+    model = train_forest([[high]] * 10 + [[low]] * 10, [True] * 10 + [False] * 10,
+                         ForestConfig(n_trees=1, rng_seed=0))
     assert model.trees[0].feature[0] == 0
     assert model.trees[0].threshold[0] == low
     assert predict_proba(model, [high]) == 1.0 and predict_proba(model, [low]) == 0.0
@@ -78,44 +73,48 @@ def test_prediction_invariant_to_tree_order():
 
 
 def test_dimension_mismatch_rejected():
-    model = train_forest(separable_set(), ForestConfig(n_trees=5, rng_seed=0))
+    model = train_forest(*separable_set(), ForestConfig(n_trees=5, rng_seed=0))
     with pytest.raises(ValueError):
         predict_proba(model, [1.0, 2.0, 3.0])
 
 
 def test_single_class_rejected():
-    data = [LabeledPair("a", "b", np.array([0.0]), True),
-            LabeledPair("c", "d", np.array([1.0]), True)]
-    with pytest.raises(ValueError):
-        train_forest(data, ForestConfig(n_trees=2))
-    with pytest.raises(ValueError):
-        train_forest([], ForestConfig(n_trees=2))
+    with pytest.raises(ValueError, match="both classes"):
+        train_forest([[0.0], [1.0]], [True, True], ForestConfig(n_trees=2))
+    with pytest.raises(ValueError, match="empty"):
+        train_forest([], [], ForestConfig(n_trees=2))
+
+
+@pytest.mark.parametrize("X,y,problem", [([[0.0], [1.0, 2.0]], [True, False], None),
+                                         ([0.0, 1.0], [True, False], "2-D feature matrix"),
+                                         ([[0.0], [1.0]], [True, False, True], "one label per row")],
+                         ids=["ragged", "one-dimensional", "label-count"])
+def test_misshapen_training_data_rejected(X, y, problem):
+    with pytest.raises(ValueError, match=problem):
+        train_forest(X, y, ForestConfig(n_trees=2))
 
 
 def test_training_deterministic_and_row_order_invariant():
-    data = separable_set(n=25, seed=7)
+    X, y = separable_set(n=25, seed=7)
     cfg = ForestConfig(n_trees=20, rng_seed=42)
-    model_a = train_forest(data, cfg)
-    model_b = train_forest(data, cfg)
+    model_a = train_forest(X, y, cfg)
+    model_b = train_forest(X, y, cfg)
     assert model_a == model_b
-    shuffled = list(reversed(data))
-    model_c = train_forest(shuffled, cfg)
+    model_c = train_forest(X[::-1], y[::-1], cfg)
     assert model_a == model_c
-    model_d = train_forest(data, ForestConfig(n_trees=20, rng_seed=43))
+    model_d = train_forest(X, y, ForestConfig(n_trees=20, rng_seed=43))
     assert model_a != model_d
 
 
 def test_probability_bounds(rng):
-    data = separable_set(n=30, seed=2)
-    model = train_forest(data, ForestConfig(n_trees=15, rng_seed=3))
+    model = train_forest(*separable_set(n=30, seed=2), ForestConfig(n_trees=15, rng_seed=3))
     for _ in range(50):
         x = [rng.uniform(-3, 3), rng.uniform(-3, 3)]
         assert 0.0 <= predict_proba(model, x) <= 1.0
 
 
 def test_serialization_round_trip_bit_for_bit(tmp_path):
-    data = separable_set(n=35, seed=9)
-    model = train_forest(data, ForestConfig(n_trees=25, rng_seed=17))
+    model = train_forest(*separable_set(n=35, seed=9), ForestConfig(n_trees=25, rng_seed=17))
     path = tmp_path / "model.json"
     save_forest(model, path)
     loaded = load_forest(path)
@@ -174,16 +173,16 @@ def forest_problems(draw):
     # halves of the levels land exactly on midpoint thresholds
     probe_values = st.one_of(st.integers(-4, 4).map(lambda v: v / 2), FREE_VALUES)
     probes = draw(st.lists(st.lists(probe_values, min_size=dims, max_size=dims), max_size=10))
-    return pairs_from(np.array(columns).T, labels), cfg, probes
+    return np.array(columns).T, np.array(labels), cfg, probes
 
 
 @settings(max_examples=200, deadline=None)
 @given(forest_problems())
 def test_train_forest_equals_the_per_feature_reference(problem):
-    data, cfg, probes = problem
-    model = train_forest(data, cfg)
-    assert model == reference_train_forest(data, cfg)
-    for x in [p.features for p in data] + probes:
+    X, y, cfg, probes = problem
+    model = train_forest(X, y, cfg)
+    assert model == reference_train_forest(X, y, cfg)
+    for x in list(X) + probes:
         assert predict_proba(model, x) == reference_predict_proba(model, x)
 
 
@@ -191,10 +190,10 @@ def test_train_forest_equals_the_per_feature_reference(problem):
 @given(forest_problems())
 def test_one_node_per_split_search_grows_the_same_forest(problem):
     # with a budget of one element every node is searched in a pass of its own
-    data, cfg, _ = problem
+    X, y, cfg, _ = problem
     with mock.patch.object(forest, "_CHUNK_ELEMENTS", 1):
-        model = train_forest(data, cfg)
-    assert model == reference_train_forest(data, cfg)
+        model = train_forest(X, y, cfg)
+    assert model == reference_train_forest(X, y, cfg)
 
 
 def test_no_split_search_holds_more_than_the_budget_but_one_node():
@@ -210,7 +209,7 @@ def test_no_split_search_holds_more_than_the_budget_but_one_node():
         return search(XT, keys, key_bits, y, chunk)
 
     with mock.patch.object(forest, "_best_splits", record):
-        model = train_forest(pairs_from(X, y), ForestConfig(n_trees=40, rng_seed=3))
+        model = train_forest(X, y, ForestConfig(n_trees=40, rng_seed=3))
     assert all(elements <= forest._CHUNK_ELEMENTS or nodes == 1 for nodes, elements in passes)
     # 40 roots of 250 rows and 4 candidates: passes do hold several nodes
     assert max(nodes for nodes, _ in passes) > 1
@@ -220,10 +219,10 @@ def test_no_split_search_holds_more_than_the_budget_but_one_node():
 
 
 def test_nan_features_are_rejected():
-    data = separable_set()
-    data[3].features = np.array([np.nan, 0.0])
+    X, y = separable_set()
+    X[3] = [np.nan, 0.0]
     with pytest.raises(ValueError, match="NaN"):
-        train_forest(data, ForestConfig(n_trees=2))
+        train_forest(X, y, ForestConfig(n_trees=2))
 
 
 # --- label set construction ---------------------------------------------------
@@ -235,13 +234,14 @@ def test_label_set_balanced():
     truth = [(VERTS[0], VERTS[1]), (VERTS[2], VERTS[3]), (VERTS[0], VERTS[4]),
              (VERTS[5], VERTS[6]), (VERTS[7], VERTS[8])]
     labels = build_label_set(truth, VERTS, rng_seed=1)
-    positives = [p for p in labels if p.label]
-    negatives = [p for p in labels if not p.label]
-    assert len(positives) == 5 and len(negatives) == 5
-    seen = {(p.src, p.dst) for p in negatives}
-    assert len(seen) == 5
-    assert seen.isdisjoint(set(truth))
-    assert all(p.src != p.dst for p in labels)
+    positives = [(src, dst) for src, dst, label in labels if label]
+    negatives = [(src, dst) for src, dst, label in labels if not label]
+    assert positives == sorted(truth)
+    assert negatives == sorted(set(negatives)) and len(negatives) == 5
+    assert set(negatives).isdisjoint(set(truth))
+    assert labels == [(src, dst, True) for src, dst in positives] + \
+        [(src, dst, False) for src, dst in negatives]
+    assert all(src != dst for src, dst, _ in labels)
 
 
 def test_label_set_exhaustion_error():
@@ -255,7 +255,7 @@ def test_label_set_deterministic():
     truth = [(VERTS[0], VERTS[1]), (VERTS[2], VERTS[3])]
     one = build_label_set(truth, VERTS, rng_seed=5)
     two = build_label_set(truth, VERTS, rng_seed=5)
-    assert [(p.src, p.dst, p.label) for p in one] == [(p.src, p.dst, p.label) for p in two]
+    assert one == two
 
 
 def test_label_set_rejects_foreign_vertices():

@@ -112,7 +112,8 @@ def test_td_detected_via_containment():
 
 
 def test_td_needs_containment():
-    td, td3 = enumerate_td(lr_fixture(contained=False), ocfg())
+    flows = lr_fixture(contained=False)
+    td, td3 = enumerate_td(flows, ocfg(), enumerate_dd(flows, ocfg()))
     assert td == [] and td3 == []
 
 
@@ -122,7 +123,7 @@ def test_distinct_middles_yield_distinct_records():
         t0 = i * 1000
         flows += [flow("USER", "WEB2", t0, t0 + 10, sport=51001, dport=443),
                   flow("WEB2", "DB", t0 + 2, t0 + 8, sport=52001, dport=5432)]
-    td, _ = enumerate_td(flows, ocfg())
+    td, _ = enumerate_td(flows, ocfg(), enumerate_dd(flows, ocfg()))
     td_user_db = [r for r in td if (r.src, r.dst) == ("USER", "DB")]
     assert len(td_user_db) == 2
     assert {r.via for r in td_user_db} == {("WEB",), ("WEB2",)}
@@ -136,7 +137,7 @@ def test_td3_nested_containment():
                   flow("B", "C", t0 + 5, t0 + 25, sport=3, dport=4),
                   flow("C", "D", t0 + 10, t0 + 20, sport=5, dport=6)]
     cfg = ocfg()
-    _, td3 = enumerate_td(flows, cfg)
+    _, td3 = enumerate_td(flows, cfg, enumerate_dd(flows, cfg))
     assert td3 == [DependencyRecord(DepKind.TD3, "A", "D", 10, via=("B", "C"))]
     assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
         refimpl.reference_dependencies(flows, cfg)

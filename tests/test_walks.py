@@ -254,7 +254,8 @@ def test_candidate_scan_equals_the_reference(problem):
     # dict equality compares each candidate's condition set and the order of
     # its instance list, which fixes the instance a walk draws
     g, cfg, prefix, e_prev = problem
-    assert walks_module._condition_candidates(g, cfg, prefix, e_prev) == \
+    index = walks_module._WalkIndex(g, cfg.n_t)
+    assert walks_module._condition_candidates(index, cfg, prefix, e_prev) == \
         refimpl.candidate_map(g, cfg, prefix, e_prev)
 
 
@@ -266,7 +267,8 @@ def test_rescanned_pair_lists_each_instance_once():
     g = graph_from(twins, vertices=NAMES)
     e_prev = FlowRecord("A", "A", 1, 1, Proto.TCP, 0, 10)
     cfg = wcfg(epsilon=0)
-    found = walks_module._condition_candidates(g, cfg, ["B", "A"], e_prev)
+    found = walks_module._condition_candidates(walks_module._WalkIndex(g, cfg.n_t), cfg,
+                                               ["B", "A"], e_prev)
     assert found == {"C": ({Condition.LR_OPEN, Condition.RR_OPEN}, twins)}
     assert found == refimpl.candidate_map(g, cfg, ["B", "A"], e_prev)
 
@@ -284,7 +286,7 @@ def test_walks_are_unchanged_under_the_reference_candidate_map(rng, epsilon):
     config = wcfg(walk_length=6, walks_per_vertex=30, n_t=2, epsilon=epsilon, rng_seed=3)
     kernel = generate_walks(g, config)
 
-    def reference(g, cfg, prefix, e_prev, index):
+    def reference(index, cfg, prefix, e_prev):
         return refimpl.candidate_map(g, cfg, prefix, e_prev)
 
     with mock.patch.object(walks_module, "_condition_candidates", reference):
@@ -344,7 +346,9 @@ def test_negative_walks_empty_positives():
 # --- serialization -----------------------------------------------------------
 
 def test_walk_jsonl_round_trip(tmp_path):
-    g = lr_chain_graph()
+    # the reader holds step edges to the address checks of parsing
+    user, web, db = "10.0.0.1", "10.0.0.2", "10.0.0.3"
+    g = graph_from(repeat_pair(user, web, 3, 0, 10) + repeat_pair(web, db, 3, 2, 8))
     config = wcfg(walk_length=3, n_t=3)
     walks = generate_walks(g, config)
     walks += generate_negative_walks(g, walks, config)
