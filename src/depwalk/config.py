@@ -18,7 +18,7 @@ import yaml
 
 from .embedding import EmbeddingConfig
 from .errors import ConfigError
-from .flows import FlowFormat, SplitMode
+from .flows import SplitMode
 from .forest import ForestConfig
 from .graph import SamplerConfig
 from .oracle import OracleConfig
@@ -29,7 +29,6 @@ from .walks import WalkConfig
 
 @dataclass(frozen=True)
 class IngestSettings:
-    format: FlowFormat = FlowFormat.CSV
     biflows: bool = False
     split_mode: SplitMode = SplitMode.SAME_TIMESTAMPS
 

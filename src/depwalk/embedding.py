@@ -182,7 +182,7 @@ def dependency_vector(emb: EmbeddingMatrix, src: str, dst: str) -> np.ndarray:
     return emb.row(src) * emb.row(dst)
 
 
-def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path=None) -> None:
+def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:
     """Binary dump: magic, dims, vertex count, address table, then the target
     matrix row-major as little-endian float32; plus a JSON manifest."""
     addrs = sorted(emb.vertex_index, key=emb.vertex_index.get)
@@ -194,17 +194,16 @@ def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path=None) -> None:
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
         fh.write(np.ascontiguousarray(emb.vectors, dtype="<f4").tobytes())
-    if manifest_path is not None:
-        manifest = {
-            "format": "depwalk-embedding",
-            "version": 1,
-            "dims": emb.dims,
-            "vertices": len(addrs),
-            "epoch_losses": list(emb.epoch_losses),
-        }
-        with open(manifest_path, "w", encoding="utf-8") as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+    manifest = {
+        "format": "depwalk-embedding",
+        "version": 1,
+        "dims": emb.dims,
+        "vertices": len(addrs),
+        "epoch_losses": list(emb.epoch_losses),
+    }
+    with open(manifest_path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def load_embedding(data_path) -> EmbeddingMatrix:

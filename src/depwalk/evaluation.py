@@ -21,6 +21,8 @@ from .errors import EvaluationError
 from .forest import ForestConfig, predict_proba, train_forest
 from .seeds import derive_seed
 
+THRESHOLD = 0.5  # a score at or above it counts as a dependency
+
 
 @dataclass
 class EvalReport:
@@ -58,8 +60,7 @@ def split(data: Sequence, test_fraction: float, seed: int) -> tuple[list, list]:
     return [data[i] for i in train_idx], [data[i] for i in test_idx]
 
 
-def compute_metrics(scores: Sequence[float], labels: Sequence[bool],
-                    threshold: float = 0.5) -> EvalReport:
+def compute_metrics(scores: Sequence[float], labels: Sequence[bool]) -> EvalReport:
     """Thresholded confusion metrics plus ROC-AUC and average precision.
 
     With a single class present, AUC and AP are reported as None and the
@@ -71,9 +72,9 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[bool],
     if len(scores) != len(labels) or not scores:
         raise EvaluationError("scores and labels must be non-empty and of equal length")
     n = len(scores)
-    tp = sum(1 for s, l in zip(scores, labels) if l and s >= threshold)
-    fp = sum(1 for s, l in zip(scores, labels) if not l and s >= threshold)
-    fn = sum(1 for s, l in zip(scores, labels) if l and s < threshold)
+    tp = sum(1 for s, l in zip(scores, labels) if l and s >= THRESHOLD)
+    fp = sum(1 for s, l in zip(scores, labels) if not l and s >= THRESHOLD)
+    fn = sum(1 for s, l in zip(scores, labels) if l and s < THRESHOLD)
     tn = n - tp - fp - fn
     n_pos = tp + fn
     n_neg = fp + tn
@@ -167,9 +168,8 @@ def _fit_and_score(X: np.ndarray, y: np.ndarray, forest_cfg: ForestConfig,
 
 
 def repeated_eval(X, y, forest_cfg: ForestConfig, *,
-                  seed: int, n_splits: int = 15,
-                  fractions: Sequence[float] = (0.25, 0.5)) -> EvalSummary:
-    """Mean accuracy/precision/recall/F1 at the threshold 0.5 over ``n_splits``
+                  seed: int, n_splits: int, fractions: Sequence[float]) -> EvalSummary:
+    """Mean accuracy/precision/recall/F1 at ``THRESHOLD`` over ``n_splits``
     seeded splits per test fraction of the feature matrix ``X`` and its
     labels ``y``; the classifier is retrained on every split.
 
@@ -201,5 +201,5 @@ def repeated_eval(X, y, forest_cfg: ForestConfig, *,
         pr_points=headline.pr_points,
         chance_level=headline.chance_level,
         metadata={"auc_ap_test_fraction": 0.5, "auc_ap_split": "dedicated",
-                  "threshold": 0.5},
+                  "threshold": THRESHOLD},
     )

@@ -1,9 +1,10 @@
 """Unidirectional IP flow records and their preprocessing.
 
-Flow files come from external collectors as CSV or JSON-lines.  The canonical
-CSV column order is ``t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto``
-with timestamps in integer milliseconds since the epoch; RFC 3339 strings are
-accepted and converted on read.  Bidirectional records can be split into two
+Flow files come from external collectors as CSV or JSON-lines, told apart
+by their first record.  The canonical CSV column order is
+``t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto`` with timestamps in
+integer milliseconds since the epoch; RFC 3339 strings are accepted and
+converted on read.  Bidirectional records can be split into two
 unidirectional flows, and traffic is filtered down to TCP/UDP before any
 graph is built.  Self-loop flows (equal endpoints) are dropped during
 parsing.
@@ -37,11 +38,6 @@ class Proto(str, Enum):
         if text in ("UDP", "17"):
             return cls.UDP
         return cls.OTHER
-
-
-class FlowFormat(str, Enum):
-    CSV = "csv"
-    JSONL = "jsonl"
 
 
 class SplitMode(str, Enum):
@@ -155,41 +151,55 @@ def _drop_counts(cells: list[str]) -> list[str]:
     return cells[:len(CSV_COLUMNS)]
 
 
-def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV,
-                biflows: bool = False) -> tuple[list[FlowRecord], ParseReport]:
+def _json_flow(obj, canonical: dict[str, str]) -> FlowRecord | None:
+    """:func:`_make_flow` of the ``CSV_COLUMNS`` fields of a JSON object.  A
+    port may not be a float or a boolean, although ``int`` takes both."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in ("src_port", "dst_port"):
+        if isinstance(obj.get(name), (bool, float)):
+            raise ValueError(f"invalid {name} {obj[name]!r}")
+    try:
+        return _make_flow(obj["t_start"], obj["t_end"], obj["src_ip"], obj["dst_ip"],
+                          obj["src_port"], obj["dst_port"], obj["proto"], canonical)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+
+
+def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowRecord], ParseReport]:
     """Parse flow records from an iterable of text lines.
 
-    Invalid lines are collected in the report with their 1-based line number;
-    valid records keep the input order.  An optional CSV header line is
-    skipped.  Each distinct address token is validated once per call: a valid
+    The first line that is neither blank nor a CSV header sets the format:
+    JSON lines when it starts with ``{``, CSV otherwise.  Invalid lines are
+    collected in the report with their 1-based line number; valid records
+    keep the input order.  An optional CSV header line is skipped.  Each
+    distinct address token is validated once per call: a valid
     one is memoised, an invalid one is reported on every line it appears on.
     With ``biflows`` every record is a bidirectional connection (split later
     by :func:`biflow_to_uniflows`) and a CSV row may carry four trailing
     byte/packet count columns, which must be integers and are then discarded.
     """
-    fmt = FlowFormat(fmt)
     canonical: dict[str, str] = {}
     flows: list[FlowRecord] = []
     report = ParseReport(errors=[])
+    jsonl = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
-        header = fmt is FlowFormat.CSV and lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
+        header = lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
         if header or not line.strip():
             continue
+        if jsonl is None:
+            jsonl = line.lstrip().startswith("{")
         try:
-            if fmt is FlowFormat.CSV:
+            if jsonl:
+                flow = _json_flow(json.loads(line), canonical)
+            else:
                 cells = [c.strip() for c in line.split(",")]
                 if len(cells) != len(CSV_COLUMNS):
                     if not biflows:
                         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
                     cells = _drop_counts(cells)
                 flow = _make_flow(*cells, canonical)
-            else:
-                obj = json.loads(line)
-                missing = [c for c in CSV_COLUMNS if c not in obj] if isinstance(obj, dict) else CSV_COLUMNS
-                if missing:
-                    raise ValueError(f"missing fields: {', '.join(missing)}")
-                flow = _make_flow(*(obj[c] for c in CSV_COLUMNS), canonical)
         except ValueError as exc:
             report.errors.append((lineno, str(exc)))
             continue
@@ -201,7 +211,7 @@ def parse_flows(lines: Iterable[str], fmt: FlowFormat | str = FlowFormat.CSV,
     return flows, report
 
 
-def biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode | str) -> tuple[FlowRecord, FlowRecord]:
+def biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode) -> tuple[FlowRecord, FlowRecord]:
     """Split a biflow into forward and reverse unidirectional flows.
 
     The forward flow is the biflow record itself; the reverse swaps addresses
@@ -210,7 +220,6 @@ def biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode | str) -> tuple[FlowR
     the forward flow always sorts first; for sub-millisecond biflows the
     reverse start is clamped to t_end to keep the interval valid.
     """
-    mode = SplitMode(mode)
     if mode is SplitMode.SAME_TIMESTAMPS:
         rev_start = biflow.t_start
     else:
@@ -238,7 +247,7 @@ def write_flows_csv(flows: Iterable[FlowRecord], path) -> None:
 
 def read_flows_csv(path) -> tuple[list[FlowRecord], ParseReport]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_flows(fh, FlowFormat.CSV)
+        return parse_flows(fh)
 
 
 def flow_to_dict(flow: FlowRecord) -> dict:
@@ -248,18 +257,15 @@ def flow_to_dict(flow: FlowRecord) -> dict:
 
 
 def flow_from_dict(obj: dict, canonical: dict[str, str]) -> FlowRecord:
-    """A flow written by :func:`flow_to_dict`, held to the address, interval
-    and port checks of parsing, with ``canonical`` memoising the addresses
-    as in parsing; a self-loop, which parsing drops, is an error here."""
-    src_ip = _parse_address(obj["src_ip"], canonical)
-    dst_ip = _parse_address(obj["dst_ip"], canonical)
-    ts, te = int(obj["t_start"]), int(obj["t_end"])
-    _check_interval(ts, te)
-    sp = _parse_port(obj["src_port"], "src_port")
-    dp = _parse_port(obj["dst_port"], "dst_port")
-    if src_ip == dst_ip:
-        raise ValueError(f"self-loop flow {src_ip}->{dst_ip}")
-    return FlowRecord(src_ip, dst_ip, sp, dp, Proto(obj["proto"]), ts, te)
+    """A flow written by :func:`flow_to_dict`, decoded as JSON-lines input is
+    (``canonical`` memoises the addresses); a self-loop, which parsing drops,
+    is an error here, and so is a ``proto`` that is not a ``Proto`` value."""
+    flow = _json_flow(obj, canonical)
+    if flow is None:
+        raise ValueError(f"self-loop flow {obj['src_ip']}->{obj['dst_ip']}")
+    if flow.proto.value != obj["proto"]:
+        raise ValueError(f"{obj['proto']!r} is not a valid Proto")
+    return flow
 
 
 def _json_lines(fh, path, convert, start: int = 1) -> list:

@@ -87,20 +87,9 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
 
     rng = random.Random(rng_seed)
     negatives: set[tuple[str, str]] = set()
-    if need > (universe - need) // 2:
-        # dense label set: enumerate the complement instead of rejecting
-        pool = [(a, b) for a in verts for b in verts
-                if a != b and (a, b) not in positives]
-        negatives = set(rng.sample(pool, need))
-    else:
-        while len(negatives) < need:
-            a = verts[rng.randrange(n)]
-            b = verts[rng.randrange(n)]
-            if a == b:
-                continue
-            pair = (a, b)
-            if pair in positives or pair in negatives:
-                continue
+    while len(negatives) < need:
+        pair = (verts[rng.randrange(n)], verts[rng.randrange(n)])
+        if pair[0] != pair[1] and pair not in positives:
             negatives.add(pair)
     return ([(a, b, True) for a, b in sorted(positives)]
             + [(a, b, False) for a, b in sorted(negatives)])

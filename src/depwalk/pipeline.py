@@ -52,7 +52,7 @@ def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
     if not path.exists():
         raise FileNotFoundError(None, "input flow file not found", str(path))
     with open(path, "r", encoding="utf-8") as fh:
-        records, report = parse_flows(fh, cfg.ingest.format, biflows=cfg.ingest.biflows)
+        records, report = parse_flows(fh, biflows=cfg.ingest.biflows)
     if cfg.ingest.biflows:
         records = [flow for b in records for flow in biflow_to_uniflows(b, cfg.ingest.split_mode)]
     for lineno, message in report.errors:
@@ -98,7 +98,7 @@ def stage_walks(cfg: PipelineConfig) -> Path:
 
 def stage_embed(cfg: PipelineConfig) -> Path:
     vertices = read_graph_vertices(artifact(cfg, "graph.jsonl"))
-    all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"))
+    all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"), vertices)
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
@@ -155,11 +155,11 @@ def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     return rows
 
 
-def _read_pairs(emb: embedding.EmbeddingMatrix, path, **columns: Callable[[str], object]) -> list[tuple]:
+def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tuple]:
     """:func:`_read_rows` of ``src``, ``dst`` and ``columns``, where an
-    address outside ``emb`` is an error naming its line."""
+    address not in ``vertices`` is an error naming its line."""
     def address(cell: str) -> str:
-        if cell not in emb.vertex_index:
+        if cell not in vertices:
             raise ValueError(f"unknown address: {cell}")
         return cell
     return _read_rows(path, src=address, dst=address, **columns)
@@ -198,7 +198,7 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     """Score the pairs of ``pairs_path``, by default those of labels.csv."""
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     model = forest.load_forest(artifact(cfg, "model.json"))
-    pairs = _read_pairs(emb, pairs_path or artifact(cfg, "labels.csv"))
+    pairs = _read_pairs(emb.vertex_index, pairs_path or artifact(cfg, "labels.csv"))
     out = artifact(cfg, "predictions.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -212,7 +212,7 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
 
 def stage_eval(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    X, y = _features(emb, _read_pairs(emb, artifact(cfg, "labels.csv"), label=_label))
+    X, y = _features(emb, _read_pairs(emb.vertex_index, artifact(cfg, "labels.csv"), label=_label))
     summary = evaluation.repeated_eval(X, y, cfg.forest, seed=cfg.seed_for("evaluation"),
                                        n_splits=cfg.evaluation.n_splits,
                                        fractions=cfg.evaluation.fractions)
@@ -228,7 +228,7 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
     """The similarity indices of the pairs predict scored, next to the model's
     probabilities."""
     graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
-    scored = _read_rows(artifact(cfg, "predictions.csv"), src=str, dst=str, probability=_probability)
+    scored = _read_pairs(set(graph.vertices), artifact(cfg, "predictions.csv"), probability=_probability)
     rows, correlations = simindex.baseline_report(graph, scored)
     out = artifact(cfg, "baseline.csv")
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -24,7 +24,7 @@ class IndexKind(str, Enum):
     RA = "RA"
 
 
-def index_score(g: CommGraph, x: str, y: str, kind: IndexKind | str) -> float:
+def index_score(g: CommGraph, x: str, y: str, kind: IndexKind) -> float:
     """Directed similarity of the ordered pair (x, y).
 
     CN counts common intermediates (successors of x that are predecessors of
@@ -33,7 +33,6 @@ def index_score(g: CommGraph, x: str, y: str, kind: IndexKind | str) -> float:
     log of its out-degree, skipping intermediates with a single successor
     (log 1 = 0).  Empty neighbourhoods yield 0.
     """
-    kind = IndexKind(kind)
     n_out = set(g.out_neighbors(x))
     n_in = set(g.in_neighbors(y))
     if kind is IndexKind.PA:

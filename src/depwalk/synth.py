@@ -23,6 +23,7 @@ from .oracle import DepKind, DependencyRecord, record_key
 _CLIENT_WEB_SPORT = 51000
 _WEB_DB_SPORT = 52000
 _CLIENT_DNS_SPORT = 50053
+_LATENCY_MS = (5, 50)  # the range a lookup or a service call takes
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,6 @@ class ScenarioConfig:
     lr_web_db: bool = True
     rr_dns_web: bool = True
     noise_flows: int = 0
-    latency_ms: tuple[int, int] = (5, 50)
     epsilon_ms: int = 1000
     rng_seed: int = 0
 
@@ -54,9 +54,6 @@ class ScenarioConfig:
             problems.append("session_rate must be >= 0")
         if self.noise_flows < 0:
             problems.append("noise_flows must be >= 0")
-        lo, hi = self.latency_ms
-        if not 1 <= lo <= hi:
-            problems.append("latency_ms must satisfy 1 <= min <= max")
         if self.epsilon_ms < 12:
             problems.append("epsilon_ms must be >= 12 to leave room for the reply gap")
         if problems:
@@ -87,7 +84,7 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
     dnss = _block(3, cfg.n_dns)
 
     duration_ms = int(cfg.duration * 1000)
-    lat_lo, lat_hi = cfg.latency_ms
+    lat_lo, lat_hi = _LATENCY_MS
     max_gap = max(1, cfg.epsilon_ms // 2 - 4)
 
     flows: list[FlowRecord] = []

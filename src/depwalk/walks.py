@@ -38,7 +38,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, NegativeWalkError
-from .flows import FlowRecord, _json_lines, flow_from_dict, flow_to_dict
+from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
 from .graph import CommGraph
 from .seeds import derive_seed
 
@@ -329,9 +329,15 @@ def write_walks_jsonl(walks: Iterable[RandomWalk], path) -> None:
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _walk_from_dict(obj: dict, canonical: dict[str, str]) -> RandomWalk:
+def _walk_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> RandomWalk:
+    vertices = tuple(_parse_address(v, canonical) for v in obj["vertices"])
+    for v in vertices:
+        if v not in known:
+            raise ValueError(f"unknown address: {v}")
+    if len(vertices) < 3:  # generate_walks drops shorter walks
+        raise ValueError(f"a walk needs at least three vertices, got {len(vertices)}")
     return RandomWalk(
-        vertices=tuple(obj["vertices"]),
+        vertices=vertices,
         step_edges=tuple(flow_from_dict(e, canonical) for e in obj["step_edges"]),
         label=WalkLabel(obj["label"]),
         condition_trace=tuple(frozenset(Condition(c) for c in conds)
@@ -339,7 +345,10 @@ def _walk_from_dict(obj: dict, canonical: dict[str, str]) -> RandomWalk:
     )
 
 
-def read_walks_jsonl(path) -> list[RandomWalk]:
+def read_walks_jsonl(path, vertices: Iterable[str]) -> list[RandomWalk]:
+    """The walks of a walks file; a walk whose vertices are not addresses
+    among ``vertices``, the graph's, is an error naming its line."""
+    known = set(vertices)
+    canonical: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        canonical: dict[str, str] = {}
-        return _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical))
+        return _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical, known))

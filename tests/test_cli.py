@@ -12,6 +12,7 @@ from depwalk import pipeline
 from depwalk.cli import main
 from depwalk.config import PipelineConfig, load_config
 from depwalk.errors import ConfigError
+from depwalk.flows import CSV_COLUMNS
 from depwalk.seeds import derive_seed
 
 SMALL_SCENARIO = {
@@ -117,14 +118,16 @@ REMOVED_KEYS = [("oracle", "max_chain_vertices", 4),
                 ("forest", "min_samples_leaf", 1),
                 ("forest", "features_per_split", 8),
                 ("forest", "bootstrap", True),
-                ("evaluation", "unordered_pairs", False)]
+                ("evaluation", "unordered_pairs", False),
+                ("ingest", "format", "jsonl"),
+                ("synth", "latency_ms", [5, 50])]
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
                          ids=[f"{section}.{key}" for section, key, _ in REMOVED_KEYS])
 def test_removed_key_rejected(tmp_path, section, key, value):
     doc = dict(SMALL_SCENARIO)
-    doc[section] = {**SMALL_SCENARIO[section], key: value}
+    doc[section] = {**SMALL_SCENARIO.get(section, {}), key: value}
     with pytest.raises(ConfigError) as err:
         load_config(write_config(tmp_path, doc))
     assert f"{section}: unknown key {key!r}" in str(err.value)
@@ -381,6 +384,29 @@ def test_predict_short_pairs_row_is_an_error_naming_its_line(tmp_path, capsys):
     assert f"depwalk: predict failed: {pairs}:2: expected src,dst columns" in err
 
 
+def test_jsonl_flows_ingest_like_their_csv(small_run, tmp_path):
+    cfg_path, workdir = small_run
+    integers = {"t_start", "t_end", "src_port", "dst_port"}
+    jsonl = tmp_path / "flows.jsonl"
+    with open(jsonl, "w") as fh:
+        for line in (workdir / "flows.csv").read_text().splitlines():
+            cells = zip(CSV_COLUMNS, line.split(","))
+            fh.write(json.dumps({k: int(v) if k in integers else v for k, v in cells}) + "\n")
+    out = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(out), "ingest", "--flows", str(jsonl)]) == 0
+    assert (out / "flows.csv").read_bytes() == (workdir / "flows.csv").read_bytes()
+
+
+def test_readme_library_use_runs(small_run, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    _, workdir = small_run
+    monkeypatch.chdir(workdir)  # the block reads flows.csv
+    names: dict = {}
+    exec(block, names)
+    assert names["report"].ok and names["features"].shape == (names["emb"].dims,)
+
+
 def unknown_address_pairs(workdir: Path, path: Path) -> Path:
     """A pairs file whose line 2 is a labelled pair and line 3 names an
     address outside the sample."""
@@ -472,6 +498,10 @@ DAMAGED_INPUTS = [
     pytest.param("walks", "graph.jsonl", edit_edge(src_ip="9.9.9.9", dst_ip="10.0.1.1"),
                  ":2: edge endpoint outside vertex set: 9.9.9.9->10.0.1.1",
                  id="graph-edge-endpoint"),
+    pytest.param("walks", "graph.jsonl", edit_edge(src_port=443.9),
+                 ":2: invalid src_port 443.9", id="graph-edge-float-port"),
+    pytest.param("walks", "graph.jsonl", edit_edge(t_start=20.5),
+                 ":2: invalid timestamp 20.5", id="graph-edge-float-start"),
     pytest.param("walks", "graph.jsonl", edit_edge(src_ip="not-an-ip"),
                  ":2: invalid IP address 'not-an-ip'", id="graph-edge-address"),
     pytest.param("embed", "graph.jsonl",
@@ -479,6 +509,15 @@ DAMAGED_INPUTS = [
                  ":1: invalid IP address 'not-an-ip'", id="graph-manifest-address"),
     pytest.param("embed", "walks.jsonl", drop_field(1, "vertices"),
                  ":1: missing field 'vertices'", id="walk-field"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(1, lambda walk: walk["vertices"].__setitem__(0, "not-an-ip")),
+                 ":1: invalid IP address 'not-an-ip'", id="walk-vertex-address"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(1, lambda walk: walk["vertices"].__setitem__(0, "9.9.9.9")),
+                 ":1: unknown address: 9.9.9.9", id="walk-vertex-unknown"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(1, lambda walk: walk.update(vertices=walk["vertices"][:1])),
+                 ":1: a walk needs at least three vertices, got 1", id="walk-one-vertex"),
     pytest.param("embed", "walks.jsonl",
                  edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_port=-1)),
                  ":1: dst_port -1 out of range 0-65535", id="walk-step-edge-port"),
@@ -510,6 +549,8 @@ DAMAGED_INPUTS = [
                  ":2: label must be 0 or 1, got 'yes'", id="label"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["1.2.3.4"] + cells[1:]),
                  ":2: unknown address: 1.2.3.4", id="label-unknown-address"),
+    pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: ["9.9.9.9"] + cells[1:]),
+                 ":2: unknown address: 9.9.9.9", id="prediction-unknown-address"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["abc"]),
                  ":2: could not convert string to float: 'abc'", id="probability"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["nan"]),

@@ -5,7 +5,7 @@ import pytest
 
 import refimpl
 from depwalk.errors import EvaluationError
-from depwalk.evaluation import compute_metrics, repeated_eval, split
+from depwalk.evaluation import THRESHOLD, compute_metrics, repeated_eval, split
 from depwalk.forest import ForestConfig
 
 
@@ -52,7 +52,8 @@ def test_tied_scores_give_half_auc():
 def test_score_equal_to_the_threshold_counts_as_positive():
     report = compute_metrics([0.5, 0.5], [True, False])
     assert report.recall == 1.0 and report.precision == 0.5
-    assert compute_metrics([0.3, 0.3], [True, False], threshold=0.3).recall == 1.0
+    assert THRESHOLD == 0.5
+    assert compute_metrics([0.4999, 0.4999], [True, False]).recall == 0.0
 
 
 def test_single_class_reports_undefined_auc():
@@ -119,8 +120,8 @@ def label_fixture(n=60, seed=0):
 def test_repeated_eval_deterministic():
     X, y = label_fixture()
     cfg = ForestConfig(n_trees=10, rng_seed=0)
-    one = repeated_eval(X, y, cfg, seed=5, n_splits=3)
-    two = repeated_eval(X, y, cfg, seed=5, n_splits=3)
+    one = repeated_eval(X, y, cfg, seed=5, n_splits=3, fractions=(0.25, 0.5))
+    two = repeated_eval(X, y, cfg, seed=5, n_splits=3, fractions=(0.25, 0.5))
     assert one.to_json() == two.to_json()
 
 
@@ -143,6 +144,8 @@ def test_repeated_eval_single_split_equals_report():
 
 
 def test_repeated_eval_metadata_flags_auc_source():
-    summary = repeated_eval(*label_fixture(), ForestConfig(n_trees=5), seed=1, n_splits=2)
+    summary = repeated_eval(*label_fixture(), ForestConfig(n_trees=5), seed=1,
+                            n_splits=2, fractions=(0.25, 0.5))
     assert summary.metadata["auc_ap_test_fraction"] == 0.5
+    assert summary.metadata["threshold"] == THRESHOLD
     assert summary.roc_auc is not None

@@ -1,15 +1,17 @@
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depwalk.flows import (CSV_COLUMNS, FlowFormat, FlowRecord, Proto, SplitMode,
-                           biflow_to_uniflows, filter_tcp_udp, flow_to_csv_line, parse_flows)
+from depwalk.flows import (CSV_COLUMNS, FlowRecord, Proto, SplitMode, biflow_to_uniflows,
+                           filter_tcp_udp, flow_from_dict, flow_to_csv_line, flow_to_dict,
+                           parse_flows)
 
 
-def parse_text(text, fmt=FlowFormat.CSV):
-    return parse_flows(io.StringIO(text), fmt)
+def parse_text(text):
+    return parse_flows(io.StringIO(text))
 
 
 def test_parse_csv_line_maps_fields():
@@ -91,14 +93,59 @@ def test_jsonl_records_equal_the_equivalent_csv(rows):
         csv_lines.append(",".join(map(str, cells)) + "\n")
         json_lines.append(json.dumps(dict(zip(CSV_COLUMNS, cells))) + "\n")
     from_csv = parse_text("".join(csv_lines))
-    from_json = parse_text("".join(json_lines), FlowFormat.JSONL)
+    from_json = parse_text("".join(json_lines))
     assert from_json == from_csv
+    # graph and walk files hold TCP/UDP flows without self-loops, written by
+    # flow_to_dict; read back by flow_from_dict they are the parsed flows
+    kept = filter_tcp_udp(from_csv[0])
+    canonical = {}
+    assert [flow_from_dict(json.loads(json.dumps(flow_to_dict(f))), canonical) for f in kept] == kept
+
+
+def test_flow_from_dict_takes_only_proto_values():
+    # parsing maps "6", "tcp" and "ICMP" to a Proto; an artifact holds the value itself
+    edge = flow_to_dict(FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2))
+    for token in ("6", "tcp", "ICMP", " TCP", 6):
+        with pytest.raises(ValueError, match="is not a valid Proto"):
+            flow_from_dict({**edge, "proto": token}, {})
+    assert flow_from_dict({**edge, "proto": "OTHER"}, {}).proto is Proto.OTHER
+
+
+JSON_FLOW = ('{"t_start": 1, "t_end": 2, "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", '
+             '"src_port": 1, "dst_port": 2, "proto": "UDP"}')
 
 
 def test_jsonl_line_that_is_not_an_object_is_an_error_on_its_line():
-    _, report = parse_text('5\n"t_start"\n[1, 2]\n', FlowFormat.JSONL)
-    assert [lineno for lineno, _ in report.errors] == [1, 2, 3]
-    assert all(message.startswith("missing fields: t_start,") for _, message in report.errors)
+    _, report = parse_text(JSON_FLOW + '\n5\n"t_start"\n[1, 2]\n')
+    assert report.errors == [(2, "expected a JSON object, got int"),
+                             (3, "expected a JSON object, got str"),
+                             (4, "expected a JSON object, got list")]
+
+
+def test_jsonl_object_without_a_field_names_the_first_missing_one():
+    obj = json.loads(JSON_FLOW)
+    del obj["src_ip"], obj["proto"]
+    _, report = parse_text(json.dumps(obj) + "\n")
+    assert report.errors == [(1, "missing field 'src_ip'")]
+
+
+def test_jsonl_integer_fields_take_no_floats_or_booleans():
+    lines = [json.dumps({**json.loads(JSON_FLOW), **change}) + "\n"
+             for change in ({"src_port": 443.9}, {"dst_port": True},
+                            {"t_start": 1.5}, {"t_end": 2.0}, {"src_port": "443"})]
+    flows, report = parse_text("".join(lines))
+    assert report.errors == [(1, "invalid src_port 443.9"), (2, "invalid dst_port True"),
+                             (3, "invalid timestamp 1.5"), (4, "invalid timestamp 2.0")]
+    assert [f.src_port for f in flows] == [443]  # a string of digits is a port, as in CSV
+
+
+def test_format_is_read_from_the_first_record_line():
+    flows, report = parse_text("\n  \n" + JSON_FLOW + "\n")
+    assert report.ok and flows == [FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.UDP, 1, 2)]
+    # a CSV file stays CSV: a JSON line after its first record is a bad row
+    _, report = parse_text("t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto\n"
+                           "1,2,10.0.0.1,10.0.0.2,1,2,TCP\n" + JSON_FLOW + "\n")
+    assert [lineno for lineno, _ in report.errors] == [3]
 
 
 def test_input_order_preserved():
@@ -136,7 +183,7 @@ def test_jsonl_parsing():
     text = ('{"t_start": 1, "t_end": 2, "src_ip": "10.0.0.1", "dst_ip": "10.0.0.2", '
             '"src_port": 1, "dst_port": 2, "proto": "UDP"}\n'
             '{"bad json\n')
-    flows, report = parse_text(text, FlowFormat.JSONL)
+    flows, report = parse_text(text)
     assert len(flows) == 1 and flows[0].proto is Proto.UDP
     assert [lineno for lineno, _ in report.errors] == [2]
 

@@ -5,10 +5,12 @@ surface nothing needs: delete it, or make it private if only tests reach it.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "depwalk"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "depwalk"
 
 
 def _names(node) -> list[str]:
@@ -47,3 +49,10 @@ def test_an_unused_public_function_is_found(tmp_path):
                                    "def unused():\n    return 1\n\nclass Kept:\n    pass\n")
     (tmp_path / "b.py").write_text("from .a import used\nx = Kept()\n")
     assert unused_public_definitions(tmp_path) == ["a.py: unused"]
+
+
+def test_the_runtime_dependencies_are_numpy_and_pyyaml():
+    # a new runtime dependency is a decision to record, not a side effect
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    listing = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', listing) == ["numpy", "PyYAML"]

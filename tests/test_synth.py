@@ -21,7 +21,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         ScenarioConfig(n_clients=300)
     with pytest.raises(ConfigError):
-        ScenarioConfig(latency_ms=(0, 5))
+        ScenarioConfig(epsilon_ms=11)
 
 
 def test_lr_scenario_yields_td_and_both_dd():

@@ -354,4 +354,4 @@ def test_walk_jsonl_round_trip(tmp_path):
     walks += generate_negative_walks(g, walks, config)
     path = tmp_path / "walks.jsonl"
     write_walks_jsonl(walks, path)
-    assert read_walks_jsonl(path) == walks
+    assert read_walks_jsonl(path, g.vertices) == walks
