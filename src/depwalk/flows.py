@@ -13,11 +13,12 @@ parsing.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from ipaddress import ip_address
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 CSV_COLUMNS = ("t_start", "t_end", "src_ip", "dst_ip", "src_port", "dst_port", "proto")
 
@@ -45,10 +46,10 @@ class SplitMode(str, Enum):
     DISTINCT_TIMESTAMPS = "distinct"
 
 
-@dataclass(frozen=True, slots=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """One IP flow: 5-tuple plus start/end in milliseconds.  Flows are
-    unidirectional except for biflows read before they are split."""
+    unidirectional except for biflows read before they are split.  A named
+    tuple: immutable, hashable, and built in one call, not one per field."""
 
     src_ip: str
     dst_ip: str
@@ -95,11 +96,17 @@ def _parse_timestamp(token) -> int:
     return (stamp - _EPOCH) // _MS
 
 
+# A dotted quad of decimal octets without leading zeros is its own canonical
+# text; matching it is several times cheaper than ``ip_address``.
+_OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_CANONICAL_IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
+
+
 def _parse_address(token, canonical: dict[str, str]) -> str:
     """Canonical text of an address token; only valid tokens are memoised."""
     if (text := str(token)) not in canonical:
         try:
-            canonical[text] = str(ip_address(text.strip()))
+            canonical[text] = text if _CANONICAL_IPV4.fullmatch(text) else str(ip_address(text.strip()))
         except ValueError:
             raise ValueError(f"invalid IP address {token!r}") from None
     return canonical[text]
@@ -133,6 +140,32 @@ def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: d
     if src_ip == dst_ip:
         return None
     return FlowRecord(src_ip, dst_ip, sp, dp, Proto.from_token(str(proto)), ts, te)
+
+
+_PROTOS = {"TCP": Proto.TCP, "6": Proto.TCP, "UDP": Proto.UDP, "17": Proto.UDP}
+
+
+def _csv_flow(cells: list[str], canonical: dict[str, str]) -> FlowRecord | None:
+    """:func:`_make_flow` of the seven cells of a CSV row, which may be padded.
+
+    The common row (integer timestamps with ``t_start <= t_end`` in the
+    int64 range, integer ports in range, valid addresses) is decoded here:
+    ``int`` ignores the padding, so only the addresses are stripped.  Any
+    other row goes through :func:`_make_flow` with stripped cells, which
+    names its first bad field."""
+    t_start, t_end, src, dst, src_port, dst_port, proto = cells
+    try:
+        ts, te, sp, dp = int(t_start), int(t_end), int(src_port), int(dst_port)
+        if not (-2**63 <= ts <= te < 2**63 - 1 and 0 <= sp <= 65535 and 0 <= dp <= 65535):
+            raise ValueError
+        src, dst = src.strip(), dst.strip()
+        src_ip = canonical.get(src) or _parse_address(src, canonical)
+        dst_ip = canonical.get(dst) or _parse_address(dst, canonical)
+    except ValueError:
+        return _make_flow(*[c.strip() for c in cells], canonical)
+    if src_ip == dst_ip:
+        return None
+    return FlowRecord(src_ip, dst_ip, sp, dp, _PROTOS.get(proto) or Proto.from_token(proto), ts, te)
 
 
 _COUNT_COLUMNS = ("fwd_bytes", "rev_bytes", "fwd_packets", "rev_packets")
@@ -194,12 +227,12 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
             if jsonl:
                 flow = _json_flow(json.loads(line), canonical)
             else:
-                cells = [c.strip() for c in line.split(",")]
+                cells = line.split(",")
                 if len(cells) != len(CSV_COLUMNS):
                     if not biflows:
                         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
-                    cells = _drop_counts(cells)
-                flow = _make_flow(*cells, canonical)
+                    cells = _drop_counts([c.strip() for c in cells])
+                flow = _csv_flow(cells, canonical)
         except ValueError as exc:
             report.errors.append((lineno, str(exc)))
             continue

@@ -8,7 +8,9 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from ipaddress import ip_address, ip_network
-from typing import Iterable, Iterator
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError
 from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
@@ -55,7 +57,7 @@ def _is_internal(addr: str, networks) -> bool:
     return any(parsed in net for net in networks if net.version == parsed.version)
 
 
-def select_top_addresses(flows: Iterable[FlowRecord], cfg: SamplerConfig) -> set[str]:
+def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set[str]:
     """The ``n_internal`` internal and ``m_external`` external addresses with
     the most flow appearances (as source or destination).
 
@@ -63,10 +65,7 @@ def select_top_addresses(flows: Iterable[FlowRecord], cfg: SamplerConfig) -> set
     distinct addresses exist than requested, everything available is returned
     and a warning is logged.
     """
-    counts: Counter = Counter()
-    for f in flows:
-        counts[f.src_ip] += 1
-        counts[f.dst_ip] += 1
+    counts = Counter(chain(map(attrgetter("src_ip"), flows), map(attrgetter("dst_ip"), flows)))
     networks = [ip_network(p, strict=False) for p in cfg.internal_prefixes]
     internal: list[str] = []
     external: list[str] = []

@@ -6,11 +6,16 @@ loops, independently of the package's optimized code paths.  Keep it dumb.
 
 from __future__ import annotations
 
+import json
 import math
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
+from ipaddress import ip_address
+from typing import Iterable
 
 import numpy as np
 
+from depwalk.flows import CSV_COLUMNS, FlowRecord, ParseReport, Proto
 from depwalk.forest import ForestModel, _TreeNodes
 from depwalk.seeds import derive_seed
 from depwalk.walks import Condition, WalkLabel
@@ -449,3 +454,146 @@ def kendall_reference(xs, ys) -> float | None:
     if num * num == d1 * d2:
         return 1.0 if num > 0 else -1.0
     return num / math.sqrt(d1 * d2)
+
+
+# ---------------------------------------------------------------------------
+# flow parser: every cell of every row goes through the checking helpers
+# (``depwalk.flows`` decodes the common CSV row without them)
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MS = timedelta(milliseconds=1)
+
+
+def _parse_timestamp(token) -> int:
+    """Integer milliseconds, or an RFC 3339 datetime converted to them."""
+    if isinstance(token, int) and not isinstance(token, bool):
+        return token
+    text = str(token).strip()
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    iso = text[:-1] + "+00:00" if text.endswith(("Z", "z")) else text
+    try:
+        stamp = datetime.fromisoformat(iso)
+    except ValueError:
+        raise ValueError(f"invalid timestamp {token!r}") from None
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
+    return (stamp - _EPOCH) // _MS
+
+
+def _parse_address(token, canonical: dict[str, str]) -> str:
+    """Canonical text of an address token; only valid tokens are memoised."""
+    if (text := str(token)) not in canonical:
+        try:
+            canonical[text] = str(ip_address(text.strip()))
+        except ValueError:
+            raise ValueError(f"invalid IP address {token!r}") from None
+    return canonical[text]
+
+
+def _parse_port(token, name: str) -> int:
+    try:
+        port = int(token)
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid {name} {token!r}") from None
+    if not 0 <= port <= 65535:
+        raise ValueError(f"{name} {port} out of range 0-65535")
+    return port
+
+
+def _check_interval(ts: int, te: int) -> None:
+    if te < ts:
+        raise ValueError(f"t_end {te} earlier than t_start {ts}")
+    if ts < -2**63 or te >= 2**63 - 1:  # the oracle's int64 arrays keep int64 max as "never"
+        raise ValueError(f"timestamps {ts}..{te} outside the signed 64-bit range")
+
+
+def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: dict[str, str]) -> FlowRecord | None:
+    """Validated FlowRecord, or None for a dropped self-loop."""
+    ts, te = _parse_timestamp(t_start), _parse_timestamp(t_end)
+    _check_interval(ts, te)
+    src_ip = _parse_address(src, canonical)
+    dst_ip = _parse_address(dst, canonical)
+    sp = _parse_port(src_port, "src_port")
+    dp = _parse_port(dst_port, "dst_port")
+    if src_ip == dst_ip:
+        return None
+    return FlowRecord(src_ip, dst_ip, sp, dp, Proto.from_token(str(proto)), ts, te)
+
+
+_COUNT_COLUMNS = ("fwd_bytes", "rev_bytes", "fwd_packets", "rev_packets")
+
+
+def _drop_counts(cells: list[str]) -> list[str]:
+    """The seven flow cells of an 11-column biflow row, once its four
+    byte/packet count cells are known to be integers."""
+    if len(cells) != len(CSV_COLUMNS) + len(_COUNT_COLUMNS):
+        raise ValueError(f"expected 7 or 11 columns, got {len(cells)}")
+    for name, token in zip(_COUNT_COLUMNS, cells[len(CSV_COLUMNS):]):
+        try:
+            int(token)
+        except ValueError:
+            raise ValueError(f"invalid {name} {token!r}") from None
+    return cells[:len(CSV_COLUMNS)]
+
+
+def _json_flow(obj, canonical: dict[str, str]) -> FlowRecord | None:
+    """:func:`_make_flow` of the ``CSV_COLUMNS`` fields of a JSON object.  A
+    port may not be a float or a boolean, although ``int`` takes both."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in ("src_port", "dst_port"):
+        if isinstance(obj.get(name), (bool, float)):
+            raise ValueError(f"invalid {name} {obj[name]!r}")
+    try:
+        return _make_flow(obj["t_start"], obj["t_end"], obj["src_ip"], obj["dst_ip"],
+                          obj["src_port"], obj["dst_port"], obj["proto"], canonical)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+
+
+def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowRecord], ParseReport]:
+    """Parse flow records from an iterable of text lines.
+
+    The first line that is neither blank nor a CSV header sets the format:
+    JSON lines when it starts with ``{``, CSV otherwise.  Invalid lines are
+    collected in the report with their 1-based line number; valid records
+    keep the input order.  An optional CSV header line is skipped.  Each
+    distinct address token is validated once per call: a valid
+    one is memoised, an invalid one is reported on every line it appears on.
+    With ``biflows`` every record is a bidirectional connection (split later
+    by :func:`biflow_to_uniflows`) and a CSV row may carry four trailing
+    byte/packet count columns, which must be integers and are then discarded.
+    """
+    canonical: dict[str, str] = {}
+    flows: list[FlowRecord] = []
+    report = ParseReport(errors=[])
+    jsonl = None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        header = lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
+        if header or not line.strip():
+            continue
+        if jsonl is None:
+            jsonl = line.lstrip().startswith("{")
+        try:
+            if jsonl:
+                flow = _json_flow(json.loads(line), canonical)
+            else:
+                cells = [c.strip() for c in line.split(",")]
+                if len(cells) != len(CSV_COLUMNS):
+                    if not biflows:
+                        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
+                    cells = _drop_counts(cells)
+                flow = _make_flow(*cells, canonical)
+        except ValueError as exc:
+            report.errors.append((lineno, str(exc)))
+            continue
+        if flow is None:
+            report.dropped_self_loops += 1
+        else:
+            flows.append(flow)
+            report.parsed += 1
+    return flows, report

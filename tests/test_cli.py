@@ -527,6 +527,19 @@ DAMAGED_INPUTS = [
     pytest.param("sample", "flows.csv", edit_first_row(lambda cells: cells[:6]),
                  ":2: expected 7 columns, got 6; 1 invalid line in a pipeline artifact",
                  id="flows-short-row"),
+    pytest.param("oracle", "flows.csv", edit_first_row(lambda cells: cells[:6]),
+                 ":2: expected 7 columns, got 6; 1 invalid line in a pipeline artifact",
+                 id="oracle-flows-short-row"),
+    pytest.param("sample", "flows.csv",
+                 edit_first_row(lambda cells: cells[:2] + [" 010.0.0.1 "] + cells[3:]),
+                 ":2: invalid IP address '010.0.0.1'; 1 invalid line in a pipeline artifact",
+                 id="flows-address"),
+    pytest.param("sample", "flows.csv", edit_first_row(lambda cells: cells[:4] + ["70000"] + cells[5:]),
+                 ":2: src_port 70000 out of range 0-65535; 1 invalid line in a pipeline artifact",
+                 id="flows-port"),
+    pytest.param("sample", "flows.csv", edit_first_row(lambda cells: ["20", "10"] + cells[2:]),
+                 ":2: t_end 10 earlier than t_start 20; 1 invalid line in a pipeline artifact",
+                 id="flows-interval"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
     pytest.param("predict", "model.json", edit_tree(lambda tree: tree["feature"].__setitem__(0, 99)),

@@ -1,13 +1,17 @@
 import io
 import json
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flow
 from depwalk.flows import (CSV_COLUMNS, FlowRecord, Proto, SplitMode, biflow_to_uniflows,
                            filter_tcp_udp, flow_from_dict, flow_to_csv_line, flow_to_dict,
                            parse_flows)
+from depwalk.synth import ScenarioConfig, generate
+from refimpl import reference_parse_flows
 
 
 def parse_text(text):
@@ -100,6 +104,122 @@ def test_jsonl_records_equal_the_equivalent_csv(rows):
     kept = filter_tcp_udp(from_csv[0])
     canonical = {}
     assert [flow_from_dict(json.loads(json.dumps(flow_to_dict(f))), canonical) for f in kept] == kept
+
+
+PADDING = st.sampled_from(["", "", "", " ", "  ", "\t", " \t "])
+TIMESTAMPS = st.one_of(
+    st.integers(-2, 10**13).map(str),
+    st.sampled_from([-2**63 - 1, -2**63, 2**63 - 2, 2**63 - 1, 2**63]).map(str),
+    st.datetimes(datetime(1900, 1, 1), datetime(2100, 1, 1),
+                 timezones=st.sampled_from([None, timezone.utc])).map(datetime.isoformat),
+    st.sampled_from(["1970-01-01T00:00:01Z", "1970-01-01T00:00:02z", "+5", "1_000", "-7",
+                     "1.5", "x", "", "2024-02-30T00:00:00"]))
+PORTS = st.one_of(st.sampled_from([-1, 0, 65535, 65536]).map(str), st.integers(-2, 70000).map(str),
+                  st.sampled_from(["", "x", "80.0", "0x50"]))
+PROTOS = st.sampled_from(["TCP", "UDP", "6", "17", "ICMP", "tcp", "Udp", "", "47"])
+# repeated tokens, leading zeros, and self-loops on the two fixed addresses
+CSV_ADDRESSES = st.one_of(ADDRESSES, st.sampled_from(
+    ["10.0.0.1", "10.0.0.2", "010.0.0.1", "10.0.0.01", "1.2.3", "256.0.0.1", "::ffff:1.2.3.4"]))
+COUNTS = st.one_of(st.integers(-1, 10**6).map(str), st.sampled_from(["2x0", ""]))
+# (t_start, t_end): valid, at the edges of int64 and reversed
+INTERVALS = st.one_of(
+    st.integers(0, 10**13).flatmap(lambda start: st.tuples(st.just(start),
+                                                             st.integers(start, start + 10**4))),
+    st.sampled_from([(-2**63, 2**63 - 2), (0, 2**63 - 1), (-2**63 - 1, 0), (5, 4), (7, 7)]))
+# the token that damages a cell, by column; the last serves the count columns
+DAMAGE = (TIMESTAMPS, TIMESTAMPS, CSV_ADDRESSES, CSV_ADDRESSES, PORTS, PORTS, PROTOS, COUNTS)
+
+
+def padded(strategy):
+    return st.tuples(PADDING, strategy, PADDING).map("".join)
+
+
+@st.composite
+def csv_lines(draw):
+    """A row of 7 or 11 columns, with up to two damaged cells, padding,
+    and sometimes a column too few or too many."""
+    start, end = draw(INTERVALS)
+    cells = [str(start), str(end), draw(CSV_ADDRESSES),
+             draw(CSV_ADDRESSES), str(draw(st.integers(0, 65535))),
+             str(draw(st.integers(0, 65535))), draw(PROTOS)]
+    if draw(st.booleans()):  # a biflow row's byte and packet counts
+        cells += [str(draw(st.integers(0, 10**6))) for _ in range(4)]
+    for _ in range(draw(st.integers(0, 2))):
+        column = draw(st.integers(0, len(cells) - 1))
+        cells[column] = draw(DAMAGE[min(column, len(DAMAGE) - 1)])
+    shape = draw(st.sampled_from(["keep", "keep", "keep", "drop", "add"]))
+    if shape == "drop":
+        cells.pop(draw(st.integers(0, len(cells) - 1)))
+    elif shape == "add":
+        cells.append(draw(PORTS))
+    cells = [draw(padded(st.just(cell))) for cell in cells]
+    return ",".join(cells) + draw(st.sampled_from(["\n", "\r\n"]))
+
+
+ODD_JSON = st.one_of(st.floats(), st.booleans(), st.none(), st.text(max_size=3),
+                     st.lists(st.integers(), max_size=2), TIMESTAMPS, PORTS)
+
+
+@st.composite
+def json_lines(draw):
+    """A flow object with up to two fields missing or given an odd value."""
+    start, end = draw(INTERVALS)
+    obj = {"t_start": start, "t_end": end, "src_ip": draw(padded(CSV_ADDRESSES)),
+           "dst_ip": draw(padded(CSV_ADDRESSES)), "src_port": draw(st.integers(-1, 65536)),
+           "dst_port": draw(st.integers(0, 65535)), "proto": draw(PROTOS)}
+    for _ in range(draw(st.integers(0, 2))):
+        name = draw(st.sampled_from(CSV_COLUMNS))
+        if draw(st.booleans()):
+            obj.pop(name, None)
+        else:
+            obj[name] = draw(ODD_JSON)
+    return json.dumps(obj) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.lists(csv_lines(), max_size=10), st.lists(json_lines(), max_size=10)),
+       st.sampled_from(["", "t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto\n", "\n"]),
+       st.booleans())
+def test_parse_matches_the_reference_parser(lines, head, biflows):
+    # the same records, counters and (line, message) errors, message for message
+    lines = [head, *lines] if head else lines
+    assert parse_flows(lines, biflows) == reference_parse_flows(lines, biflows)
+
+
+def test_flow_record_is_an_immutable_hashable_value():
+    record = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 9)
+    for name in CSV_COLUMNS:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    twin = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 9)
+    assert twin == record and twin is not record and hash(twin) == hash(record)
+    assert record != FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 10)
+
+
+def test_flow_record_sort_key_orders_by_interval_then_five_tuple(rng):
+    records = [FlowRecord(f"10.0.0.{rng.randrange(1, 4)}", f"10.0.1.{rng.randrange(1, 4)}",
+                          rng.randrange(3), rng.randrange(3), rng.choice(list(Proto)),
+                          start := rng.randrange(4), start + rng.randrange(3))
+               for _ in range(300)]
+    expected = sorted(records, key=lambda f: (f.t_start, f.t_end, f.src_ip, f.dst_ip,
+                                              f.src_port, f.dst_port, f.proto.value))
+    assert sorted(records, key=FlowRecord.sort_key) == expected
+
+
+def test_records_are_built_positionally_in_field_order():
+    assert flow("10.0.0.1", "10.0.0.2", 5, 9, sport=3, dport=4, proto=Proto.UDP) == FlowRecord(
+        src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=3, dst_port=4, proto=Proto.UDP,
+        t_start=5, t_end=9)
+    _, rev = biflow_to_uniflows(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
+    assert rev == FlowRecord(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=443, dst_port=50000,
+                             proto=Proto.TCP, t_start=1, t_end=10)
+    flows, _ = generate(ScenarioConfig(n_clients=2, duration=20.0, rng_seed=5))
+    # synth's roles: a client's lookup goes from port 50053 to 53 over UDP,
+    # its web request to 443 and the web server's call to 5432 over TCP
+    assert {(f.src_port, f.dst_port, f.proto) for f in flows} == {
+        (50053, 53, Proto.UDP), (53, 50053, Proto.UDP), (51000, 443, Proto.TCP),
+        (52000, 5432, Proto.TCP)}
+    assert all(isinstance(f.src_ip, str) and 0 <= f.t_start <= f.t_end for f in flows)
 
 
 def test_flow_from_dict_takes_only_proto_values():
