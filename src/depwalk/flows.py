@@ -145,7 +145,16 @@ def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: d
 _PROTOS = {"TCP": Proto.TCP, "6": Proto.TCP, "UDP": Proto.UDP, "17": Proto.UDP}
 
 
-def _csv_flow(cells: list[str], canonical: dict[str, str]) -> FlowRecord | None:
+class _PortMemo(dict):
+    """Port token -> ``int(token)``, so that all rows share one int object
+    per token; a token ``int`` rejects raises and is not kept."""
+
+    def __missing__(self, token: str) -> int:
+        port = self[token] = int(token)
+        return port
+
+
+def _csv_flow(cells: list[str], canonical: dict[str, str], ports: _PortMemo) -> FlowRecord | None:
     """:func:`_make_flow` of the seven cells of a CSV row, which may be padded.
 
     The common row (integer timestamps with ``t_start <= t_end`` in the
@@ -155,7 +164,7 @@ def _csv_flow(cells: list[str], canonical: dict[str, str]) -> FlowRecord | None:
     names its first bad field."""
     t_start, t_end, src, dst, src_port, dst_port, proto = cells
     try:
-        ts, te, sp, dp = int(t_start), int(t_end), int(src_port), int(dst_port)
+        ts, te, sp, dp = int(t_start), int(t_end), ports[src_port], ports[dst_port]
         if not (-2**63 <= ts <= te < 2**63 - 1 and 0 <= sp <= 65535 and 0 <= dp <= 65535):
             raise ValueError
         src, dst = src.strip(), dst.strip()
@@ -208,11 +217,13 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
     keep the input order.  An optional CSV header line is skipped.  Each
     distinct address token is validated once per call: a valid
     one is memoised, an invalid one is reported on every line it appears on.
+    CSV port tokens are memoised too, and range-checked on every line.
     With ``biflows`` every record is a bidirectional connection (split later
     by :func:`biflow_to_uniflows`) and a CSV row may carry four trailing
     byte/packet count columns, which must be integers and are then discarded.
     """
     canonical: dict[str, str] = {}
+    ports = _PortMemo()
     flows: list[FlowRecord] = []
     report = ParseReport(errors=[])
     jsonl = None
@@ -232,7 +243,7 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
                     if not biflows:
                         raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(cells)}")
                     cells = _drop_counts([c.strip() for c in cells])
-                flow = _csv_flow(cells, canonical)
+                flow = _csv_flow(cells, canonical, ports)
         except ValueError as exc:
             report.errors.append((lineno, str(exc)))
             continue

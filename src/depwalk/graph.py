@@ -10,10 +10,11 @@ from dataclasses import dataclass
 from ipaddress import ip_address, ip_network
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError
-from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
+from .flows import (_CANONICAL_IPV4, FlowRecord, _json_lines, _parse_address, flow_from_dict,
+                    flow_to_dict)
 
 log = logging.getLogger(__name__)
 
@@ -49,12 +50,25 @@ class SamplerConfig:
             raise ConfigError("; ".join(problems))
 
 
-def _is_internal(addr: str, networks) -> bool:
-    try:
-        parsed = ip_address(addr)
-    except ValueError:
-        return False
-    return any(parsed in net for net in networks if net.version == parsed.version)
+def _internal_check(prefixes: Iterable[str]) -> Callable[[str], bool]:
+    """Whether an address token lies in one of the CIDR ``prefixes``.  A
+    canonical dotted quad, the text of every parsed IPv4 flow address, is
+    matched as an integer against each IPv4 prefix; any other token is
+    parsed by ``ip_address``, and one that does not parse is external."""
+    networks = [ip_network(p, strict=False) for p in prefixes]
+    v4 = [(int(net.netmask), int(net.network_address)) for net in networks if net.version == 4]
+
+    def is_internal(addr: str) -> bool:
+        if _CANONICAL_IPV4.fullmatch(addr):
+            value = int.from_bytes(bytes(map(int, addr.split("."))), "big")
+            return any(value & mask == base for mask, base in v4)
+        try:
+            parsed = ip_address(addr)
+        except ValueError:
+            return False
+        return any(parsed in net for net in networks if net.version == parsed.version)
+
+    return is_internal
 
 
 def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set[str]:
@@ -66,11 +80,11 @@ def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set
     and a warning is logged.
     """
     counts = Counter(chain(map(attrgetter("src_ip"), flows), map(attrgetter("dst_ip"), flows)))
-    networks = [ip_network(p, strict=False) for p in cfg.internal_prefixes]
+    is_internal = _internal_check(cfg.internal_prefixes)
     internal: list[str] = []
     external: list[str] = []
     for addr in counts:
-        (internal if _is_internal(addr, networks) else external).append(addr)
+        (internal if is_internal(addr) else external).append(addr)
 
     def top(addrs: list[str], wanted: int, kind: str) -> list[str]:
         ranked = sorted(addrs, key=lambda a: (-counts[a], a))[:wanted]

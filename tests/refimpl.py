@@ -10,7 +10,7 @@ import json
 import math
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
-from ipaddress import ip_address
+from ipaddress import ip_address, ip_network
 from typing import Iterable
 
 import numpy as np
@@ -454,6 +454,18 @@ def kendall_reference(xs, ys) -> float | None:
     if num * num == d1 * d2:
         return 1.0 if num > 0 else -1.0
     return num / math.sqrt(d1 * d2)
+
+
+def reference_is_internal(addr: str, prefixes) -> bool:
+    """Whether ``addr`` parses as an address inside one of the CIDR
+    ``prefixes`` of its own IP version; a token that does not parse is
+    external."""
+    try:
+        parsed = ip_address(addr)
+    except ValueError:
+        return False
+    networks = [ip_network(p, strict=False) for p in prefixes]
+    return any(parsed in net for net in networks if net.version == parsed.version)
 
 
 # ---------------------------------------------------------------------------

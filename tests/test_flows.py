@@ -67,6 +67,18 @@ def test_repeated_invalid_address_is_an_error_on_each_of_its_lines():
                              (3, "invalid IP address '10.0.0.999'")]
 
 
+def test_repeated_port_token_shares_one_int_and_is_range_checked_on_each_line():
+    flows, report = parse_text(
+        "1,2,10.0.0.1,10.0.0.2,50000,70000,TCP\n"
+        "3,4,10.0.0.1,10.0.0.2,50000,443,TCP\n"
+        "5,6,10.0.0.3,10.0.0.4,70000,50000,TCP\n"
+        "7,8,10.0.0.3,10.0.0.4,443,50000,TCP\n")
+    assert report.errors == [(1, "dst_port 70000 out of range 0-65535"),
+                             (3, "src_port 70000 out of range 0-65535")]
+    assert [(f.src_port, f.dst_port) for f in flows] == [(50000, 443), (443, 50000)]
+    assert flows[0].src_port is flows[1].dst_port
+
+
 def test_address_tokens_parse_to_their_canonical_text():
     flows, report = parse_text(
         "1,2,2001:DB8::1,2001:db8::2,1,2,TCP\n"

@@ -1,13 +1,17 @@
 import math
+from ipaddress import ip_network
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flow, graph_from, repeat_pair
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
-from depwalk.graph import (CommGraph, SamplerConfig, read_graph_jsonl,
+from depwalk.graph import (CommGraph, SamplerConfig, _internal_check, read_graph_jsonl,
                            read_graph_vertices, reservoir_sample_edges,
                            select_top_addresses, write_graph_jsonl)
+from refimpl import reference_is_internal
 
 INTERNAL = ("10.0.0.0/16",)
 
@@ -42,6 +46,36 @@ def test_tie_broken_lexicographically():
              + repeat_pair("10.0.0.2", "10.0.9.9", 2, 0, 1))
     picked = select_top_addresses(flows, cfg(n_internal=1, m_external=0))
     assert picked == {"10.0.0.2"}
+
+
+@st.composite
+def prefix_lists(draw):
+    """Up to three CIDR prefixes of either IP version, often /0 or full length."""
+    prefixes = []
+    for _ in range(draw(st.integers(0, 3))):
+        version = draw(st.sampled_from((4, 6)))
+        bits = 32 if version == 4 else 128
+        length = draw(st.one_of(st.sampled_from((0, bits)), st.integers(0, bits)))
+        prefixes.append(f"{draw(st.ip_addresses(v=version))}/{length}")
+    return tuple(prefixes)
+
+
+# tokens that ``ip_address`` rejects or reads as IPv6, next to dotted quads
+ODD_TOKENS = st.sampled_from(("010.0.0.1", "10.0.0", "10.0.0.1 ", "1.2.3.256", "::ffff:10.0.0.1",
+                              "::10.0.0.1", "2001:DB8::1", "0.0.0.0", "255.255.255.255", ""))
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix_lists(), st.data())
+def test_internal_check_agrees_with_parsing_every_address(prefixes, data):
+    # addresses inside the prefixes too, which random addresses seldom are
+    networks = [ip_network(p, strict=False) for p in prefixes]
+    inside = [st.integers(0, net.num_addresses - 1).map(lambda i, net=net: str(net[i]))
+              for net in networks]
+    addrs = data.draw(st.lists(st.one_of(st.ip_addresses().map(str), ODD_TOKENS, st.text(max_size=8),
+                                         *inside), max_size=20))
+    is_internal = _internal_check(prefixes)
+    assert [is_internal(a) for a in addrs] == [reference_is_internal(a, prefixes) for a in addrs]
 
 
 def test_internal_external_partition():
