@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import json
 import logging
 import random
@@ -87,7 +88,7 @@ def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set
         (internal if is_internal(addr) else external).append(addr)
 
     def top(addrs: list[str], wanted: int, kind: str) -> list[str]:
-        ranked = sorted(addrs, key=lambda a: (-counts[a], a))[:wanted]
+        ranked = heapq.nsmallest(wanted, addrs, key=lambda a: (-counts[a], a))
         if len(ranked) < wanted:
             log.warning("only %d %s addresses available (requested %d)", len(ranked), kind, wanted)
         return ranked

@@ -30,6 +30,7 @@ from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -99,25 +100,36 @@ def enumerate_dd(flows: Sequence[FlowRecord], cfg: OracleConfig) -> list[Depende
     return sorted(records, key=record_key)
 
 
+def _by_start(flows: Sequence[FlowRecord], key) -> dict:
+    """Flow indices grouped by ``key(flow)``, each group sorted by
+    ``(t_start, t_end, index)``, next to the list of their start times
+    for ``bisect``."""
+    groups: dict = defaultdict(list)
+    for i, f in enumerate(flows):
+        groups[key(f)].append(i)
+    index = {}
+    for k, members in groups.items():
+        members.sort(key=lambda i: (flows[i].t_start, flows[i].t_end))  # stable: ties by index
+        index[k] = (members, [flows[i].t_start for i in members])
+    return index
+
+
 def _reply_pairs(flows: Sequence[FlowRecord], epsilon: int) -> list[tuple[int, int]]:
     """(initiator, reply) index pairs: reversed addresses with swapped ports,
     reply starting no earlier than the initiator, ends within epsilon."""
-    by_key: dict[tuple, list[tuple[int, int, int]]] = defaultdict(list)
-    for i, f in enumerate(flows):
-        by_key[(f.src_ip, f.dst_ip, f.src_port, f.dst_port)].append((f.t_start, f.t_end, i))
-    for lst in by_key.values():
-        lst.sort()
+    by_key = _by_start(flows, lambda f: (f.src_ip, f.dst_ip, f.src_port, f.dst_port))
     pairs: list[tuple[int, int]] = []
     for i, f in enumerate(flows):
         candidates = by_key.get((f.dst_ip, f.src_ip, f.dst_port, f.src_port))
         if not candidates:
             continue
+        members, starts = candidates
         # reply start is bounded by [t_start, t_end + epsilon] since its own
         # end must stay within epsilon of ours
-        lo = bisect_left(candidates, (f.t_start,))
-        hi = bisect_left(candidates, (f.t_end + epsilon + 1,))
-        for _ts, te, j in candidates[lo:hi]:
-            if abs(f.t_end - te) <= epsilon:
+        lo = bisect_left(starts, f.t_start)
+        hi = bisect_left(starts, f.t_end + epsilon + 1, lo)
+        for j in members[lo:hi]:
+            if abs(f.t_end - flows[j].t_end) <= epsilon:
                 pairs.append((i, j))
     return pairs
 
@@ -134,11 +146,7 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
     """
     flows = list(flows)
     eps = cfg.epsilon
-    by_src: dict[str, list[tuple[int, int]]] = defaultdict(list)
-    for i, f in enumerate(flows):
-        by_src[f.src_ip].append((f.t_start, i))
-    for lst in by_src.values():
-        lst.sort()
+    by_src = _by_start(flows, attrgetter("src_ip"))
 
     # answered hops per subject, ordered by initiator start for chain lookups
     entries: dict[str, list[tuple[int, int, int, str]]] = defaultdict(list)
@@ -151,11 +159,11 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
     rr_wits: dict[tuple[str, str], set[int]] = defaultdict(set)
     rr3_wits: dict[tuple[str, str], set[int]] = defaultdict(set)
     for subject, hop_list in entries.items():
-        starts = by_src[subject]
+        sent, starts = by_src[subject]
         for _t1, reply_end, init_idx, server1 in hop_list:
-            lo = bisect_left(starts, (reply_end,))
-            hi = bisect_left(starts, (reply_end + eps + 1,))
-            for _ts, k in starts[lo:hi]:
+            lo = bisect_left(starts, reply_end)
+            hi = bisect_left(starts, reply_end + eps + 1, lo)
+            for k in sent[lo:hi]:
                 target = flows[k].dst_ip
                 if target not in (subject, server1):
                     rr_wits[(target, server1)].add(init_idx)
@@ -164,9 +172,9 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
             for _t1b, reply_end2, _idx2, server2 in hop_list[lo2:hi2]:
                 if server2 in (subject, server1):
                     continue
-                lo3 = bisect_left(starts, (reply_end2,))
-                hi3 = bisect_left(starts, (reply_end2 + eps + 1,))
-                for _ts, k in starts[lo3:hi3]:
+                lo3 = bisect_left(starts, reply_end2)
+                hi3 = bisect_left(starts, reply_end2 + eps + 1, lo3)
+                for k in sent[lo3:hi3]:
                     target = flows[k].dst_ip
                     if target not in (subject, server1, server2):
                         rr3_wits[(target, server1)].add(init_idx)

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -202,16 +205,21 @@ def test_pipeline_deterministic_across_workdirs(tmp_path):
 
 
 def test_stagewise_equals_pipeline(tmp_path):
+    # One process per stage, so that no stage can take a value an earlier
+    # stage kept in memory: every input is decoded from its file.
     cfg_path = write_config(tmp_path)
     out_pipe = tmp_path / "pipe"
     assert main(["-c", str(cfg_path), "-w", str(out_pipe), "pipeline", "--synth"]) == 0
     out_step = tmp_path / "step"
-    base = ["-c", str(cfg_path), "-w", str(out_step)]
-    assert main(base + ["synth"]) == 0
-    assert main(base + ["ingest", "--flows", str(out_step / "synth_flows.csv")]) == 0
-    for stage in ("sample", "walks", "embed", "oracle", "train", "predict", "eval", "simindex"):
-        assert main(base + [stage]) == 0, stage
-    assert (out_pipe / "eval_report.json").read_bytes() == (out_step / "eval_report.json").read_bytes()
+    src = Path(pipeline.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    base = [sys.executable, "-m", "depwalk.cli", "-c", str(cfg_path), "-w", str(out_step)]
+    for stage in pipeline.STAGES:
+        args = ["--flows", str(out_step / "synth_flows.csv")] if stage.name == "ingest" else []
+        done = subprocess.run(base + [stage.name, *args], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (stage.name, done.stderr)
+    for name in (name for stage in pipeline.STAGES for name in stage.outputs):
+        assert (out_pipe / name).read_bytes() == (out_step / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -583,3 +591,35 @@ def test_damaged_input_is_a_stage_error_naming_the_file(small_run, tmp_path, cap
     err = capsys.readouterr().err
     assert f"depwalk: {stage} failed: {fresh / name}{problem}\n" in err
     assert "Traceback" not in err
+
+
+def overwrite_byte(path, lineno, find, new):
+    """Overwrite in place, keeping the file's length, the last byte of the
+    first ``find`` on line ``lineno`` with the byte ``new``."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    offset = sum(map(len, lines[:lineno - 1])) + lines[lineno - 1].index(find) + len(find) - 1
+    with open(path, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(new)
+
+
+def test_in_place_damage_after_a_pipeline_is_still_a_named_error(tmp_path, capsys):
+    # The pipeline has kept the decoded flows.csv and graph.jsonl in this
+    # process.  A one-byte edit of the same length, made at once, changes
+    # neither size nor (at its granularity) mtime, yet must reach the
+    # checked decode and its DAMAGED_INPUTS error.
+    cfg_path = write_config(tmp_path)
+    workdir = tmp_path / "out"
+    base = ["-c", str(cfg_path), "-w", str(workdir)]
+    assert main(base + ["pipeline", "--synth"]) == 0
+    overwrite_byte(workdir / "flows.csv", 2, b",", b";")  # 6 columns
+    overwrite_byte(workdir / "graph.jsonl", 2, b'"dst_ip', b"X")  # no dst_ip field
+    problems = {case.id: case.values[3] for case in DAMAGED_INPUTS}
+    # a failed stage deletes its outputs, so sample (which writes graph.jsonl) runs last
+    for stage, name, case in (("walks", "graph.jsonl", "graph-edge-field"),
+                              ("simindex", "graph.jsonl", "graph-edge-field"),
+                              ("oracle", "flows.csv", "oracle-flows-short-row"),
+                              ("sample", "flows.csv", "flows-short-row")):
+        capsys.readouterr()
+        assert main(base + [stage]) == 1, stage
+        assert f"depwalk: {stage} failed: {workdir / name}{problems[case]}\n" in capsys.readouterr().err

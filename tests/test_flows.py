@@ -1,15 +1,17 @@
 import io
 import json
+import tempfile
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flow
-from depwalk.flows import (CSV_COLUMNS, FlowRecord, Proto, SplitMode, biflow_to_uniflows,
-                           filter_tcp_udp, flow_from_dict, flow_to_csv_line, flow_to_dict,
-                           parse_flows)
+from conftest import flow, written_flows
+from depwalk.flows import (CSV_COLUMNS, FlowRecord, ParseReport, Proto, SplitMode,
+                           biflow_to_uniflows, filter_tcp_udp, flow_from_dict, flow_to_csv_line,
+                           flow_to_dict, parse_flows, write_flows_csv)
 from depwalk.synth import ScenarioConfig, generate
 from refimpl import reference_parse_flows
 
@@ -334,6 +336,17 @@ def test_csv_round_trip_is_byte_identical():
     flows, report = parse_text(text)
     assert report.ok
     assert "".join(flow_to_csv_line(f) + "\n" for f in flows) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(written_flows(), max_size=20))
+def test_parse_flows_returns_the_records_write_flows_csv_wrote(flows):
+    # what lets ingest keep the records it writes instead of reading them back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "flows.csv"
+        write_flows_csv(flows, path)
+        with open(path, encoding="utf-8") as fh:
+            assert parse_flows(fh) == (flows, ParseReport(errors=[], parsed=len(flows)))
 
 
 BIFLOW = FlowRecord("10.0.0.1", "10.0.0.2", 50000, 443, Proto.TCP, 0, 10)

@@ -1,11 +1,13 @@
 import math
+import tempfile
 from ipaddress import ip_network
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flow, graph_from, repeat_pair
+from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
 from depwalk.graph import (CommGraph, SamplerConfig, _internal_check, read_graph_jsonl,
@@ -194,6 +196,24 @@ def test_graph_jsonl_round_trip(tmp_path):
     path = tmp_path / "graph.jsonl"
     write_graph_jsonl(g, path)
     assert read_graph_jsonl(path) == g
+
+
+@st.composite
+def graphs(draw) -> CommGraph:
+    """A graph of up to 8 vertices, some isolated, and up to 30 edges."""
+    vertices = draw(st.lists(ADDRESSES, min_size=2, max_size=8, unique=True))
+    return CommGraph.from_flows(
+        vertices, draw(st.lists(written_flows(st.sampled_from(vertices)), max_size=30)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_read_graph_jsonl_returns_the_graph_write_graph_jsonl_wrote(g):
+    # what lets sample keep the graph it writes instead of reading it back
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.jsonl"
+        write_graph_jsonl(g, path)
+        assert read_graph_jsonl(path) == g
 
 
 def test_vertex_manifest_is_read_without_the_edges(tmp_path):
