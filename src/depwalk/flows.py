@@ -106,9 +106,12 @@ def _parse_address(token, canonical: dict[str, str]) -> str:
     """Canonical text of an address token; only valid tokens are memoised."""
     if (text := str(token)) not in canonical:
         try:
-            canonical[text] = text if _CANONICAL_IPV4.fullmatch(text) else str(ip_address(text.strip()))
+            address = text if _CANONICAL_IPV4.fullmatch(text) else str(ip_address(text.strip()))
         except ValueError:
             raise ValueError(f"invalid IP address {token!r}") from None
+        if "%" in address:  # a scope ID names one host's interface, not a device
+            raise ValueError(f"scoped IPv6 address {token!r}")
+        canonical[text] = address
     return canonical[text]
 
 

@@ -9,21 +9,23 @@ scores pairs with the model; ``simindex`` ranks its ``predictions.csv``.
 subcommands, the prerequisite checks, the ``pipeline`` order and
 ``--resume`` all derive from it.
 
-Within one process the decoded value of ``flows.csv`` (the flow records) and
-of ``graph.jsonl`` (the ``CommGraph``) is kept next to the sha256 of the
-file's bytes, one entry per artifact name: ``ingest`` keeps the records it
-writes and ``sample`` the graph it writes.  A stage that reads either file
-takes the kept value only when the file's current bytes hash to the kept
-digest; any other file (edited, damaged, written by another program) is
-decoded with every check by ``read_flows_csv`` or ``read_graph_jsonl``, and
-that value is kept instead.  A ``pipeline`` run thus parses flow text once
-(ingest's input) and reads neither file back.  The cost is one sha256 pass
-per read (about 5 ms for the 4.8 MB ``flows.csv`` of 96,000 flows) and the
-kept values, which live until the process ends: about 18 MB of records for
-those 96,000 flows, and the graph, whose edges are the same record objects.
-Written records read back unchanged (the round-trip tests pin this), so the
-kept value is what decoding the file gives, and separate ``depwalk <stage>``
-processes, which decode every input, write the same bytes.
+Within one ``run_pipeline`` call a stage hands the value it has just written
+on to the stages that read it next, keyed by the artifact's name and the
+sha256 of the file's bytes: ``ingest`` hands its flow records to ``sample``
+and ``oracle``, and ``sample`` its ``CommGraph`` to ``walks``.  A reader takes
+the value only when the file's bytes still hash to the kept digest; any other
+file (edited, damaged, written by another program) is decoded with every
+check by ``read_flows_csv`` or ``read_graph_jsonl``.  A ``pipeline`` run thus
+parses flow text once (ingest's input) and reads ``graph.jsonl`` back once
+(``simindex``).  The cost is one sha256 pass per hand-off and per take (about
+5 ms for the 4.8 MB ``flows.csv`` of 96,000 flows) and the values themselves:
+the last reader drops each one, so the records (about 18 MB for those 96,000
+flows) live until ``oracle`` and the graph until ``walks``, and nothing kept
+lives through ``train`` and ``eval``.  A stage skipped by ``--resume`` hands
+on nothing, and stages run outside ``run_pipeline`` decode every input.
+Written records read back unchanged (the round-trip tests pin this, and
+ingest rejects the scoped IPv6 addresses whose text the CSV writer could not
+carry), so stage-by-stage runs write the same bytes as ``pipeline``.
 """
 
 from __future__ import annotations
@@ -54,32 +56,39 @@ def artifact(cfg: PipelineConfig, name: str) -> Path:
     return Path(cfg.workdir) / name
 
 
-# Artifact name -> (sha256 of the file's bytes, the value they decode to).
-# Every reader shares the value, so none may change it: the flows are a
-# tuple, and nothing changes a CommGraph once built.
-_decoded: dict[str, tuple[bytes, object]] = {}
+# The decoded values one ``run_pipeline`` call hands from the stage that writes
+# an artifact to the stages that read it: artifact name -> (sha256 of the
+# file's bytes, the value).  None outside such a call.  Readers share the
+# value, so none may change it: the flows are a tuple, and nothing changes a
+# CommGraph once built.
+_handoff: dict[str, tuple[bytes, object]] | None = None
 
 
 def _sha256(path: Path) -> bytes:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        return hashlib.file_digest(fh, "sha256").digest()
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.digest()
 
 
-def _keep(path: Path, value) -> None:
-    """Keep ``value``, which ``path``'s bytes decode to, under its name."""
-    _decoded[path.name] = (_sha256(path), value)
+def _hand_off(path: Path, value) -> None:
+    """Within a pipeline run, hand on ``value``, which ``path``'s bytes
+    decode to."""
+    if _handoff is not None:
+        _handoff[path.name] = (_sha256(path), value)
 
 
-def _decode(path: Path, decode: Callable[[Path], object]):
-    """The kept value of ``path`` when its bytes still hash to the kept
-    digest; otherwise ``decode(path)``, which is then kept."""
-    digest = _sha256(path)  # before decoding, so a later rewrite cannot match
-    kept = _decoded.get(path.name)
-    if kept is not None and kept[0] == digest:
+def _decode(path: Path, decode: Callable[[Path], object], last: bool):
+    """The value handed on for ``path`` when its bytes still hash to the
+    kept digest, otherwise ``decode(path)``.  The ``last`` reader in a run
+    drops the value, so that it does not outlive its use."""
+    if _handoff is None:
+        return decode(path)
+    kept = _handoff.pop(path.name, None) if last else _handoff.get(path.name)
+    if kept is not None and kept[0] == _sha256(path):
         return kept[1]
-    value = decode(path)
-    _decoded[path.name] = (digest, value)
-    return value
+    return decode(path)
 
 
 def stage_synth(cfg: PipelineConfig) -> Path:
@@ -108,7 +117,7 @@ def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
     log.info("ingest: %d records parsed, %d TCP/UDP flows kept", report.parsed, len(kept))
     out = artifact(cfg, "flows.csv")
     write_flows_csv(kept, out)
-    _keep(out, kept)
+    _hand_off(out, kept)
     return out
 
 
@@ -121,27 +130,23 @@ def _checked_flows(path: Path):
     return tuple(flows)
 
 
-def _read_preprocessed(cfg: PipelineConfig):
-    return _decode(artifact(cfg, "flows.csv"), _checked_flows)
-
-
-def _read_graph(cfg: PipelineConfig):
-    return _decode(artifact(cfg, "graph.jsonl"), read_graph_jsonl)
+def _read_preprocessed(cfg: PipelineConfig, last: bool):
+    return _decode(artifact(cfg, "flows.csv"), _checked_flows, last)
 
 
 def stage_sample(cfg: PipelineConfig) -> Path:
-    flows = _read_preprocessed(cfg)
+    flows = _read_preprocessed(cfg, last=False)
     selected = select_top_addresses(flows, cfg.sampler)
     graph = reservoir_sample_edges(flows, selected, cfg.sampler)
     out = artifact(cfg, "graph.jsonl")
     write_graph_jsonl(graph, out)
-    _keep(out, graph)
+    _hand_off(out, graph)
     log.info("sample: %d vertices, %d edges", len(graph.vertices), graph.n_edges)
     return out
 
 
 def stage_walks(cfg: PipelineConfig) -> Path:
-    graph = _read_graph(cfg)
+    graph = _decode(artifact(cfg, "graph.jsonl"), read_graph_jsonl, last=True)
     positives = walks.generate_walks(graph, cfg.walks)
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
     out = artifact(cfg, "walks.jsonl")
@@ -167,7 +172,7 @@ def stage_embed(cfg: PipelineConfig) -> Path:
 
 
 def stage_oracle(cfg: PipelineConfig) -> Path:
-    flows = _read_preprocessed(cfg)
+    flows = _read_preprocessed(cfg, last=True)
     records = oracle.enumerate_all(flows, cfg.oracle)
     out = artifact(cfg, "ground_truth.csv")
     oracle.write_ground_truth(records, out)
@@ -281,7 +286,7 @@ def stage_eval(cfg: PipelineConfig) -> Path:
 def stage_simindex(cfg: PipelineConfig) -> Path:
     """The similarity indices of the pairs predict scored, next to the model's
     probabilities."""
-    graph = _read_graph(cfg)
+    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
     scored = _read_pairs(set(graph.vertices), artifact(cfg, "predictions.csv"), probability=_probability)
     rows, correlations = simindex.baseline_report(graph, scored)
     out = artifact(cfg, "baseline.csv")
@@ -387,10 +392,15 @@ def run_pipeline(cfg: PipelineConfig, flows_input=None, use_synth: bool = False,
     elif flows_input is None:
         raise DepwalkError("pipeline needs an input flow file (or synthetic generation)")
     args = SimpleNamespace(flows=flows_input, pairs=None)
-    for stage in STAGES:
-        if stage.name == "synth" and not use_synth:
-            continue
-        if resume and all(artifact(cfg, name).exists() for name in stage.outputs):
-            log.info("%s: outputs exist, skipped", stage.name)
-            continue
-        run_stage(cfg, stage, args)
+    global _handoff
+    _handoff = {}
+    try:
+        for stage in STAGES:
+            if stage.name == "synth" and not use_synth:
+                continue
+            if resume and all(artifact(cfg, name).exists() for name in stage.outputs):
+                log.info("%s: outputs exist, skipped", stage.name)
+                continue
+            run_stage(cfg, stage, args)
+    finally:
+        _handoff = None

@@ -499,9 +499,12 @@ def _parse_address(token, canonical: dict[str, str]) -> str:
     """Canonical text of an address token; only valid tokens are memoised."""
     if (text := str(token)) not in canonical:
         try:
-            canonical[text] = str(ip_address(text.strip()))
+            address = ip_address(text.strip())
         except ValueError:
             raise ValueError(f"invalid IP address {token!r}") from None
+        if getattr(address, "scope_id", None) is not None:
+            raise ValueError(f"scoped IPv6 address {token!r}")
+        canonical[text] = str(address)
     return canonical[text]
 
 

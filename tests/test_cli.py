@@ -604,10 +604,9 @@ def overwrite_byte(path, lineno, find, new):
 
 
 def test_in_place_damage_after_a_pipeline_is_still_a_named_error(tmp_path, capsys):
-    # The pipeline has kept the decoded flows.csv and graph.jsonl in this
-    # process.  A one-byte edit of the same length, made at once, changes
-    # neither size nor (at its granularity) mtime, yet must reach the
-    # checked decode and its DAMAGED_INPUTS error.
+    # A one-byte edit of the same length, made at once, changes neither size
+    # nor (at its granularity) mtime; the stages run after the pipeline must
+    # still reach the checked decode and its DAMAGED_INPUTS error.
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
     base = ["-c", str(cfg_path), "-w", str(workdir)]
@@ -623,3 +622,27 @@ def test_in_place_damage_after_a_pipeline_is_still_a_named_error(tmp_path, capsy
         capsys.readouterr()
         assert main(base + [stage]) == 1, stage
         assert f"depwalk: {stage} failed: {workdir / name}{problems[case]}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stage,name,find,new,case", [
+    ("sample", "flows.csv", b",", b";", "flows-short-row"),
+    ("oracle", "flows.csv", b",", b";", "oracle-flows-short-row"),
+    ("walks", "graph.jsonl", b'"dst_ip', b"X", "graph-edge-field"),
+])
+def test_in_place_damage_within_a_pipeline_run_is_a_named_error(tmp_path, capsys, monkeypatch,
+                                                                  stage, name, find, new, case):
+    # The file a reader would take from the stage that wrote it is damaged
+    # in place just before the reader runs: the reader must decode it, with
+    # every check, and the run must end with nothing handed on left over.
+    run = getattr(pipeline, f"stage_{stage}")
+
+    def damaged_first(cfg):
+        overwrite_byte(pipeline.artifact(cfg, name), 2, find, new)
+        return run(cfg)
+    monkeypatch.setattr(pipeline, f"stage_{stage}", damaged_first)
+    cfg_path = write_config(tmp_path)
+    workdir = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 1
+    problem = next(case_.values[3] for case_ in DAMAGED_INPUTS if case_.id == case)
+    assert f"depwalk: {stage} failed: {workdir / name}{problem}\n" in capsys.readouterr().err
+    assert pipeline._handoff is None

@@ -69,6 +69,19 @@ def test_repeated_invalid_address_is_an_error_on_each_of_its_lines():
                              (3, "invalid IP address '10.0.0.999'")]
 
 
+def test_scoped_ipv6_address_is_an_error_on_its_line():
+    # A scope ID names an interface of one host, not a device, and its text
+    # may hold a comma, which the CSV writer could not carry.
+    flows, report = parse_text("1,2,fe80::1%eth0,10.0.0.2,1,2,TCP\n"
+                               "5,6,fe80::1,10.0.0.2,1,2,TCP\n")
+    assert report.errors == [(1, "scoped IPv6 address 'fe80::1%eth0'")]
+    assert [f.src_ip for f in flows] == ["fe80::1"]
+    flows, report = parse_text(json.dumps(
+        {"t_start": 3, "t_end": 4, "src_ip": "10.0.0.1", "dst_ip": "fe80::1%a,b",
+         "src_port": 1, "dst_port": 2, "proto": "TCP"}) + "\n")
+    assert (flows, report.errors) == ([], [(1, "scoped IPv6 address 'fe80::1%a,b'")])
+
+
 def test_repeated_port_token_shares_one_int_and_is_range_checked_on_each_line():
     flows, report = parse_text(
         "1,2,10.0.0.1,10.0.0.2,50000,70000,TCP\n"
@@ -133,7 +146,8 @@ PORTS = st.one_of(st.sampled_from([-1, 0, 65535, 65536]).map(str), st.integers(-
 PROTOS = st.sampled_from(["TCP", "UDP", "6", "17", "ICMP", "tcp", "Udp", "", "47"])
 # repeated tokens, leading zeros, and self-loops on the two fixed addresses
 CSV_ADDRESSES = st.one_of(ADDRESSES, st.sampled_from(
-    ["10.0.0.1", "10.0.0.2", "010.0.0.1", "10.0.0.01", "1.2.3", "256.0.0.1", "::ffff:1.2.3.4"]))
+    ["10.0.0.1", "10.0.0.2", "010.0.0.1", "10.0.0.01", "1.2.3", "256.0.0.1", "::ffff:1.2.3.4",
+     "fe80::1%eth0", "fe80::1%"]))
 COUNTS = st.one_of(st.integers(-1, 10**6).map(str), st.sampled_from(["2x0", ""]))
 # (t_start, t_end): valid, at the edges of int64 and reversed
 INTERVALS = st.one_of(
