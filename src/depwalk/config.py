@@ -1,47 +1,178 @@
 """Pipeline configuration: one YAML document with a section per stage.
 
-The fields of :class:`PipelineConfig` other than ``master_seed`` and
-``workdir`` are the sections.  A section with an ``rng_seed`` gets a seed
-derived from ``master_seed`` via the documented SHA-256 fan-out (see
-:mod:`depwalk.seeds`); the config file does not expose per-stage seeds.
-Every value is checked against its field's annotation, and validation
-collects every violated constraint before raising.
+Every key, type, default and bound of the config file is declared once,
+here.  A section is a frozen dataclass whose fields are its keys; its
+unannotated class attributes ``_MIN``, ``_ABOVE`` and ``_MAX`` map a key to
+its bound (``>=``, ``>``, ``<=``), and its ``_problems`` hook holds its
+other checks.  Building a section, directly or through :func:`load_config`,
+raises one :class:`ConfigError` listing every violation, so an out-of-bound
+value or a failed scenario check is a config error (the CLI exits 2).  The
+fields of :class:`PipelineConfig` other than ``master_seed`` and ``workdir``
+are the sections; the stage modules import theirs from here.  A section
+with an ``rng_seed`` gets a seed derived from ``master_seed`` via the
+documented SHA-256 fan-out (see :mod:`depwalk.seeds`); the config file does
+not expose per-stage seeds.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import get_args, get_origin, get_type_hints
+from ipaddress import ip_network
+from typing import get_args, get_type_hints
 
 import yaml
 
-from .embedding import EmbeddingConfig
 from .errors import ConfigError
 from .flows import SplitMode
-from .forest import ForestConfig
-from .graph import SamplerConfig
-from .oracle import OracleConfig
 from .seeds import derive_seed
-from .synth import ScenarioConfig
-from .walks import WalkConfig
+
+
+class _Section:
+    """The one check of every section: its bounds, then its ``_problems``."""
+
+    _MIN = _ABOVE = _MAX = {}
+
+    def __post_init__(self):
+        problems = [f"{key} must be {sign} {bound}"
+                    for bounds, sign, holds in ((self._MIN, ">=", operator.ge),
+                                                (self._ABOVE, ">", operator.gt),
+                                                (self._MAX, "<=", operator.le))
+                    for key, bound in bounds.items() if not holds(getattr(self, key), bound)]
+        problems += self._problems()
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+    def _problems(self) -> list[str]:
+        return []
 
 
 @dataclass(frozen=True)
-class IngestSettings:
+class IngestSettings(_Section):
     biflows: bool = False
     split_mode: SplitMode = SplitMode.SAME_TIMESTAMPS
 
 
 @dataclass(frozen=True)
-class ContextSettings:
-    size: int = 4
+class SamplerConfig(_Section):
+    """Vertex selection and edge reservoir parameters.
+
+    Addresses inside ``internal_prefixes`` count as internal; everything else
+    (including unparseable tokens) is external.
+    """
+
+    n_internal: int = 100
+    m_external: int = 20
+    k_edges: int = 20000
+    internal_prefixes: tuple[str, ...] = ("10.0.0.0/16",)
+    rng_seed: int = 0
+
+    _MIN = dict(n_internal=0, m_external=0, k_edges=1)
+
+    def _problems(self):
+        problems = []
+        for prefix in self.internal_prefixes:
+            try:
+                ip_network(prefix, strict=False)
+            except ValueError:
+                problems.append(f"invalid CIDR prefix {prefix!r}")
+        return problems
 
 
 @dataclass(frozen=True)
-class EvalSettings:
+class WalkConfig(_Section):
+    walk_length: int = 5
+    walks_per_vertex: int = 10
+    epsilon: int = 1000
+    n_t: int = 10
+    rng_seed: int = 0
+
+    _MIN = dict(walk_length=3, walks_per_vertex=1, epsilon=0, n_t=1)
+
+
+@dataclass(frozen=True)
+class ContextSettings(_Section):
+    size: int = 4
+
+    _MIN = dict(size=2)
+
+
+@dataclass(frozen=True)
+class EmbeddingConfig(_Section):
+    dims: int = 64
+    epochs: int = 5
+    learning_rate: float = 0.01
+    neg_samples_per_positive: int = 1
+    rng_seed: int = 0
+
+    _MIN = dict(dims=1, epochs=1, neg_samples_per_positive=0)
+    _ABOVE = dict(learning_rate=0)
+
+
+@dataclass(frozen=True)
+class ForestConfig(_Section):
+    n_trees: int = 100
+    rng_seed: int = 0
+
+    _MIN = dict(n_trees=1)
+
+
+@dataclass(frozen=True)
+class OracleConfig(_Section):
+    """Thresholds: ``n_t_dd`` covers DD and TD records, ``n_t_rr`` covers RR
+    and RR3; ``epsilon`` bounds the request gap in milliseconds."""
+
+    n_t_dd: int = 10
+    n_t_rr: int = 10
+    epsilon: int = 1000
+
+    _MIN = dict(n_t_dd=1, n_t_rr=1, epsilon=0)
+
+
+@dataclass(frozen=True)
+class EvalSettings(_Section):
     n_splits: int = 15
     fractions: tuple[float, ...] = (0.25, 0.5)
+
+    _MIN = dict(n_splits=1)
+
+    def _problems(self):
+        return [f"fractions entry {fraction} must be in (0, 1)"
+                for fraction in self.fractions if not 0.0 < fraction < 1.0]
+
+
+@dataclass(frozen=True)
+class ScenarioConfig(_Section):
+    n_clients: int = 10
+    n_web: int = 1
+    n_db: int = 1
+    n_dns: int = 1
+    session_rate: float = 1.0          # sessions per simulated second
+    # simulated seconds; the default gives each default client 20 sessions,
+    # twice the default oracle threshold, so the bare default run labels 84 pairs
+    duration: float = 200.0
+    lr_web_db: bool = True
+    rr_dns_web: bool = True
+    noise_flows: int = 0
+    epsilon_ms: int = 1000
+    rng_seed: int = 0
+
+    # epsilon_ms >= 12 leaves room for the reply gap
+    _MIN = dict(n_clients=0, n_web=0, n_db=0, n_dns=0, session_rate=0, noise_flows=0,
+                epsilon_ms=12)
+    _ABOVE = dict(duration=0)
+    _MAX = dict(n_clients=250, n_web=250, n_db=250, n_dns=250)
+
+    def _problems(self):
+        """The roles that planted sessions need, when at least one session
+        (the rounded ``session_rate * duration``) is planted."""
+        if not (self.session_rate * self.duration > 0.5 and (self.lr_web_db or self.rr_dns_web)):
+            return []
+        needs = [(self.n_clients and self.n_web, "planted sessions need clients and web servers"),
+                 (self.n_db or not self.lr_web_db, "lr_web_db needs a database server"),
+                 (self.n_dns or not self.rr_dns_web, "rr_dns_web needs a name server")]
+        return [problem for met, problem in needs if not met]
 
 
 @dataclass(frozen=True)
@@ -49,8 +180,7 @@ class PipelineConfig:
     master_seed: int = 0
     workdir: str = "out"
     ingest: IngestSettings = field(default_factory=IngestSettings)
-    sampler: SamplerConfig = field(default_factory=lambda: SamplerConfig(
-        n_internal=100, m_external=20, k_edges=20000, internal_prefixes=("10.0.0.0/16",)))
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
     walks: WalkConfig = field(default_factory=WalkConfig)
     context: ContextSettings = field(default_factory=ContextSettings)
     embedding: EmbeddingConfig = field(default_factory=EmbeddingConfig)
@@ -70,9 +200,7 @@ def _fits(value, hint) -> bool:
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if isinstance(hint, type):
         return isinstance(value, hint)
-    args = get_args(hint)
-    if get_origin(hint) is not tuple:  # a union such as int | None
-        return any(_fits(value, arg) for arg in args)
+    args = get_args(hint)  # a tuple type
     if isinstance(value, list) and args[-1] is Ellipsis:
         args = args[:1] * len(value)
     return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
@@ -104,7 +232,7 @@ def _build_section(name: str, default, data: dict, seed: int, problems: list[str
             problems.append(f"{name}.{key}: {exc}")
     try:
         return replace(default, **kwargs)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:
         problems.append(f"{name}: {exc}")
         return default
 
@@ -149,18 +277,10 @@ def load_config(path=None, master_seed: int | None = None,
                                           cfg.seed_for(f.name), problems)
     cfg = replace(cfg, **sections)
 
-    # cross-field constraints
-    if cfg.context.size < 2:
-        problems.append("context.size must be >= 2")
     if cfg.context.size > cfg.walks.walk_length:
         problems.append(
             f"context.size ({cfg.context.size}) must not exceed walks.walk_length "
             f"({cfg.walks.walk_length})")
-    for fraction in cfg.evaluation.fractions:
-        if not 0.0 < fraction < 1.0:
-            problems.append(f"evaluation.fractions entry {fraction} must be in (0, 1)")
-    if cfg.evaluation.n_splits < 1:
-        problems.append("evaluation.n_splits must be >= 1")
 
     if problems:
         raise ConfigError("\n".join(problems))

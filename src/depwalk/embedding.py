@@ -20,34 +20,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError, UnknownAddressError
+from .config import EmbeddingConfig
+from .errors import TrainingDivergedError, UnknownAddressError
 
 log = logging.getLogger(__name__)
 
 _EXP_CLAMP = 30.0
 _MAGIC = b"DEPEMB01"
-
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    dims: int = 64
-    epochs: int = 5
-    learning_rate: float = 0.01
-    neg_samples_per_positive: int = 1
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        problems = []
-        if self.dims < 1:
-            problems.append("dims must be >= 1")
-        if self.epochs < 1:
-            problems.append("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            problems.append("learning_rate must be > 0")
-        if self.neg_samples_per_positive < 0:
-            problems.append("neg_samples_per_positive must be >= 0")
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 @dataclass
@@ -218,8 +197,9 @@ def load_embedding(data_path) -> EmbeddingMatrix:
             for _ in range(count):
                 (length,) = struct.unpack("<H", fh.read(2))
                 addrs.append(fh.read(length).decode("utf-8"))
-            raw = fh.read(4 * dims * count)
-            matrix = np.frombuffer(raw, dtype="<f4").reshape(count, dims)
+            matrix = np.frombuffer(fh.read(4 * dims * count), dtype="<f4").reshape(count, dims)
+            if fh.read(1):
+                raise ValueError("bytes after the last row")
         except (struct.error, ValueError) as exc:
             raise ValueError(f"{data_path}: truncated or damaged embedding file ({exc})") from exc
     return EmbeddingMatrix({a: i for i, a in enumerate(addrs)}, matrix.copy())

@@ -28,18 +28,9 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import ForestConfig
 from .errors import LabelBalanceError, UnknownAddressError
 from .seeds import derive_seed
-
-
-@dataclass(frozen=True)
-class ForestConfig:
-    n_trees: int = 100
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -428,7 +419,9 @@ def load_forest(path) -> ForestModel:
             obj = json.load(fh)
             if obj.get("format") != "depwalk-forest" or obj.get("version") != 1:
                 raise ValueError("not a version-1 forest file")
-            n_features = int(obj["n_features"])
+            n_features = obj["n_features"]
+            if type(n_features) is not int:
+                raise ValueError(f"n_features {n_features!r} is not an integer")
             trees = tuple(
                 _TreeNodes(tuple(t["feature"]), tuple(t["threshold"]),
                            tuple(t["left"]), tuple(t["right"]), tuple(t["leaf_p"]))

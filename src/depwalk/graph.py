@@ -7,48 +7,16 @@ import json
 import logging
 import random
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from ipaddress import ip_address, ip_network
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import ConfigError
+from .config import SamplerConfig
 from .flows import (_CANONICAL_IPV4, FlowRecord, _json_lines, _parse_address, flow_from_dict,
                     flow_to_dict)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Vertex selection and edge reservoir parameters.
-
-    Addresses inside ``internal_prefixes`` count as internal; everything else
-    (including unparseable tokens) is external.
-    """
-
-    n_internal: int
-    m_external: int
-    k_edges: int
-    internal_prefixes: tuple[str, ...] = ()
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        problems = []
-        if self.n_internal < 0:
-            problems.append("n_internal must be >= 0")
-        if self.m_external < 0:
-            problems.append("m_external must be >= 0")
-        if self.k_edges < 1:
-            problems.append("k_edges must be >= 1")
-        for prefix in self.internal_prefixes:
-            try:
-                ip_network(prefix, strict=False)
-            except ValueError:
-                problems.append(f"invalid CIDR prefix {prefix!r}")
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 def _internal_check(prefixes: Iterable[str]) -> Callable[[str], bool]:

@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .config import OracleConfig
 from .flows import FlowRecord
 
 _KIND_ORDER = {"DD": 0, "RR": 1, "RR3": 2, "TD": 3, "TD3": 4}
@@ -47,27 +47,6 @@ class DepKind(str, Enum):
     RR3 = "RR3"
     TD = "TD"
     TD3 = "TD3"
-
-
-@dataclass(frozen=True)
-class OracleConfig:
-    """Thresholds: ``n_t_dd`` covers DD and TD records, ``n_t_rr`` covers RR
-    and RR3; ``epsilon`` bounds the request gap in milliseconds."""
-
-    n_t_dd: int = 10
-    n_t_rr: int = 10
-    epsilon: int = 1000
-
-    def __post_init__(self):
-        problems = []
-        if self.n_t_dd < 1:
-            problems.append("n_t_dd must be >= 1")
-        if self.n_t_rr < 1:
-            problems.append("n_t_rr must be >= 1")
-        if self.epsilon < 0:
-            problems.append("epsilon must be >= 0")
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)
@@ -144,7 +123,6 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
     within epsilon of that reply, yielding the dependency of the final target
     on S1.  Chain addresses are pairwise distinct.
     """
-    flows = list(flows)
     eps = cfg.epsilon
     by_src = _by_start(flows, attrgetter("src_ip"))
 
@@ -208,7 +186,6 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
     second.  Witnesses count distinct initiating (A,B) flows.  Records are
     emitted per middle path.
     """
-    flows = list(flows)
     dd_pairs = {(r.src, r.dst) for r in dd_records}
     by_pair: dict[tuple[str, str], list[tuple[int, int]]] = defaultdict(list)
     for f in flows:
@@ -246,7 +223,6 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
 
 
 def enumerate_all(flows: Sequence[FlowRecord], cfg: OracleConfig) -> list[DependencyRecord]:
-    flows = list(flows)
     dd = enumerate_dd(flows, cfg)
     rr, rr3 = enumerate_rr(flows, cfg)
     td, td3 = enumerate_td(flows, cfg, dd_records=dd)

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 
-from .errors import ConfigError
+from .config import ScenarioConfig
 from .flows import FlowRecord, Proto
 from .oracle import DepKind, DependencyRecord, record_key
 
@@ -24,40 +23,6 @@ _CLIENT_WEB_SPORT = 51000
 _WEB_DB_SPORT = 52000
 _CLIENT_DNS_SPORT = 50053
 _LATENCY_MS = (5, 50)  # the range a lookup or a service call takes
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    n_clients: int = 10
-    n_web: int = 1
-    n_db: int = 1
-    n_dns: int = 1
-    session_rate: float = 1.0          # sessions per simulated second
-    # simulated seconds; the default gives each default client 20 sessions,
-    # twice the default oracle threshold, so the bare default run labels 84 pairs
-    duration: float = 200.0
-    lr_web_db: bool = True
-    rr_dns_web: bool = True
-    noise_flows: int = 0
-    epsilon_ms: int = 1000
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        problems = []
-        for name in ("n_clients", "n_web", "n_db", "n_dns"):
-            value = getattr(self, name)
-            if not 0 <= value <= 250:
-                problems.append(f"{name} must be in [0, 250]")
-        if self.duration <= 0:
-            problems.append("duration must be > 0")
-        if self.session_rate < 0:
-            problems.append("session_rate must be >= 0")
-        if self.noise_flows < 0:
-            problems.append("noise_flows must be >= 0")
-        if self.epsilon_ms < 12:
-            problems.append("epsilon_ms must be >= 12 to leave room for the reply gap")
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 def _block(prefix: int, count: int) -> list[str]:
@@ -69,14 +34,6 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
     truth (witness counts are raw session counts; thresholds are the
     consumer's business)."""
     total_sessions = int(round(cfg.session_rate * cfg.duration))
-    if total_sessions and (cfg.lr_web_db or cfg.rr_dns_web):
-        if cfg.n_clients == 0 or cfg.n_web == 0:
-            raise ConfigError("planted sessions need clients and web servers")
-        if cfg.lr_web_db and cfg.n_db == 0:
-            raise ConfigError("lr_web_db needs a database server")
-        if cfg.rr_dns_web and cfg.n_dns == 0:
-            raise ConfigError("rr_dns_web needs a name server")
-
     rng = random.Random(cfg.rng_seed)
     clients = _block(0, cfg.n_clients)
     webs = _block(1, cfg.n_web)

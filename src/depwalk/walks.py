@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, NegativeWalkError
+from .config import WalkConfig
+from .errors import NegativeWalkError
 from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
 from .graph import CommGraph
 from .seeds import derive_seed
@@ -60,28 +61,6 @@ class Condition(str, Enum):
 class WalkLabel(str, Enum):
     POSITIVE = "POSITIVE"
     NEGATIVE = "NEGATIVE"
-
-
-@dataclass(frozen=True)
-class WalkConfig:
-    walk_length: int = 5
-    walks_per_vertex: int = 10
-    epsilon: int = 1000
-    n_t: int = 10
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        problems = []
-        if self.walk_length < 3:
-            problems.append("walk_length must be >= 3")
-        if self.walks_per_vertex < 1:
-            problems.append("walks_per_vertex must be >= 1")
-        if self.epsilon < 0:
-            problems.append("epsilon must be >= 0")
-        if self.n_t < 1:
-            problems.append("n_t must be >= 1")
-        if problems:
-            raise ConfigError("; ".join(problems))
 
 
 @dataclass(frozen=True)

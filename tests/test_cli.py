@@ -7,6 +7,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 import yaml
@@ -162,6 +163,57 @@ def test_mistyped_value_is_a_config_error_naming_its_key(tmp_path, capsys, doc, 
     assert status == 2
     assert capsys.readouterr().err == f"depwalk: invalid configuration:\n{problem}\n"
     assert not (tmp_path / "out").exists()
+
+
+# (section, key, a value just out of its bound): one entry per bound the
+# sections declare in depwalk/config.py
+BOUNDS = [("sampler", "n_internal", -1), ("sampler", "m_external", -1), ("sampler", "k_edges", 0),
+          ("walks", "walk_length", 2), ("walks", "walks_per_vertex", 0), ("walks", "epsilon", -1),
+          ("walks", "n_t", 0), ("context", "size", 1),
+          ("embedding", "dims", 0), ("embedding", "epochs", 0),
+          ("embedding", "neg_samples_per_positive", -1), ("embedding", "learning_rate", 0),
+          ("forest", "n_trees", 0), ("oracle", "n_t_dd", 0), ("oracle", "n_t_rr", 0),
+          ("oracle", "epsilon", -1), ("evaluation", "n_splits", 0),
+          *(("synth", key, value) for key in ("n_clients", "n_web", "n_db", "n_dns")
+            for value in (-1, 251)),
+          ("synth", "session_rate", -1), ("synth", "noise_flows", -1), ("synth", "epsilon_ms", 11),
+          ("synth", "duration", 0)]
+
+
+def test_bounds_cover_every_declared_bound():
+    declared = set()
+    for section, section_type in get_type_hints(PipelineConfig).items():
+        for attr, step in (("_MIN", -1), ("_ABOVE", 0), ("_MAX", 1)):
+            declared |= {(section, key, bound + step)
+                         for key, bound in getattr(section_type, attr, {}).items()}
+    assert declared == set(BOUNDS)
+
+
+@pytest.mark.parametrize("section,key,value", BOUNDS,
+                         ids=[f"{section}.{key}={value}" for section, key, value in BOUNDS])
+def test_out_of_bound_value_is_a_config_error_naming_its_key(tmp_path, section, key, value):
+    with pytest.raises(ConfigError, match=rf"\b{key} must be "):
+        get_type_hints(PipelineConfig)[section](**{key: value})
+    with pytest.raises(ConfigError, match=rf"(?m)^{section}: {key} must be "):
+        load_config(write_config(tmp_path, {section: {key: value}}))
+
+
+@pytest.mark.parametrize("synth,problem", [
+    ({"n_db": 0}, "lr_web_db needs a database server"),
+    ({"n_dns": 0}, "rr_dns_web needs a name server"),
+    ({"n_web": 0}, "planted sessions need clients and web servers"),
+], ids=["n_db", "n_dns", "n_web"])
+def test_planted_sessions_without_their_servers_exit_2_at_load(tmp_path, capsys, synth, problem):
+    status = main(["-c", str(write_config(tmp_path, {"synth": synth})), "-w", str(tmp_path / "out"),
+                   "synth"])
+    assert status == 2
+    assert capsys.readouterr().err == f"depwalk: invalid configuration:\nsynth: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_planted_session_checks_apply_only_to_planted_sessions(tmp_path):
+    for synth in ({"n_db": 0, "lr_web_db": False}, {"n_web": 0, "session_rate": 0}):
+        load_config(write_config(tmp_path, {"synth": synth}))
 
 
 SECTIONS = [f.name for f in fields(PipelineConfig) if f.name not in ("master_seed", "workdir")]
@@ -492,6 +544,12 @@ def truncate(size):
     return corrupt
 
 
+def append(tail):
+    def corrupt(path):
+        path.write_bytes(path.read_bytes() + tail)
+    return corrupt
+
+
 # (stage, the input it reads, how the input is damaged, the error after the
 # file's name)
 DAMAGED_INPUTS = [
@@ -550,6 +608,8 @@ DAMAGED_INPUTS = [
                  id="flows-interval"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
+    pytest.param("predict", "model.json", edit_json_line(1, lambda model: model.update(n_features="12")),
+                 ": n_features '12' is not an integer", id="model-n-features"),
     pytest.param("predict", "model.json", edit_tree(lambda tree: tree["feature"].__setitem__(0, 99)),
                  ": tree 0: node 0: feature 99 is neither -1 nor in [0, 12)", id="model-feature"),
     pytest.param("predict", "model.json",
@@ -560,6 +620,9 @@ DAMAGED_INPUTS = [
     pytest.param("eval", "embedding.bin", truncate(100),
                  ": truncated or damaged embedding file (unpack requires a buffer of 2 bytes)",
                  id="embedding-truncated"),
+    pytest.param("eval", "embedding.bin", append(b"\0" * 7),
+                 ": truncated or damaged embedding file (bytes after the last row)",
+                 id="embedding-trailing-bytes"),
     pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: cells[:2]),
                  ":2: expected kind,src,dst,witness_count columns", id="ground-truth-short-row"),
     pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: ["XX"] + cells[1:]),

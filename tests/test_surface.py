@@ -8,6 +8,9 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+from typing import get_type_hints
+
+from depwalk.config import PipelineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "depwalk"
@@ -56,3 +59,17 @@ def test_the_runtime_dependencies_are_numpy_and_pyyaml():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     listing = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S).group(1)
     assert re.findall(r'"([A-Za-z0-9_.-]+)', listing) == ["numpy", "PyYAML"]
+
+
+def test_every_config_section_is_declared_in_the_config_module():
+    # one module declares every key, default and bound of the config file
+    hints = get_type_hints(PipelineConfig)
+    modules = {name: hints[name].__module__ for name in hints if name not in ("master_seed", "workdir")}
+    assert modules == dict.fromkeys(modules, "depwalk.config")
+
+
+def test_only_the_config_module_raises_config_errors():
+    raising = [path.name for path in sorted(SRC.glob("*.py")) if path.name != "config.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Raise) and "ConfigError" in _names(node)]
+    assert raising == []
