@@ -284,18 +284,27 @@ def small_run(tmp_path_factory):
     return cfg_path, workdir
 
 
-# The sampled graph, the walks and the downstream artifacts of
-# SMALL_SCENARIO.  A change to a graph or walks file's bytes is a change to
-# the walk specification, and one to a later file a change to labelling,
-# training, scoring or evaluation: record why, then update the digest.
+# Every artifact of SMALL_SCENARIO, in stage order.  A change to the bytes
+# of a file up to walks.jsonl is a change to the scenario, ingest, sampling
+# or walk specification, one to the embedding or ground truth a change to
+# embedding training or the oracle, and one to a later file a change to
+# labelling, forest training, scoring or evaluation: record why, then
+# update the digest.
 PINNED_SHA256 = {
+    "synth_flows.csv": "6fda6860022487830bf9da69946034d9f41d6a11fb45282e1e4b03bcd611a37b",
+    "planted_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
+    "flows.csv": "6fda6860022487830bf9da69946034d9f41d6a11fb45282e1e4b03bcd611a37b",
     "graph.jsonl": "df9908e1e6e3c08360756c22d0e480c181e9e72ee41f9efe72f354e9ec86e6f0",
     "walks.jsonl": "cdb4f35a82162793d593b7814257a299184d6b96008a9175e9ec6e3f69cf7e8c",
+    "embedding.bin": "b79b00bb592bc66319b3004c9a3cf1f1fbb0706691733e7cb5264de43b07cc86",
+    "embedding.json": "4850f93a4b8ad8e8d40b21231569dac935c94f89c8d75ef9f385e8cb183930b0",
+    "ground_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
     "labels.csv": "5ad7b12cd270fc44785eeea4c7268a83a89963059003fead69e15142c5176a93",
     "model.json": "ad2cc3eba57d272271688f29e9750a373753f3d52e4561d78626ba2a01d91810",
     "predictions.csv": "affd8c7098fe8a8867f3d17b15ec6501c196b971fbd607e3147cae6b1f968ade",
     "eval_report.json": "806b7f852acb4559930cd398ec3ffc3a15019301bb0fdb246b902838d02dd90f",
     "baseline.csv": "b7492043498b899b31d89907793d675959369217124d45618a333b19eb98bbbf",
+    "baseline_summary.json": "407f370a97fd0df01cec7e469feed8018c23ed86f390ec040d9630745a8e2e83",
 }
 
 
