@@ -3,19 +3,21 @@
 Every key, type, default and bound of the config file is declared once,
 here.  A section is a frozen dataclass whose fields are its keys; its
 unannotated class attributes ``_MIN``, ``_ABOVE`` and ``_MAX`` map a key to
-its bound (``>=``, ``>``, ``<=``), and its ``_problems`` hook holds its
-other checks.  Building a section, directly or through :func:`load_config`,
-raises one :class:`ConfigError` listing every violation, so an out-of-bound
-value or a failed scenario check is a config error (the CLI exits 2).  The
-fields of :class:`PipelineConfig` other than ``master_seed`` and ``workdir``
-are the sections; the stage modules import theirs from here.  A section
-with an ``rng_seed`` gets a seed derived from ``master_seed`` via the
-documented SHA-256 fan-out (see :mod:`depwalk.seeds`); the config file does
-not expose per-stage seeds.
+its bound (``>=``, ``>``, ``<=``), a float key must be finite, and its
+``_problems`` hook holds its other checks.  Building a section, directly or
+through :func:`load_config`, raises one :class:`ConfigError` listing every
+violation, so an out-of-bound or non-finite value or a failed scenario
+check is a config error (the CLI exits 2).  The fields of
+:class:`PipelineConfig` other than ``master_seed`` and ``workdir`` are the
+sections; the stage modules import theirs from here.  A section with an
+``rng_seed`` gets a seed derived from ``master_seed`` via the documented
+SHA-256 fan-out (see :mod:`depwalk.seeds`); the config file does not expose
+per-stage seeds.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
@@ -30,16 +32,21 @@ from .seeds import derive_seed
 
 
 class _Section:
-    """The one check of every section: its bounds, then its ``_problems``."""
+    """The one check of every section: every float finite, the bounds of
+    the other keys, then its ``_problems``."""
 
     _MIN = _ABOVE = _MAX = {}
 
     def __post_init__(self):
-        problems = [f"{key} must be {sign} {bound}"
-                    for bounds, sign, holds in ((self._MIN, ">=", operator.ge),
-                                                (self._ABOVE, ">", operator.gt),
-                                                (self._MAX, "<=", operator.le))
-                    for key, bound in bounds.items() if not holds(getattr(self, key), bound)]
+        nonfinite = [key for key, value in vars(self).items()
+                     if isinstance(value, float) and not math.isfinite(value)]
+        problems = [f"{key} must be finite" for key in nonfinite]
+        problems += [f"{key} must be {sign} {bound}"
+                     for bounds, sign, holds in ((self._MIN, ">=", operator.ge),
+                                                 (self._ABOVE, ">", operator.gt),
+                                                 (self._MAX, "<=", operator.le))
+                     for key, bound in bounds.items()
+                     if key not in nonfinite and not holds(getattr(self, key), bound)]
         problems += self._problems()
         if problems:
             raise ConfigError("; ".join(problems))

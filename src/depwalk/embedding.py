@@ -186,7 +186,9 @@ def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:
 
 
 def load_embedding(data_path) -> EmbeddingMatrix:
-    """Load a binary dump; the context matrix is not persisted."""
+    """Load a binary dump; the context matrix is not persisted.  A damaged
+    file, or a vector with a NaN or infinite value, is a ValueError naming
+    the file."""
     with open(data_path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -202,4 +204,7 @@ def load_embedding(data_path) -> EmbeddingMatrix:
                 raise ValueError("bytes after the last row")
         except (struct.error, ValueError) as exc:
             raise ValueError(f"{data_path}: truncated or damaged embedding file ({exc})") from exc
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{data_path}: vertex {addrs[bad[0]]} has a non-finite vector")
     return EmbeddingMatrix({a: i for i, a in enumerate(addrs)}, matrix.copy())

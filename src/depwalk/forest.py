@@ -11,11 +11,9 @@ The trees of one fit grow in lockstep: each step takes the next impure node
 of every unfinished tree, in that tree's own pre-order and with its own
 generator, and split-searches all of them in a few flat numpy passes of at
 most ``_CHUNK_ELEMENTS`` elements.  The model is the one growing the trees
-one by one gives.  A node's candidate features come from its tree's buffer
-of draws, which batched decodes of the generators' 32-bit words refill
-``_DRAWS_PER_REFILL`` nodes at a time by the rules of
-``Generator.choice(dims, k, replace=False)``: the draws are those of one
-``choice`` call per node.
+one by one gives.  A node's candidate features are the ``k`` features with
+the smallest of ``dims`` uniform keys from its tree's generator; a tree
+draws the keys of ``_DRAWS_PER_REFILL`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -207,53 +205,10 @@ def _chunks(batch: list[tuple], k: int):
         yield chunk
 
 
-# Candidate-feature draws decoded per tree in one refill; a tree's generator
-# is dropped after its fit, so the draws it never uses cost nothing else.
+# Candidate sets drawn per tree in one refill; a tree's generator is dropped
+# after its fit, so the draws it never uses cost nothing else.  A tree takes
+# its sets in node order from its own stream, so this changes no model.
 _DRAWS_PER_REFILL = 16
-# The most 32-bit words one batched decode takes, which keeps its arrays
-# small: decoding all trees of a 100-tree fit at once (24,000 words) raised
-# the peak RSS of ``readme`` benchmark runs by up to 0.2 MB.
-_DECODE_WORDS = 2048
-
-
-def _candidate_draws(rngs: list[np.random.Generator], dims: int, k: int,
-                     count: int = _DRAWS_PER_REFILL) -> list[list[int]]:
-    """For each generator, what ``count`` successive calls of
-    ``rng.choice(dims, k, replace=False)`` return, in one flat list with the
-    last call first, decoded in one batch from the generator's 32-bit words.
-
-    One call is Floyd's algorithm (for ``j = dims - k .. dims - 1`` draw a
-    value in ``[0, j]``, and take ``j`` if the value is already taken) and
-    then a Fisher-Yates pass (for ``i = k - 1 .. 1`` swap positions ``i`` and
-    a value drawn in ``[0, i]``).  A value in ``[0, j]`` is Lemire's: with
-    ``m = word * (j + 1)``, ``m >> 32``, unless ``m mod 2**32`` is below
-    ``2**32 mod (j + 1)``: then the word is rejected and the next one tried.
-    ``[0, 0]`` takes no word.  (``choice`` shuffles a tail instead only when
-    ``dims > 10000`` and ``k > dims // 50``, which ``k = ceil(sqrt(dims))``
-    never meets.)
-    """
-    bounds = np.concatenate([np.arange(dims - k, dims), np.arange(k - 1, 0, -1)])
-    worded = bounds > 0
-    excl = np.tile(bounds[worded] + 1, count).astype(np.uint64)
-    floor = (1 << 32) % excl
-    words = np.stack([rng.integers(0, 1 << 32, size=excl.size, dtype=np.uint32) for rng in rngs])
-    m = words * excl
-    # a rejected word leaves the stream, and the words after it move up one
-    for t in np.flatnonzero(((m & 0xFFFFFFFF) < floor).any(axis=1)):
-        row = words[t]
-        while (bad := np.flatnonzero((row * excl & 0xFFFFFFFF) < floor)).size:
-            row = np.append(np.delete(row, bad[0]),
-                            rngs[t].integers(0, 1 << 32, size=1, dtype=np.uint32))
-        m[t] = row * excl
-    values = np.zeros((len(rngs) * count, bounds.size), dtype=np.int64)
-    values[:, worded] = (m >> 32).reshape(len(values), -1)
-    picks = values[:, :k]
-    for p in range(1, k):
-        picks[(picks[:, :p] == picks[:, p, None]).any(axis=1), p] = dims - k + p
-    calls = np.arange(len(values))
-    for i, j in zip(range(k - 1, 0, -1), values[:, k:].T):
-        picks[calls, i], picks[calls, j] = picks[calls, j], picks[calls, i]
-    return picks.reshape(len(rngs), count, k)[:, ::-1].reshape(len(rngs), -1).tolist()
 
 
 def _grow_forest(XT: np.ndarray, y: np.ndarray, k: int,
@@ -265,9 +220,9 @@ def _grow_forest(XT: np.ndarray, y: np.ndarray, k: int,
     ``XT`` is the training matrix transposed (one contiguous row per
     feature).  At each step every unfinished tree pops nodes off its own
     stack up to its next impure node and takes that node's candidate
-    features from its own buffer of :func:`_candidate_draws`, refilled from
-    its own generator, so each tree's draws keep their order.  The impure
-    nodes of one step are then split-searched together.
+    features from its own buffer of draws, refilled from its own generator,
+    so each tree's draws keep their order.  The impure nodes of one step are
+    then split-searched together.
     """
     dims = XT.shape[0]
     keys, key_bits = _sort_keys(XT)
@@ -281,14 +236,8 @@ def _grow_forest(XT: np.ndarray, y: np.ndarray, k: int,
     stacks = [[(sample, n, int(y[sample].sum()), -1)]
               for sample in (rng.integers(0, n, size=n) for rng in rngs)]
     draws: list[list[int]] = [[] for _ in rngs]  # each tree's next draws, k ints each, last first
-    group = max(1, _DECODE_WORDS // (_DRAWS_PER_REFILL * (2 * k - 1)))  # trees per decode
     growing = list(range(len(rngs)))
     while growing:
-        empty = [t for t in growing if not draws[t]]
-        for lo in range(0, len(empty), group):
-            refill = empty[lo:lo + group]
-            for t, block in zip(refill, _candidate_draws([rngs[t] for t in refill], dims, k)):
-                draws[t] = block
         batch = []
         for t in growing:
             feature, threshold, left, right, leaf_p = nodes[t]
@@ -304,6 +253,9 @@ def _grow_forest(XT: np.ndarray, y: np.ndarray, k: int,
                 right.append(-1)
                 leaf_p.append(n_pos / n_node)  # kept if the node does not split
                 if 0 < n_pos < n_node:
+                    if not draws[t]:
+                        picks = np.argpartition(rngs[t].random((_DRAWS_PER_REFILL, dims)), k - 1, axis=1)
+                        draws[t] = picks[::-1, :k].ravel().tolist()
                     batch.append((t, node, rows, n_pos, draws[t][-k:]))
                     del draws[t][-k:]
                     break
@@ -387,8 +339,9 @@ def save_forest(model: ForestModel, path) -> None:
 
 def _tree_problem(tree: _TreeNodes, n_features: int) -> str | None:
     """Why ``predict_proba`` cannot walk ``tree``, or None: the arrays must
-    have equal lengths, a split a feature in range and both children after
-    it, a leaf -1 as its feature, and every ``leaf_p`` must be in [0, 1]."""
+    have equal lengths, a split a feature in range, a finite threshold and
+    both children after it, a leaf -1 as its feature, and every ``leaf_p``
+    must be in [0, 1]."""
     size = len(tree.feature)
     if size == 0:
         return "no nodes"
@@ -403,8 +356,9 @@ def _tree_problem(tree: _TreeNodes, n_features: int) -> str | None:
             continue
         if type(f) is not int or not 0 <= f < n_features:
             return f"node {node}: feature {f!r} is neither -1 nor in [0, {n_features})"
-        if not isinstance(tree.threshold[node], (int, float)):
-            return f"node {node}: threshold {tree.threshold[node]!r} is not a number"
+        thr = tree.threshold[node]
+        if not (isinstance(thr, (int, float)) and math.isfinite(thr)):
+            return f"node {node}: threshold {thr!r} is not a finite number"
         children = (tree.left[node], tree.right[node])
         if not all(type(c) is int and node < c < size for c in children):
             return f"node {node}: children {children} are not in ({node}, {size})"

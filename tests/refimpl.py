@@ -274,11 +274,12 @@ def records_as_tuples(records) -> list[tuple]:
 
 
 def _reference_best_split(X, ys, idx, k, rng):
-    """Per-feature scan: first strictly lower score wins, so ties go to the
-    first candidate in (feature, position) order."""
+    """Per-feature scan of the ``k`` features with the smallest of one
+    uniform key per feature: first strictly lower score wins, so ties go to
+    the first candidate in (feature, position) order."""
     n = len(idx)
     n_pos = int(ys.sum())
-    feats = np.sort(rng.choice(X.shape[1], size=k, replace=False))
+    feats = np.sort(np.argpartition(rng.random(X.shape[1]), k - 1)[:k])
     best = None
     for f in feats:
         vals = X[idx, f]

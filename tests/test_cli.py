@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -211,6 +212,20 @@ def test_planted_sessions_without_their_servers_exit_2_at_load(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [("synth", "duration", math.inf),
+                                               ("synth", "session_rate", math.inf),
+                                               ("synth", "session_rate", math.nan),
+                                               ("embedding", "learning_rate", math.inf)],
+                         ids=["synth.duration=inf", "synth.session_rate=inf",
+                              "synth.session_rate=nan", "embedding.learning_rate=inf"])
+def test_non_finite_float_exits_2_at_load_naming_its_key(tmp_path, capsys, section, key, value):
+    status = main(["-c", str(write_config(tmp_path, {section: {key: value}})),
+                   "-w", str(tmp_path / "out"), "synth"])
+    assert status == 2
+    assert capsys.readouterr().err == f"depwalk: invalid configuration:\n{section}: {key} must be finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_planted_session_checks_apply_only_to_planted_sessions(tmp_path):
     for synth in ({"n_db": 0, "lr_web_db": False}, {"n_web": 0, "session_rate": 0}):
         load_config(write_config(tmp_path, {"synth": synth}))
@@ -300,11 +315,11 @@ PINNED_SHA256 = {
     "embedding.json": "4850f93a4b8ad8e8d40b21231569dac935c94f89c8d75ef9f385e8cb183930b0",
     "ground_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
     "labels.csv": "5ad7b12cd270fc44785eeea4c7268a83a89963059003fead69e15142c5176a93",
-    "model.json": "ad2cc3eba57d272271688f29e9750a373753f3d52e4561d78626ba2a01d91810",
-    "predictions.csv": "affd8c7098fe8a8867f3d17b15ec6501c196b971fbd607e3147cae6b1f968ade",
-    "eval_report.json": "806b7f852acb4559930cd398ec3ffc3a15019301bb0fdb246b902838d02dd90f",
-    "baseline.csv": "b7492043498b899b31d89907793d675959369217124d45618a333b19eb98bbbf",
-    "baseline_summary.json": "407f370a97fd0df01cec7e469feed8018c23ed86f390ec040d9630745a8e2e83",
+    "model.json": "1a48439e2f3154384981b770194bb86e2ac7c1a0aa853debeb45e48f6599334a",
+    "predictions.csv": "e9e1144cb4777cac87cf29c5850412199b5aecad3bc53077d40cfda69247a33c",
+    "eval_report.json": "d071081ace7b5f8651bacc9d35ff0459f846816edaba67994229ab9386ecb7f0",
+    "baseline.csv": "c2d79153df0d3ef585f798f5e951c99670396e47b17fe1890291b278179f7d8e",
+    "baseline_summary.json": "6fe1a56db54c325c02a6aeb5456474bf66c084c808bdb390720908f6cc2d68e9",
 }
 
 
@@ -632,6 +647,10 @@ DAMAGED_INPUTS = [
     pytest.param("eval", "embedding.bin", append(b"\0" * 7),
                  ": truncated or damaged embedding file (bytes after the last row)",
                  id="embedding-trailing-bytes"),
+    # a float32 NaN in place of the last vertex's last value
+    pytest.param("predict", "embedding.bin",
+                 lambda path: path.write_bytes(path.read_bytes()[:-4] + b"\0\0\xc0\x7f"),
+                 ": vertex 172.16.115.76 has a non-finite vector", id="embedding-nan"),
     pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: cells[:2]),
                  ":2: expected kind,src,dst,witness_count columns", id="ground-truth-short-row"),
     pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: ["XX"] + cells[1:]),

@@ -149,3 +149,13 @@ def test_embedding_file_round_trip(tmp_path):
     assert loaded.vertex_index == emb.vertex_index
     assert np.array_equal(loaded.vectors, emb.vectors.astype(np.float32))
     assert manifest.exists()
+
+
+def test_non_finite_vector_is_rejected_at_load(tmp_path):
+    vectors = np.array([[0.5, 1.0], [0.5, np.nan], [np.inf, 1.0]])
+    emb = EmbeddingMatrix({"10.0.0.1": 0, "10.0.0.2": 1, "10.0.0.3": 2}, vectors)
+    data = tmp_path / "emb.bin"
+    save_embedding(emb, data, tmp_path / "emb.json")
+    with pytest.raises(ValueError) as info:
+        load_embedding(data)
+    assert str(info.value) == f"{data}: vertex 10.0.0.2 has a non-finite vector"

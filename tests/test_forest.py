@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 from unittest import mock
 
 import numpy as np
@@ -134,6 +133,10 @@ def test_serialization_round_trip_bit_for_bit(tmp_path):
     (lambda tree: tree.update(right=[0, -1, -1]), "tree 0: node 0: children (1, 0) are not in (0, 3)"),
     (lambda tree: tree.update(left=[3, -1, -1]), "tree 0: node 0: children (3, 2) are not in (0, 3)"),
     (lambda tree: tree.update(threshold=[0.5, 0.0]), "tree 0: 2 threshold entries for 3 nodes"),
+    (lambda tree: tree.update(threshold=[float("nan"), 0.0, 0.0]),
+     "tree 0: node 0: threshold nan is not a finite number"),
+    (lambda tree: tree.update(threshold=[float("-inf"), 0.0, 0.0]),
+     "tree 0: node 0: threshold -inf is not a finite number"),
     (lambda tree: tree.update(feature=[], threshold=[], left=[], right=[], leaf_p=[]),
      "tree 0: no nodes"),
 ])
@@ -191,11 +194,14 @@ def test_train_forest_equals_the_per_feature_reference(problem):
 @settings(max_examples=100, deadline=None)
 @given(forest_problems())
 def test_one_node_per_split_search_grows_the_same_forest(problem):
-    # with a budget of one element every node is searched in a pass of its own
+    # with a budget of one element every node is searched in a pass of its
+    # own; how many nodes' candidates a tree draws at a time changes nothing
     X, y, cfg, _ = problem
-    with mock.patch.object(forest, "_CHUNK_ELEMENTS", 1):
-        model = train_forest(X, y, cfg)
-    assert model == reference_train_forest(X, y, cfg)
+    reference = reference_train_forest(X, y, cfg)
+    for draws_per_refill in (1, 1000):
+        with mock.patch.object(forest, "_CHUNK_ELEMENTS", 1), \
+                mock.patch.object(forest, "_DRAWS_PER_REFILL", draws_per_refill):
+            assert train_forest(X, y, cfg) == reference, draws_per_refill
 
 
 def test_no_split_search_holds_more_than_the_budget_but_one_node():
@@ -220,45 +226,6 @@ def test_no_split_search_holds_more_than_the_budget_but_one_node():
         f >= 0 for tree in model.trees for f in tree.feature)
 
 
-# --- candidate-feature draws against Generator.choice -------------------------
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from((1, 2, 3, 64, 1500)), st.integers(0, 2**32 - 1), st.integers(0, 41),
-       st.integers(1, 20))
-def test_candidate_draws_equal_repeated_choice(dims, seed, skip, count):
-    # dims 1 and 2 have a draw in [0, 0], which takes no word; ``skip``
-    # draws stand for the bootstrap sample, and an odd count of them leaves
-    # half of a 64-bit output for the next 32-bit word
-    k = math.ceil(math.sqrt(dims))
-    decoded = [np.random.default_rng([seed, t]) for t in range(3)]
-    chosen = [np.random.default_rng([seed, t]) for t in range(3)]
-    for rng in decoded + chosen:
-        rng.integers(0, 1000, size=skip)
-    calls = [[rng.choice(dims, k, replace=False).tolist() for _ in range(count)] for rng in chosen]
-    assert forest._candidate_draws(decoded, dims, k, count) == [
-        [f for call in reversed(tree) for f in call] for tree in calls]
-    assert [rng.bit_generator.state for rng in decoded] == [rng.bit_generator.state for rng in chosen]
-
-
-@pytest.mark.parametrize("seed,call", [(17552, 889), (24662, 683), (27354, 1093)])
-def test_candidate_draws_skip_a_rejected_word_as_choice_does(seed, call):
-    # choice(64, 8) takes 15 words a call unless one is rejected: these seeds
-    # reject one in call ``call``, counting from 0
-    chosen, plain = np.random.default_rng(seed), np.random.default_rng(seed)
-    want = [chosen.choice(64, 8, replace=False).tolist() for _ in range(call)]
-    plain.integers(0, 2**32, size=15 * call, dtype=np.uint32)
-    assert chosen.bit_generator.state == plain.bit_generator.state
-    want += [chosen.choice(64, 8, replace=False).tolist() for _ in range(21)]
-    plain.integers(0, 2**32, size=15, dtype=np.uint32)
-    assert chosen.bit_generator.state != plain.bit_generator.state
-
-    decoded, got = np.random.default_rng(seed), []
-    while len(got) < len(want):
-        block = forest._candidate_draws([decoded], 64, 8)[0]
-        got += [block[i:i + 8] for i in range(len(block) - 8, -1, -8)]
-    assert got[:len(want)] == want
-
-
 def digest_problem(dims, seed):
     gen = np.random.default_rng(seed)
     X = gen.normal(size=(80, dims))
@@ -267,11 +234,13 @@ def digest_problem(dims, seed):
 
 @pytest.mark.parametrize("dims,seed,digest", [
     (2, 1, "4ade5bb737cdc887ff0068701199990834015868fb6e3c8d8a5472f290f11c9c"),
-    (16, 2, "82ad550e0c527b7e489db198cd86b8bf65dd54775614ab8c811a4ed0116f55bb"),
-    (64, 3, "ce17ae6e8da7c15c058092ecf95749d5a8978e868f2a515824d069ee6dc0cddd"),
+    (16, 2, "012fbeeca448ec0c46a7c1ccc8e7f1cb9f7302e54a2d24c6645a67fd723d6d67"),
+    (64, 3, "25d037cf602f28a5263bb62fa58715f0d67677787b5c23e680b67c45c6107e03"),
 ])
 def test_saved_forest_bytes_are_pinned(tmp_path, dims, seed, digest):
-    # taken when every node still called Generator.choice
+    # taken when a node's candidates became the k smallest of dims uniform
+    # keys; with dims 2 every node takes both features, so that model kept
+    # the digest it had when each node called Generator.choice
     model = train_forest(*digest_problem(dims, seed), ForestConfig(n_trees=25, rng_seed=seed))
     save_forest(model, tmp_path / "model.json")
     assert hashlib.sha256((tmp_path / "model.json").read_bytes()).hexdigest() == digest
