@@ -109,7 +109,7 @@ class ContextSettings(_Section):
 class EmbeddingConfig(_Section):
     dims: int = 64
     epochs: int = 5
-    learning_rate: float = 0.01
+    learning_rate: float = 0.1
     neg_samples_per_positive: int = 1
     rng_seed: int = 0
 

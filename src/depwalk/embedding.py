@@ -1,11 +1,9 @@
 """Skip-gram node embedding with negative sampling over candidate pairs.
 
 Two matrices are trained (target and context); the target matrix is the
-published embedding.  All pairs sharing a head vertex form one batch and are
-processed simultaneously: gradients for the whole batch are computed at the
-current parameters before any update is applied.  Per-pair feature vectors
-for classification are the element-wise product of the two endpoint vectors,
-which keeps the combination commutative while still producing a vector.
+published embedding.  Per-pair feature vectors for classification are the
+element-wise product of the two endpoint vectors, which keeps the combination
+commutative while still producing a vector.
 """
 
 from __future__ import annotations
@@ -27,6 +25,9 @@ log = logging.getLogger(__name__)
 
 _EXP_CLAMP = 30.0
 _MAGIC = b"DEPEMB01"
+# Pairs per SGD step.  The step is the batch's summed gradient, so the batch
+# size sets only how stale the parameters a pair sees are, and the speed.
+_BATCH = 64
 
 
 @dataclass
@@ -85,14 +86,17 @@ def train_embedding(pos_pairs: Sequence[tuple[str, str]],
                     neg_pairs: Sequence[tuple[str, str]],
                     vertices: Iterable[str],
                     cfg: EmbeddingConfig) -> EmbeddingMatrix:
-    """Stochastic gradient descent over head-vertex batches of ``(head,
+    """Minibatch stochastic gradient descent over shuffled ``(head,
     context)`` address pairs.
 
     Explicit negative pairs train with the negated objective; on top of that
-    ``neg_samples_per_positive`` uniform negatives are drawn per positive
-    pair in every epoch.  Both matrices initialise uniformly in
-    ``[-0.5/dims, +0.5/dims]``.  The mean per-pair loss is recorded per
-    epoch; a non-finite epoch loss aborts training.
+    ``neg_samples_per_positive`` uniform negatives, each with a context other
+    than its head, are drawn per positive pair in every epoch.  Each epoch
+    shuffles all its pairs and takes one step per ``_BATCH`` of them:
+    ``learning_rate`` times their summed gradient, so the rate is a per-pair
+    step.  Both matrices initialise uniformly in ``[-0.5/dims, +0.5/dims]``.
+    The mean per-pair loss is recorded per epoch; a non-finite epoch loss
+    aborts training.
     """
     verts = sorted(set(vertices))
     index = {v: i for i, v in enumerate(verts)}
@@ -106,48 +110,33 @@ def train_embedding(pos_pairs: Sequence[tuple[str, str]],
     target = rng.uniform(-bound, bound, size=(n, dims))
     context = rng.uniform(-bound, bound, size=(n, dims))
 
-    by_head: dict[int, tuple[list[int], list[int]]] = {}
-    n_positives: dict[int, int] = {}
-    for (first, second), sign in chain(((p, 1) for p in pos_pairs), ((p, -1) for p in neg_pairs)):
-        h, c = index[first], index[second]
-        ctx_list, sign_list = by_head.setdefault(h, ([], []))
-        ctx_list.append(c)
-        sign_list.append(sign)
-        if sign > 0:
-            n_positives[h] = n_positives.get(h, 0) + 1
-
-    if not by_head:
+    pairs = list(chain(pos_pairs, neg_pairs))
+    if not pairs:
         log.warning("no candidate pairs; returning the initialised embedding")
         return EmbeddingMatrix(index, target, context, ())
 
-    heads = sorted(by_head)
+    # each positive's drawn negatives share its head; a lone vertex has no
+    # other vertex to draw
+    heads = np.array([index[h] for h, _ in pairs])
+    drawn_heads = np.repeat(heads[:len(pos_pairs)], cfg.neg_samples_per_positive if n > 1 else 0)
+    heads = np.concatenate([heads, drawn_heads])
+    fixed_ctxs = np.array([index[c] for _, c in pairs])
+    signs = np.repeat([1, -1], [len(pos_pairs), heads.size - len(pos_pairs)])
+
     losses: list[float] = []
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(heads))
+        drawn = rng.integers(0, n - 1, size=drawn_heads.size)
+        ctxs = np.concatenate([fixed_ctxs, drawn + (drawn >= drawn_heads)])
+        order = rng.permutation(heads.size)
         total = 0.0
-        count = 0
-        for oi in order:
-            h = heads[oi]
-            base_ctx, base_sign = by_head[h]
-            ctx = list(base_ctx)
-            sign = list(base_sign)
-            draws = n_positives.get(h, 0) * cfg.neg_samples_per_positive
-            if draws and n > 1:
-                sampled = rng.integers(0, n - 1, size=draws)
-                sampled = np.where(sampled >= h, sampled + 1, sampled)
-                ctx.extend(int(c) for c in sampled)
-                sign.extend([-1] * draws)
-            head_arr = np.full(len(ctx), h)
+        for start in range(0, order.size, _BATCH):
+            batch = order[start:start + _BATCH]
             loss, d_target, d_context = pair_loss_and_grads(
-                target, context, head_arr, np.array(ctx), np.array(sign))
-            # one SGD step per head batch, scaled to the mean pair gradient so
-            # the step size does not grow with the batch
-            step = cfg.learning_rate / len(ctx)
-            target -= step * d_target
-            context -= step * d_context
+                target, context, heads[batch], ctxs[batch], signs[batch])
+            target -= cfg.learning_rate * d_target
+            context -= cfg.learning_rate * d_context
             total += loss
-            count += len(ctx)
-        mean_loss = total / count
+        mean_loss = total / order.size
         if not math.isfinite(mean_loss):
             raise TrainingDivergedError(
                 f"non-finite epoch loss at epoch {epoch} (learning_rate={cfg.learning_rate})")
@@ -187,8 +176,8 @@ def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:
 
 def load_embedding(data_path) -> EmbeddingMatrix:
     """Load a binary dump; the context matrix is not persisted.  A damaged
-    file, or a vector with a NaN or infinite value, is a ValueError naming
-    the file."""
+    file, an address listed twice, or a vector with a NaN or infinite value,
+    is a ValueError naming the file."""
     with open(data_path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
@@ -204,7 +193,11 @@ def load_embedding(data_path) -> EmbeddingMatrix:
                 raise ValueError("bytes after the last row")
         except (struct.error, ValueError) as exc:
             raise ValueError(f"{data_path}: truncated or damaged embedding file ({exc})") from exc
+    index = {a: i for i, a in enumerate(addrs)}
+    if len(index) < count:
+        repeated = next(a for i, a in enumerate(addrs) if index[a] != i)
+        raise ValueError(f"{data_path}: vertex {repeated} is listed more than once")
     bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
     if bad.size:
         raise ValueError(f"{data_path}: vertex {addrs[bad[0]]} has a non-finite vector")
-    return EmbeddingMatrix({a: i for i, a in enumerate(addrs)}, matrix.copy())
+    return EmbeddingMatrix(index, matrix.copy())

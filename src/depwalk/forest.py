@@ -341,7 +341,8 @@ def _tree_problem(tree: _TreeNodes, n_features: int) -> str | None:
     """Why ``predict_proba`` cannot walk ``tree``, or None: the arrays must
     have equal lengths, a split a feature in range, a finite threshold and
     both children after it, a leaf -1 as its feature, and every ``leaf_p``
-    must be in [0, 1]."""
+    must be in [0, 1].  A threshold or ``leaf_p`` is an int or a float, not
+    a bool: JSON ``true`` loads as one, which Python counts as an int."""
     size = len(tree.feature)
     if size == 0:
         return "no nodes"
@@ -350,14 +351,14 @@ def _tree_problem(tree: _TreeNodes, n_features: int) -> str | None:
             return f"{len(getattr(tree, name))} {name} entries for {size} nodes"
     for node in range(size):
         f, p = tree.feature[node], tree.leaf_p[node]
-        if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+        if not (type(p) in (int, float) and 0.0 <= p <= 1.0):
             return f"node {node}: leaf_p {p!r} is not in [0, 1]"
         if f == -1:
             continue
         if type(f) is not int or not 0 <= f < n_features:
             return f"node {node}: feature {f!r} is neither -1 nor in [0, {n_features})"
         thr = tree.threshold[node]
-        if not (isinstance(thr, (int, float)) and math.isfinite(thr)):
+        if not (type(thr) in (int, float) and math.isfinite(thr)):
             return f"node {node}: threshold {thr!r} is not a finite number"
         children = (tree.left[node], tree.right[node])
         if not all(type(c) is int and node < c < size for c in children):

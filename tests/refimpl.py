@@ -366,6 +366,49 @@ def reference_predict_proba(model, features) -> float:
 
 
 # ---------------------------------------------------------------------------
+# skip-gram trainer
+
+
+def reference_train_embedding(pos_pairs, neg_pairs, vertices, cfg):
+    """Plain per-pair SGD on the skip-gram objective: the target matrix, the
+    context matrix and each epoch's mean loss.  The generator is drawn from
+    as ``train_embedding`` draws from it: both initial matrices, then in each
+    epoch one block of negative contexts and one permutation of the pairs.
+    Each pair steps only its own two rows, from the parameters the pair
+    before it left."""
+    verts = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(verts)}
+    n = len(verts)
+    rng = np.random.default_rng(cfg.rng_seed)
+    bound = 0.5 / cfg.dims
+    target = rng.uniform(-bound, bound, size=(n, cfg.dims))
+    context = rng.uniform(-bound, bound, size=(n, cfg.dims))
+    given = [(index[h], index[c], 1) for h, c in pos_pairs] + \
+        [(index[h], index[c], 0) for h, c in neg_pairs]
+    if not given:
+        return target, context, ()
+    per_positive = cfg.neg_samples_per_positive if n > 1 else 0
+    drawn_heads = [index[h] for h, _ in pos_pairs for _ in range(per_positive)]
+    losses = []
+    for _ in range(cfg.epochs):
+        draws = [int(d) for d in rng.integers(0, n - 1, size=len(drawn_heads))]
+        # a drawn context skips its head
+        pairs = given + [(h, d + 1 if d >= h else d, 0) for h, d in zip(drawn_heads, draws)]
+        total = 0.0
+        for i in rng.permutation(len(pairs)):
+            h, c, label = pairs[i]
+            u_old = target[h].copy()
+            score = sum(float(a) * float(b) for a, b in zip(u_old, context[c]))
+            sig = 1.0 / (1.0 + math.exp(-min(max(score, -30.0), 30.0)))
+            total += -math.log(sig if label else 1.0 - sig)
+            g = sig - label
+            target[h] -= cfg.learning_rate * g * context[c]
+            context[c] -= cfg.learning_rate * g * u_old
+        losses.append(total / len(pairs))
+    return target, context, tuple(losses)
+
+
+# ---------------------------------------------------------------------------
 # metric oracles
 
 

@@ -8,6 +8,7 @@ and the five-seed end-to-end run under ten.
 import json
 import math
 import random
+import shutil
 
 import pytest
 import yaml
@@ -15,8 +16,9 @@ import yaml
 import refimpl
 from test_oracle import random_fixture
 from depwalk.cli import main as cli_main
+from depwalk.config import load_config
 from depwalk.contexts import split_walk
-from depwalk.embedding import pair_loss_and_grads
+from depwalk.embedding import load_embedding, pair_loss_and_grads, save_embedding, train_embedding
 from depwalk.evaluation import compute_metrics
 from depwalk.flows import filter_tcp_udp
 from depwalk.graph import SamplerConfig, reservoir_sample_edges, select_top_addresses
@@ -221,3 +223,25 @@ def test_criterion_9_determinism(tmp_path):
         reports.append((workdir / "eval_report.json").read_bytes())
     assert reports[0] == reports[1]
     print("\nACCEPTANCE 9 PASS: identical master seed gives byte-identical eval reports")
+
+
+def test_criterion_10_embedding_training_lifts_auc(e2e_runs, tmp_path):
+    # the same labelled pairs evaluated on the vectors training starts from:
+    # a trainer that does not move them scores a margin near 0
+    trained, initial = [], []
+    for seed, workdir in e2e_runs.items():
+        cfg_path = workdir.parent / "config.yaml"
+        vertices = load_embedding(workdir / "embedding.bin").vertex_index
+        # with no pairs to train on, training returns its initial vectors
+        start = train_embedding([], [], vertices, load_config(cfg_path, master_seed=seed).embedding)
+        fresh = tmp_path / f"seed{seed}"
+        fresh.mkdir()
+        save_embedding(start, fresh / "embedding.bin", fresh / "embedding.json")
+        shutil.copyfile(workdir / "labels.csv", fresh / "labels.csv")
+        assert cli_main(["-c", str(cfg_path), "-w", str(fresh), "-s", str(seed), "eval"]) == 0
+        trained.append(json.loads((workdir / "eval_report.json").read_text())["roc_auc"])
+        initial.append(json.loads((fresh / "eval_report.json").read_text())["roc_auc"])
+    margin = (sum(trained) - sum(initial)) / len(trained)
+    assert margin >= 0.06, f"trained AUC {trained} vs initial vectors {initial}"
+    print(f"\nACCEPTANCE 10 PASS: mean AUC {sum(trained) / len(trained):.3f} trained vs "
+          f"{sum(initial) / len(initial):.3f} on the initial vectors (margin {margin:.3f} >= 0.06)")

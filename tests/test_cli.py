@@ -311,15 +311,15 @@ PINNED_SHA256 = {
     "flows.csv": "6fda6860022487830bf9da69946034d9f41d6a11fb45282e1e4b03bcd611a37b",
     "graph.jsonl": "df9908e1e6e3c08360756c22d0e480c181e9e72ee41f9efe72f354e9ec86e6f0",
     "walks.jsonl": "cdb4f35a82162793d593b7814257a299184d6b96008a9175e9ec6e3f69cf7e8c",
-    "embedding.bin": "b79b00bb592bc66319b3004c9a3cf1f1fbb0706691733e7cb5264de43b07cc86",
-    "embedding.json": "4850f93a4b8ad8e8d40b21231569dac935c94f89c8d75ef9f385e8cb183930b0",
+    "embedding.bin": "3c0ecd1939659c77368c87d77f359338da93e876987d7018087e79894c09d2f4",
+    "embedding.json": "6613c8a937628dff8e7da322c2adf27a3805be42ef3f6d5a8bae4b1bc07036c9",
     "ground_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
     "labels.csv": "5ad7b12cd270fc44785eeea4c7268a83a89963059003fead69e15142c5176a93",
-    "model.json": "1a48439e2f3154384981b770194bb86e2ac7c1a0aa853debeb45e48f6599334a",
-    "predictions.csv": "e9e1144cb4777cac87cf29c5850412199b5aecad3bc53077d40cfda69247a33c",
-    "eval_report.json": "d071081ace7b5f8651bacc9d35ff0459f846816edaba67994229ab9386ecb7f0",
-    "baseline.csv": "c2d79153df0d3ef585f798f5e951c99670396e47b17fe1890291b278179f7d8e",
-    "baseline_summary.json": "6fe1a56db54c325c02a6aeb5456474bf66c084c808bdb390720908f6cc2d68e9",
+    "model.json": "a1e9b97e3f119782f683555fdc298da56b2f2a98e803f7c463f61d4fd03e6fba",
+    "predictions.csv": "d9fe817b9637934ec3d7f65668ec0114eff5e92d86ecca98d3a8743341e40983",
+    "eval_report.json": "a519c1dca6c05ee9c9b493f2bfc45871b8213ab376a9e34671db8c8a8403c3b1",
+    "baseline.csv": "980024ac4c0cfc5f81e454f5f1e9fc908583093ea9d91664bd0b9f7336d9682a",
+    "baseline_summary.json": "d3f42ad06ec27f6003f608bbd46b5a785c4699b5629bd1c1b4d4ceb33753b9f6",
 }
 
 
@@ -411,6 +411,10 @@ def test_bare_defaults_run_cleanly(tmp_path, seed):
     labels = (workdir / "labels.csv").read_text().splitlines()[1:]
     assert len(labels) >= 40
     assert json.loads((workdir / "eval_report.json").read_text())["roc_auc"] is not None
+    # the embedding trains: a loss that stays at ln 2 = 0.693 fails here
+    losses = json.loads((workdir / "embedding.json").read_text())["epoch_losses"]
+    assert losses[-1] < 0.6
+    assert max(losses) <= losses[0]
 
 
 def test_master_seed_changes_output(tmp_path):

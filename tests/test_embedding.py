@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import graph_from, repeat_pair
+from refimpl import reference_train_embedding
+from depwalk import embedding
 from depwalk.contexts import split_walk
 from depwalk.embedding import (EmbeddingConfig, EmbeddingMatrix, dependency_vector,
                                load_embedding, pair_loss_and_grads, save_embedding,
@@ -69,13 +71,34 @@ def test_epoch_loss_nonincreasing_with_tolerance():
     verts = [f"v{i}" for i in range(12)]
     pos_pairs = [(verts[i], verts[(i + 1) % 6]) for i in range(6) for _ in range(10)]
     neg_pairs = [(verts[6 + i], verts[6 + (i + 3) % 6]) for i in range(6) for _ in range(10)]
-    cfg = EmbeddingConfig(dims=8, epochs=8, learning_rate=0.2, rng_seed=4)
+    cfg = EmbeddingConfig(dims=8, epochs=8, learning_rate=0.1, rng_seed=4)
     emb = train_embedding(pos_pairs, neg_pairs, verts, cfg)
     losses = emb.epoch_losses
     increases = [(a, b) for a, b in zip(losses, losses[1:]) if b > a]
     assert len(increases) <= 1
     for a, b in increases:
         assert (b - a) / a <= 0.05
+    # the loss moves: a trainer stuck at ln 2 fails here
+    assert losses[-1] <= losses[0] - 0.1
+
+
+@pytest.mark.parametrize("per_positive", [0, 1, 3])
+def test_one_pair_batches_match_the_per_pair_reference(monkeypatch, per_positive):
+    # with one pair per step the batched trainer is plain per-pair SGD: the
+    # batch size sets only how stale the parameters are, and the speed
+    monkeypatch.setattr(embedding, "_BATCH", 1)
+    gen = np.random.default_rng(per_positive)
+    verts = [f"10.0.0.{i}" for i in range(9)]
+    pos_pairs = [(verts[a], verts[b]) for a, b in gen.integers(0, 9, size=(40, 2))]
+    neg_pairs = [(verts[a], verts[b]) for a, b in gen.integers(0, 9, size=(15, 2))]
+    cfg = EmbeddingConfig(dims=6, epochs=4, learning_rate=0.3,
+                          neg_samples_per_positive=per_positive, rng_seed=21)
+    emb = train_embedding(pos_pairs, neg_pairs, verts, cfg)
+    target, context, losses = reference_train_embedding(pos_pairs, neg_pairs, verts, cfg)
+    assert np.allclose(emb.vectors, target, rtol=0, atol=1e-9)
+    assert np.allclose(emb.context_vectors, context, rtol=0, atol=1e-9)
+    assert np.allclose(emb.epoch_losses, losses, rtol=0, atol=1e-9)
+    assert losses[-1] < losses[0]
 
 
 def test_training_is_deterministic():
@@ -159,3 +182,13 @@ def test_non_finite_vector_is_rejected_at_load(tmp_path):
     with pytest.raises(ValueError) as info:
         load_embedding(data)
     assert str(info.value) == f"{data}: vertex 10.0.0.2 has a non-finite vector"
+
+
+def test_repeated_address_is_rejected_at_load(tmp_path):
+    emb = EmbeddingMatrix({"10.0.0.1": 0, "10.0.0.2": 1}, np.array([[0.5, 1.0], [0.25, 2.0]]))
+    data = tmp_path / "emb.bin"
+    save_embedding(emb, data, tmp_path / "emb.json")
+    data.write_bytes(data.read_bytes().replace(b"10.0.0.2", b"10.0.0.1"))
+    with pytest.raises(ValueError) as info:
+        load_embedding(data)
+    assert str(info.value) == f"{data}: vertex 10.0.0.1 is listed more than once"

@@ -139,6 +139,9 @@ def test_serialization_round_trip_bit_for_bit(tmp_path):
      "tree 0: node 0: threshold -inf is not a finite number"),
     (lambda tree: tree.update(feature=[], threshold=[], left=[], right=[], leaf_p=[]),
      "tree 0: no nodes"),
+    (lambda tree: tree.update(threshold=[True, 0.0, 0.0]),
+     "tree 0: node 0: threshold True is not a finite number"),
+    (lambda tree: tree.update(leaf_p=[0.0, True, 0.0]), "tree 0: node 1: leaf_p True is not in [0, 1]"),
 ])
 def test_structurally_damaged_model_is_rejected_at_load(tmp_path, change, problem):
     stump = _TreeNodes((0, -1, -1), (0.5, 0.0, 0.0), (1, -1, -1), (2, -1, -1), (0.0, 1.0, 0.0))
