@@ -135,6 +135,7 @@ class OracleConfig(_Section):
     epsilon: int = 1000
 
     _MIN = dict(n_t_dd=1, n_t_rr=1, epsilon=0)
+    _MAX = dict(epsilon=2**63 - 1)  # the oracle's int64 time columns
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,14 @@ graph):
          host's own onward request), making the head depend on the tail.
 * TD3 -- three chained direct dependencies with nested containment.
 
+All five kinds run on one ``FlowColumns`` view of the flows, int64 columns
+built once per call: DD is one sort of the 5-tuple keys with counts; RR and
+RR3 sort the flows by (4-tuple, start) and by (source, start) and find every
+reply, follow-up and second-hop window of all flows at once with
+``searchsorted``; TD and TD3 cut the per-pair spans out of one sort of the
+flows by (pair, start).  Window bounds saturate at the int64 edges instead of
+wrapping, so any ``epsilon`` up to ``2**63 - 1`` is exact.
+
 An outer flow contains an inner one when ``outer.start <= inner.start`` and
 ``inner.end <= outer.end``.  Every flow has ``start <= end``, so the inner
 start needs no upper bound: a binary search over the start-sorted inner flows
@@ -26,19 +34,23 @@ an address, and distinct middle paths yield distinct TD/TD3 records.
 from __future__ import annotations
 
 import csv
-from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .config import OracleConfig
-from .flows import FlowRecord
+from .flows import FlowRecord, Proto
 
 _KIND_ORDER = {"DD": 0, "RR": 1, "RR3": 2, "TD": 3, "TD3": 4}
+_PROTO = {proto: code for code, proto in enumerate(Proto)}
+_INT64 = np.iinfo(np.int64)
+# raw RR/RR3 witness triples expanded at once before deduplication
+_CHUNK = 1 << 13
 
 
 class DepKind(str, Enum):
@@ -65,55 +77,159 @@ def record_key(rec: DependencyRecord):
     return (_KIND_ORDER[rec.kind.value], rec.src, rec.dst, rec.via)
 
 
-def enumerate_dd(flows: Sequence[FlowRecord], cfg: OracleConfig) -> list[DependencyRecord]:
+class FlowColumns:
+    """Flows as int64 columns, built once per oracle call: address ids into
+    ``addresses`` (``src``, ``dst``), the 16-bit ports ``sport`` and
+    ``dport``, a ``proto`` code and ``t_start``/``t_end``; ``len()`` is the
+    flow count."""
+
+    def __init__(self, flows: Sequence[FlowRecord]):
+        def column(field, code=None):
+            values = map(attrgetter(field), flows)
+            return np.fromiter(values if code is None else map(code, values), np.int64, len(flows))
+
+        self.addresses = list(dict.fromkeys(chain(map(attrgetter("src_ip"), flows),
+                                                  map(attrgetter("dst_ip"), flows))))
+        ids = {address: i for i, address in enumerate(self.addresses)}.__getitem__
+        self.src, self.dst = column("src_ip", ids), column("dst_ip", ids)
+        self.sport, self.dport = column("src_port"), column("dst_port")
+        self.proto = column("proto", _PROTO.__getitem__)
+        self.t_start, self.t_end = column("t_start"), column("t_end")
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+
+def _columns(flows) -> FlowColumns:
+    return flows if isinstance(flows, FlowColumns) else FlowColumns(flows)
+
+
+def _plus(t: np.ndarray, eps: int) -> np.ndarray:
+    """``t + eps``, saturating at the int64 maximum instead of wrapping."""
+    return np.minimum(t, _INT64.max - eps) + eps
+
+
+def _minus(t: np.ndarray, eps: int) -> np.ndarray:
+    """``t - eps``, saturating at the int64 minimum instead of wrapping."""
+    return np.maximum(t, _INT64.min + eps) - eps
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal rows of the sorted ``columns`` starts."""
+    new = np.zeros(len(columns[0]), bool)
+    new[:1] = True
+    for values in columns:
+        new[1:] |= values[1:] != values[:-1]
+    return np.flatnonzero(new)
+
+
+# _runs, _dense and _lookup use only the stable sort and searchsorted kernels
+# that the other stages load anyway.  With np.unique(return_inverse=True) and
+# np.isin in their place, the acceptance scenario's pipeline peaked about 1 MB
+# higher (44.1 against 43.2 MB RSS).
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``values`` and, per position, the index of its run."""
+    group = np.zeros(len(values), np.int64)
+    np.cumsum(values[1:] != values[:-1], out=group[1:])
+    return values[_run_starts(values)], group
+
+
+def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``values``, sorted, and the index of each value among them."""
+    order = np.argsort(values, kind="stable")
+    distinct, group = _runs(values[order])
+    ids = np.empty(len(values), np.int64)
+    ids[order] = group
+    return distinct, ids
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``values`` is or would be in the sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, values)
+    found = at < len(keys)
+    found[found] = keys[at[found]] == values[found]
+    return at, found
+
+
+class _Windows:
+    """Rows sorted by (key, time).  ``find`` gives, per query, the positions
+    ``[first, last)`` in ``order`` of the rows with the query's key whose
+    time lies in ``[lo, hi]``: one ``searchsorted`` over ``group * n +
+    rank(time)``, where ``n`` counts the rows and ``group`` numbers the keys."""
+
+    def __init__(self, key: np.ndarray, time: np.ndarray):
+        by_time = np.argsort(time, kind="stable")
+        self.order = by_time[np.argsort(key[by_time], kind="stable")]
+        self.times = time[by_time]
+        # a row's time rank: how many rows have an earlier time
+        tied = np.zeros(len(time), bool)
+        tied[1:] = self.times[1:] == self.times[:-1]
+        rank = np.empty(len(time), np.int64)
+        rank[by_time] = np.maximum.accumulate(np.where(tied, 0, np.arange(len(time))))
+        self.keys, group = _runs(key[self.order])
+        self.sorted = group * len(time) + rank[self.order]
+
+    def find(self, key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        group, found = _lookup(self.keys, key)
+        base = group * len(self.times)
+        first = np.searchsorted(self.sorted, base + np.searchsorted(self.times, lo, "left"))
+        last = np.searchsorted(self.sorted, base + np.searchsorted(self.times, hi, "right"))
+        return first, np.where(found, np.maximum(first, last), first)
+
+
+def _expand(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, position)`` for every position of every window ``[first[row], last[row])``."""
+    counts = last - first
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) + (first - np.cumsum(counts) + counts)[rows]
+
+
+def _distinct_majors(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
+    """The ``major`` value of every distinct ``(major, minor)`` row."""
+    order = np.lexsort((minor, major))
+    major, minor = major[order], minor[order]
+    return major[_run_starts(major, minor)]
+
+
+def enumerate_dd(flows: Sequence[FlowRecord] | FlowColumns,
+                 cfg: OracleConfig) -> list[DependencyRecord]:
     """Group flows by 5-tuple; every group reaching ``n_t_dd`` contributes its
     size to the pair's record, so qualifying 5-tuples on the same pair
     collapse into one DD with summed witnesses."""
-    groups = Counter((f.src_ip, f.dst_ip, f.src_port, f.dst_port, f.proto) for f in flows)
-    pair_witnesses: Counter = Counter()
-    for (src, dst, _sp, _dp, _proto), count in groups.items():
-        if count >= cfg.n_t_dd:
-            pair_witnesses[(src, dst)] += count
-    records = [DependencyRecord(DepKind.DD, src, dst, w)
-               for (src, dst), w in pair_witnesses.items()]
+    cols = _columns(flows)
+    n_addr = len(cols.addresses)
+    pairs, pair_id = _dense(cols.src * n_addr + cols.dst)
+    tuples, counts = np.unique((pair_id << 32 | cols.sport << 16 | cols.dport) * len(_PROTO)
+                               + cols.proto, return_counts=True)
+    keep = counts >= cfg.n_t_dd
+    pair, counts = pairs[tuples[keep] // len(_PROTO) >> 32], counts[keep]
+    runs = _run_starts(pair)
+    witnesses = np.add.reduceat(counts, runs).tolist() if len(runs) else []
+    names = cols.addresses
+    records = [DependencyRecord(DepKind.DD, names[p // n_addr], names[p % n_addr], w)
+               for p, w in zip(pair[runs].tolist(), witnesses)]
     return sorted(records, key=record_key)
 
 
-def _by_start(flows: Sequence[FlowRecord], key) -> dict:
-    """Flow indices grouped by ``key(flow)``, each group sorted by
-    ``(t_start, t_end, index)``, next to the list of their start times
-    for ``bisect``."""
-    groups: dict = defaultdict(list)
-    for i, f in enumerate(flows):
-        groups[key(f)].append(i)
-    index = {}
-    for k, members in groups.items():
-        members.sort(key=lambda i: (flows[i].t_start, flows[i].t_end))  # stable: ties by index
-        index[k] = (members, [flows[i].t_start for i in members])
-    return index
+def _answered_hops(cols: FlowColumns, eps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(initiator, reply) flow indices: reversed addresses with swapped
+    ports, the reply starting no earlier than the initiator, ends within
+    epsilon; in initiator order."""
+    n, n_addr = len(cols), len(cols.addresses)
+    pair_id = _dense(np.concatenate([cols.src * n_addr + cols.dst,
+                                     cols.dst * n_addr + cols.src]))[1]
+    replies = _Windows(pair_id[:n] << 32 | cols.sport << 16 | cols.dport, cols.t_start)
+    # a reply ends within epsilon of the initiator, so it starts by t_end + epsilon
+    init, pos = _expand(*replies.find(pair_id[n:] << 32 | cols.dport << 16 | cols.sport,
+                                      cols.t_start, _plus(cols.t_end, eps)))
+    reply = replies.order[pos]
+    end, reply_end = cols.t_end[init], cols.t_end[reply]
+    keep = (_minus(end, eps) <= reply_end) & (reply_end <= _plus(end, eps))
+    return init[keep], reply[keep]
 
 
-def _reply_pairs(flows: Sequence[FlowRecord], epsilon: int) -> list[tuple[int, int]]:
-    """(initiator, reply) index pairs: reversed addresses with swapped ports,
-    reply starting no earlier than the initiator, ends within epsilon."""
-    by_key = _by_start(flows, lambda f: (f.src_ip, f.dst_ip, f.src_port, f.dst_port))
-    pairs: list[tuple[int, int]] = []
-    for i, f in enumerate(flows):
-        candidates = by_key.get((f.dst_ip, f.src_ip, f.dst_port, f.src_port))
-        if not candidates:
-            continue
-        members, starts = candidates
-        # reply start is bounded by [t_start, t_end + epsilon] since its own
-        # end must stay within epsilon of ours
-        lo = bisect_left(starts, f.t_start)
-        hi = bisect_left(starts, f.t_end + epsilon + 1, lo)
-        for j in members[lo:hi]:
-            if abs(f.t_end - flows[j].t_end) <= epsilon:
-                pairs.append((i, j))
-    return pairs
-
-
-def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
+def enumerate_rr(flows: Sequence[FlowRecord] | FlowColumns,
+                 cfg: OracleConfig) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
     """RR and RR3 records.
 
     An RR witness is (subject -> S1 request, port-swapped reply, then a
@@ -122,51 +238,64 @@ def enumerate_rr(flows: Sequence[FlowRecord], cfg: OracleConfig) -> tuple[list[D
     the follow-up request is itself answered and a third request leaves
     within epsilon of that reply, yielding the dependency of the final target
     on S1.  Chain addresses are pairwise distinct.
+
+    Witnesses are (target, S1, initiator) triples, expanded and deduplicated
+    a chunk of at most about ``_CHUNK`` raw triples at a time; a chunk holds
+    every hop of its initiators, so a triple is never counted twice.
     """
-    eps = cfg.epsilon
-    by_src = _by_start(flows, attrgetter("src_ip"))
+    cols, eps = _columns(flows), cfg.epsilon
+    n_addr = len(cols.addresses)
+    init, reply = _answered_hops(cols, eps)
+    # hops by (subject, initiator start), one initiator's hops next to each other
+    subject = cols.src[init]
+    hops = _Windows(subject, cols.t_start[init])
+    init, subject, reply_end = init[hops.order], subject[hops.order], cols.t_end[reply[hops.order]]
+    server1 = cols.dst[init]
+    sends = _Windows(cols.src, cols.t_start)
+    follow_first, follow_last = sends.find(subject, reply_end, _plus(reply_end, eps))
+    hop2_first, hop2_last = hops.find(subject, reply_end, _plus(reply_end, eps))
+    # raw triples per hop: its follow-ups, its second hops and their follow-ups
+    follows = np.r_[0, np.cumsum(follow_last - follow_first)]
+    raw = np.diff(follows) + hop2_last - hop2_first + follows[hop2_last] - follows[hop2_first]
+    cuts = np.r_[_run_starts(init), len(init)]  # where an initiator's hops begin
+    before = np.r_[0, np.cumsum(raw)][cuts]
 
-    # answered hops per subject, ordered by initiator start for chain lookups
-    entries: dict[str, list[tuple[int, int, int, str]]] = defaultdict(list)
-    for i, j in _reply_pairs(flows, eps):
-        f1, f2 = flows[i], flows[j]
-        entries[f1.src_ip].append((f1.t_start, f2.t_end, i, f1.dst_ip))
-    for lst in entries.values():
-        lst.sort()
+    rr_keys, rr3_keys = [], []
+    a = 0
+    while a < len(cuts) - 1:
+        b = max(a + 1, int(np.searchsorted(before, before[a] + _CHUNK, "right")) - 1)
+        lo, hi = cuts[a], cuts[b]
+        h, pos = _expand(follow_first[lo:hi], follow_last[lo:hi])
+        h += lo
+        target = cols.dst[sends.order[pos]]
+        keep = (target != subject[h]) & (target != server1[h])
+        rr_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
+        h, h2 = _expand(hop2_first[lo:hi], hop2_last[lo:hi])
+        h += lo
+        keep = (server1[h2] != subject[h]) & (server1[h2] != server1[h])
+        h, h2 = h[keep], h2[keep]
+        row, pos = _expand(follow_first[h2], follow_last[h2])
+        h, h2, target = h[row], h2[row], cols.dst[sends.order[pos]]
+        keep = (target != subject[h]) & (target != server1[h]) & (target != server1[h2])
+        rr3_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
+        a = b
 
-    rr_wits: dict[tuple[str, str], set[int]] = defaultdict(set)
-    rr3_wits: dict[tuple[str, str], set[int]] = defaultdict(set)
-    for subject, hop_list in entries.items():
-        sent, starts = by_src[subject]
-        for _t1, reply_end, init_idx, server1 in hop_list:
-            lo = bisect_left(starts, reply_end)
-            hi = bisect_left(starts, reply_end + eps + 1, lo)
-            for k in sent[lo:hi]:
-                target = flows[k].dst_ip
-                if target not in (subject, server1):
-                    rr_wits[(target, server1)].add(init_idx)
-            lo2 = bisect_left(hop_list, (reply_end,))
-            hi2 = bisect_left(hop_list, (reply_end + eps + 1,))
-            for _t1b, reply_end2, _idx2, server2 in hop_list[lo2:hi2]:
-                if server2 in (subject, server1):
-                    continue
-                lo3 = bisect_left(starts, reply_end2)
-                hi3 = bisect_left(starts, reply_end2 + eps + 1, lo3)
-                for k in sent[lo3:hi3]:
-                    target = flows[k].dst_ip
-                    if target not in (subject, server1, server2):
-                        rr3_wits[(target, server1)].add(init_idx)
+    names = cols.addresses
 
-    rr = [DependencyRecord(DepKind.RR, s2, s1, len(w))
-          for (s2, s1), w in rr_wits.items() if len(w) >= cfg.n_t_rr]
-    rr3 = [DependencyRecord(DepKind.RR3, s3, s1, len(w))
-           for (s3, s1), w in rr3_wits.items() if len(w) >= cfg.n_t_rr]
-    return sorted(rr, key=record_key), sorted(rr3, key=record_key)
+    def records(kind, keys):
+        pairs, counts = np.unique(np.concatenate(keys or [np.zeros(0, np.int64)]),
+                                  return_counts=True)
+        keep = counts >= cfg.n_t_rr
+        records = [DependencyRecord(kind, names[p // n_addr], names[p % n_addr], w)
+                   for p, w in zip(pairs[keep].tolist(), counts[keep].tolist())]
+        return sorted(records, key=record_key)
+
+    return records(DepKind.RR, rr_keys), records(DepKind.RR3, rr3_keys)
 
 
 def _index(span: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Sorted starts of a (2, n) span and, from each start on, the least kept end."""
-    never = np.iinfo(np.int64).max
+    never = _INT64.max
     ends = span[1] if keep is None else np.where(keep, span[1], never)
     return span[0], np.append(np.minimum.accumulate(ends[::-1])[::-1], never)
 
@@ -176,7 +305,7 @@ def _containing(starts: np.ndarray, sufmin: np.ndarray, outer: np.ndarray) -> np
     return sufmin[np.searchsorted(starts, outer[0])] <= outer[1]
 
 
-def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
+def enumerate_td(flows: Sequence[FlowRecord] | FlowColumns, cfg: OracleConfig,
                  dd_records: Sequence[DependencyRecord]) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
     """TD and TD3 records over the pairs of ``dd_records``, the DD records of
     ``flows``.
@@ -186,16 +315,25 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
     second.  Witnesses count distinct initiating (A,B) flows.  Records are
     emitted per middle path.
     """
-    dd_pairs = {(r.src, r.dst) for r in dd_records}
-    by_pair: dict[tuple[str, str], list[tuple[int, int]]] = defaultdict(list)
-    for f in flows:
-        if (f.src_ip, f.dst_ip) in dd_pairs:
-            by_pair[(f.src_ip, f.dst_ip)].append((f.t_start, f.t_end))
+    cols = _columns(flows)
+    names = cols.addresses
+    n_addr = len(names)
+    ids = {address: i for i, address in enumerate(names)}
+    dd_pairs = sorted(ids[r.src] * n_addr + ids[r.dst]
+                      for r in dd_records if r.src in ids and r.dst in ids)
+    pair = cols.src * n_addr + cols.dst
+    rows = np.flatnonzero(_lookup(np.array(dd_pairs, np.int64), pair)[1])
+    rows = rows[np.lexsort((cols.t_start[rows], pair[rows]))]
+    pair = pair[rows]
     # per pair: a (2, n) span of its flows' starts (sorted) and ends, and its index
-    spans = {pair: np.array(sorted(times), dtype=np.int64).T.copy() for pair, times in by_pair.items()}
+    times = np.stack([cols.t_start[rows], cols.t_end[rows]])
+    runs = _run_starts(pair)
+    spans = {divmod(p, n_addr): times[:, lo:hi]
+             for p, lo, hi in zip(pair[runs].tolist(), runs.tolist(),
+                                  runs[1:].tolist() + [len(pair)])}
     index = {pair: _index(span) for pair, span in spans.items()}
-    heads: dict[str, list[str]] = defaultdict(list)
-    successors: dict[str, list[str]] = defaultdict(list)
+    heads: dict[int, list[int]] = defaultdict(list)
+    successors: dict[int, list[int]] = defaultdict(list)
     for a, b in spans:
         heads[b].append(a)
         successors[a].append(b)
@@ -209,7 +347,7 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
             if {c}.issuperset(into_b):  # chains never revisit an address
                 continue
             counts = np.add.reduceat(_containing(*index[(b, c)], outer), first, dtype=np.int64)
-            td += [DependencyRecord(DepKind.TD, a, c, int(n), via=(b,))
+            td += [DependencyRecord(DepKind.TD, names[a], names[c], int(n), via=(names[b],))
                    for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a != c]
             for tail in successors[c]:
                 if tail in (b, c) or {c, tail}.issuperset(into_b):
@@ -217,15 +355,18 @@ def enumerate_td(flows: Sequence[FlowRecord], cfg: OracleConfig,
                 # the (B,C) flows that contain a (C,D) flow; the others never end
                 marked = _index(spans[(b, c)], keep=_containing(*index[(c, tail)], spans[(b, c)]))
                 counts = np.add.reduceat(_containing(*marked, outer), first, dtype=np.int64)
-                td3 += [DependencyRecord(DepKind.TD3, a, tail, int(n), via=(b, c))
+                td3 += [DependencyRecord(DepKind.TD3, names[a], names[tail], int(n),
+                                         via=(names[b], names[c]))
                         for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a not in (c, tail)]
     return sorted(td, key=record_key), sorted(td3, key=record_key)
 
 
-def enumerate_all(flows: Sequence[FlowRecord], cfg: OracleConfig) -> list[DependencyRecord]:
-    dd = enumerate_dd(flows, cfg)
-    rr, rr3 = enumerate_rr(flows, cfg)
-    td, td3 = enumerate_td(flows, cfg, dd_records=dd)
+def enumerate_all(flows: Sequence[FlowRecord] | FlowColumns,
+                  cfg: OracleConfig) -> list[DependencyRecord]:
+    cols = _columns(flows)
+    dd = enumerate_dd(cols, cfg)
+    rr, rr3 = enumerate_rr(cols, cfg)
+    td, td3 = enumerate_td(cols, cfg, dd_records=dd)
     return dd + rr + rr3 + td + td3
 
 

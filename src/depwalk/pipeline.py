@@ -20,9 +20,10 @@ parses flow text once (ingest's input) and reads ``graph.jsonl`` back once
 (``simindex``).  The cost is one sha256 pass per hand-off and per take (about
 5 ms for the 4.8 MB ``flows.csv`` of 96,000 flows) and the values themselves:
 the last reader drops each one, so the records (about 18 MB for those 96,000
-flows) live until ``oracle`` and the graph until ``walks``, and nothing kept
-lives through ``train`` and ``eval``.  A stage skipped by ``--resume`` hands
-on nothing, and stages run outside ``run_pipeline`` decode every input.
+flows) live until ``oracle`` turns them into int64 columns (about 5.6 MB),
+which it does before its scan, and the graph lives until ``walks``; nothing
+kept lives through ``train`` and ``eval``.  A stage skipped by ``--resume``
+hands on nothing, and stages run outside ``run_pipeline`` decode every input.
 Written records read back unchanged (the round-trip tests pin this, and
 ingest rejects the scoped IPv6 addresses whose text the CSV writer could not
 carry), so stage-by-stage runs write the same bytes as ``pipeline``.
@@ -172,7 +173,8 @@ def stage_embed(cfg: PipelineConfig) -> Path:
 
 
 def stage_oracle(cfg: PipelineConfig) -> Path:
-    flows = _read_preprocessed(cfg, last=True)
+    # only the columns outlive this line, so the records are freed before the scan
+    flows = oracle.FlowColumns(_read_preprocessed(cfg, last=True))
     records = oracle.enumerate_all(flows, cfg.oracle)
     out = artifact(cfg, "ground_truth.csv")
     oracle.write_ground_truth(records, out)

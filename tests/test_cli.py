@@ -174,7 +174,7 @@ BOUNDS = [("sampler", "n_internal", -1), ("sampler", "m_external", -1), ("sample
           ("embedding", "dims", 0), ("embedding", "epochs", 0),
           ("embedding", "neg_samples_per_positive", -1), ("embedding", "learning_rate", 0),
           ("forest", "n_trees", 0), ("oracle", "n_t_dd", 0), ("oracle", "n_t_rr", 0),
-          ("oracle", "epsilon", -1), ("evaluation", "n_splits", 0),
+          ("oracle", "epsilon", -1), ("oracle", "epsilon", 2**63), ("evaluation", "n_splits", 0),
           *(("synth", key, value) for key in ("n_clients", "n_web", "n_db", "n_dns")
             for value in (-1, 251)),
           ("synth", "session_rate", -1), ("synth", "noise_flows", -1), ("synth", "epsilon_ms", 11),

@@ -1,15 +1,20 @@
 import random
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refimpl
-from conftest import flow, repeat_pair
+from conftest import STAMPS, flow, repeat_pair
+from depwalk.config import ScenarioConfig
 from depwalk.errors import ConfigError
+from depwalk.flows import Proto
 from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all,
                             enumerate_dd, enumerate_rr, enumerate_td, write_ground_truth)
 from depwalk.pipeline import _read_rows
+from depwalk.seeds import derive_seed
+from depwalk.synth import generate
 
 
 def ocfg(**kwargs):
@@ -237,6 +242,98 @@ def test_td_and_td3_equal_the_exhaustive_reference(flows, n_t_dd):
     cfg = ocfg(n_t_dd=n_t_dd)
     assert _transitive(refimpl.records_as_tuples(enumerate_all(flows, cfg))) == \
         _transitive(refimpl.reference_dependencies(flows, cfg))
+
+
+# Hosts of the int64-edge chains: IPv4 and IPv6, few enough that chains share
+# servers, targets and reversed 4-tuples.
+EDGE_HOSTS = ("192.0.2.1", "192.0.2.2", "2001:db8::1", "2001:db8::2")
+EDGE_PORTS = st.sampled_from([53, 443, 50000])
+LAST = 2**63 - 2  # the latest timestamp parsing accepts
+EPSILONS = st.one_of(st.sampled_from([0, 2**63 - 1]), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def edge_cases(draw):
+    """(flows, config): at most ten flows of answered-hop chains whose
+    requests and replies start and end at ``STAMPS``, each reply starting
+    exactly at its request's start or later, each follow-up starting exactly
+    at the reply's end or epsilon after it (the latest timestamp when that
+    would pass it), plus duplicates and stray flows, over all three protocols."""
+    eps = draw(EPSILONS)
+    hosts = st.sampled_from(EDGE_HOSTS)
+    protos = st.sampled_from(list(Proto))
+    flows = []
+
+    def at_or_after(start):
+        return start if draw(st.booleans()) else max(start, draw(STAMPS))
+
+    for _ in range(draw(st.integers(1, 3))):
+        piece = draw(st.sampled_from(["chain", "duplicate", "stray"]))
+        if piece == "duplicate" and flows:
+            flows.append(draw(st.sampled_from(flows)))
+        elif piece == "stray":
+            src, dst = draw(st.lists(hosts, min_size=2, max_size=2, unique=True))
+            start = draw(STAMPS)
+            flows.append(flow(src, dst, start, at_or_after(start), draw(EDGE_PORTS),
+                              draw(EDGE_PORTS), draw(protos)))
+        else:
+            subject = draw(hosts)
+            start = draw(STAMPS)
+            for _hop in range(draw(st.integers(1, 3))):
+                server = draw(hosts.filter(lambda h: h != subject))
+                sport, dport = draw(EDGE_PORTS), draw(EDGE_PORTS)
+                flows.append(flow(subject, server, start, at_or_after(start), sport, dport,
+                                  draw(protos)))
+                reply_start = at_or_after(start)
+                reply_end = at_or_after(reply_start)
+                flows.append(flow(server, subject, reply_start, reply_end, dport, sport,
+                                  draw(protos)))
+                start = draw(st.sampled_from([reply_end, min(reply_end + eps, LAST)]))
+            flows.append(flow(subject, draw(hosts.filter(lambda h: h != subject)), start,
+                              at_or_after(start), draw(EDGE_PORTS), draw(EDGE_PORTS), draw(protos)))
+    return flows[:10], ocfg(n_t_dd=draw(st.integers(1, 2)), n_t_rr=draw(st.integers(1, 2)),
+                            epsilon=eps)
+
+
+def _hop(request, reply, follow_up, eps):
+    """One answered hop and a follow-up to a third host, as flows and config."""
+    (start, end), (reply_start, reply_end), (follow_start, follow_end) = request, reply, follow_up
+    return ([flow("192.0.2.1", "2001:db8::1", start, end, 50000, 53),
+             flow("2001:db8::1", "192.0.2.1", reply_start, reply_end, 53, 50000),
+             flow("192.0.2.1", "2001:db8::2", follow_start, follow_end, 50001, 443)],
+            ocfg(n_t_dd=1, n_t_rr=1, epsilon=eps))
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_cases())
+# a reply ending 2**64 - 2 before its request ends: a wrapped end difference is -2
+@example(_hop((-2**63, LAST), (-2**63, -2**63), (-2**63, -2**63), 2**63 - 1))
+# request, reply and follow-up windows that end past the int64 maximum
+@example(_hop((0, 5), (0, LAST), (LAST, LAST), 2**63 - 1))
+def test_answered_hops_at_the_int64_edges_equal_the_reference(case):
+    flows, cfg = case
+    assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
+        refimpl.reference_dependencies(flows, cfg)
+
+
+def test_rr3_expansion_peak_memory_stays_bounded():
+    """The acceptance scenario of master seed 1 at epsilon 30000 has about
+    662k raw RR3 witness triples, 17.6k of them distinct.  Expanded and
+    deduplicated in chunks, the tracemalloc peak of ``enumerate_all`` stays
+    within twice the 3.2 MB that the per-flow list indexes peaked at; one
+    unchunked expansion peaked at 67.5 MB."""
+    scenario = ScenarioConfig(n_clients=40, n_web=3, n_db=2, n_dns=1, session_rate=1.0,
+                              duration=800, noise_flows=640, epsilon_ms=1000,
+                              rng_seed=derive_seed(1, "synth"))
+    flows = generate(scenario)[0]
+    tracemalloc.start()
+    try:
+        records = enumerate_all(flows, ocfg(epsilon=30000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(r.kind is DepKind.RR3 for r in records) == 1215
+    assert peak < 2 * 3.2e6
 
 
 def test_ground_truth_csv_round_trip(tmp_path):
