@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from itertools import chain
@@ -45,12 +46,6 @@ class EmbeddingMatrix:
     @property
     def dims(self) -> int:
         return int(self.vectors.shape[1])
-
-    def row(self, addr: str) -> np.ndarray:
-        try:
-            return self.vectors[self.vertex_index[addr]]
-        except KeyError:
-            raise UnknownAddressError(addr) from None
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -145,9 +140,19 @@ def train_embedding(pos_pairs: Sequence[tuple[str, str]],
     return EmbeddingMatrix(index, target, context, tuple(losses))
 
 
-def dependency_vector(emb: EmbeddingMatrix, src: str, dst: str) -> np.ndarray:
-    """Element-wise product of the two vertex vectors (commutative)."""
-    return emb.row(src) * emb.row(dst)
+def dependency_vectors(emb: EmbeddingMatrix, pairs: Iterable[Sequence[str]]) -> np.ndarray:
+    """The feature matrix of ``(src, dst, ...)`` rows: per row, the
+    element-wise product of the two vertex vectors (commutative)."""
+    index = emb.vertex_index
+    try:
+        ends = np.array([(index[row[0]], index[row[1]]) for row in pairs], dtype=np.intp).reshape(-1, 2)
+    except KeyError as exc:
+        raise UnknownAddressError(exc.args[0]) from None
+    features = emb.vectors[ends[:, 0]]
+    # one column at a time, so the second gather never holds a whole matrix
+    for column, values in enumerate(emb.vectors.T):
+        features[:, column] *= values[ends[:, 1]]
+    return features
 
 
 def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:
@@ -175,22 +180,26 @@ def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:
 
 
 def load_embedding(data_path) -> EmbeddingMatrix:
-    """Load a binary dump; the context matrix is not persisted.  A damaged
-    file, an address listed twice, or a vector with a NaN or infinite value,
-    is a ValueError naming the file."""
+    """Load a binary dump; the context matrix is not persisted.  A damaged file
+    (no dimensions, or vector bytes other than the header's, checked before the
+    read), a repeated address or a non-finite vector is a ValueError naming it."""
     with open(data_path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{data_path}: not an embedding file (bad magic {magic!r})")
-        try:  # a short read fails to unpack, decode or reshape
+        try:  # a short read fails to unpack or decode
             dims, count = struct.unpack("<II", fh.read(8))
+            if dims < 1:
+                raise ValueError(f"{dims} dimensions")
             addrs = []
             for _ in range(count):
                 (length,) = struct.unpack("<H", fh.read(2))
                 addrs.append(fh.read(length).decode("utf-8"))
-            matrix = np.frombuffer(fh.read(4 * dims * count), dtype="<f4").reshape(count, dims)
-            if fh.read(1):
-                raise ValueError("bytes after the last row")
+            size, left = 4 * dims * count, os.fstat(fh.fileno()).st_size - fh.tell()
+            if left != size:
+                raise ValueError("bytes after the last row" if left > size
+                                 else f"{count} vectors of {dims} dimensions need {size} bytes, {left} left")
+            matrix = np.frombuffer(fh.read(size), dtype="<f4").reshape(count, dims)
         except (struct.error, ValueError) as exc:
             raise ValueError(f"{data_path}: truncated or damaged embedding file ({exc})") from exc
     index = {a: i for i, a in enumerate(addrs)}

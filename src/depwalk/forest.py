@@ -287,6 +287,8 @@ def train_forest(X, y, cfg: ForestConfig) -> ForestModel:
     y = np.asarray(y, dtype=bool)
     if X.ndim != 2 or y.shape != (len(X),):
         raise ValueError("need a 2-D feature matrix with one label per row")
+    if not X.shape[1]:
+        raise ValueError("the feature matrix has no columns")
     if np.isnan(X).any():
         raise ValueError("training feature vectors contain NaN")
     if bool(y.all()) or not bool(y.any()):
@@ -377,6 +379,8 @@ def load_forest(path) -> ForestModel:
             n_features = obj["n_features"]
             if type(n_features) is not int:
                 raise ValueError(f"n_features {n_features!r} is not an integer")
+            if n_features < 1:
+                raise ValueError(f"n_features {n_features} is below 1")
             trees = tuple(
                 _TreeNodes(tuple(t["feature"]), tuple(t["threshold"]),
                            tuple(t["left"]), tuple(t["right"]), tuple(t["leaf_p"]))

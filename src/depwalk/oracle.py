@@ -28,18 +28,19 @@ into the suffix minimum of their end times decides containment.
 
 Witness counts are deduplicated by the initiating flow, so one initiating
 flow contributes at most one witness to a given record.  Chains never revisit
-an address, and distinct middle paths yield distinct TD/TD3 records.
+an address, and distinct middle paths yield distinct TD/TD3 records.  The
+module returns records and writes no file: ``pipeline`` writes them to
+``ground_truth.csv``.
 """
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -368,14 +369,4 @@ def enumerate_all(flows: Sequence[FlowRecord] | FlowColumns,
     rr, rr3 = enumerate_rr(cols, cfg)
     td, td3 = enumerate_td(cols, cfg, dd_records=dd)
     return dd + rr + rr3 + td + td3
-
-
-def write_ground_truth(records: Iterable[DependencyRecord], path) -> None:
-    """CSV dump (kind, src, dst, witness_count); middle paths are not
-    serialized, so records may repeat an endpoint pair."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "src", "dst", "witness_count"])
-        for rec in records:
-            writer.writerow([rec.kind.value, rec.src, rec.dst, rec.witness_count])
 

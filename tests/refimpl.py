@@ -442,6 +442,22 @@ def ap_reference(scores, labels) -> float:
     return float(ap)
 
 
+def reference_index_scores(edges, x, y) -> tuple[float, float, float, float]:
+    """AA, CN, PA and RA of the ordered pair (x, y), straight from a list of
+    directed ``(src, dst)`` edges that may repeat: no graph object, every
+    neighbourhood and out-degree a scan of the list, and the sums taken over
+    the common intermediates in sorted order."""
+    successors = {dst for src, dst in edges if src == x}
+    predecessors = {src for src, dst in edges if dst == y}
+    aa = ra = 0.0
+    for v in sorted(successors & predecessors):
+        degree = len({dst for src, dst in edges if src == v})
+        ra += 1.0 / degree
+        if degree > 1:
+            aa += 1.0 / math.log(degree)
+    return aa, float(len(successors & predecessors)), float(len(successors) * len(predecessors)), ra
+
+
 def spearman_reference(xs, ys) -> float | None:
     """Mid-rank Pearson with O(n^2) rank computation and integer sums."""
     def double_ranks(values):

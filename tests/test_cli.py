@@ -4,6 +4,7 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from dataclasses import fields
@@ -492,7 +493,7 @@ def test_readme_library_use_runs(small_run, monkeypatch):
     monkeypatch.chdir(workdir)  # the block reads flows.csv
     names: dict = {}
     exec(block, names)
-    assert names["report"].ok and names["features"].shape == (names["emb"].dims,)
+    assert names["report"].ok and names["features"].shape == (1, names["emb"].dims)
 
 
 def unknown_address_pairs(workdir: Path, path: Path) -> Path:
@@ -578,6 +579,22 @@ def append(tail):
     return corrupt
 
 
+def embedding_header(dims, vertices=None):
+    """Rewrite an embedding file's header to ``dims`` dimensions and its
+    first ``vertices`` addresses (all of them by default), with no vector
+    bytes after them.  A header of no dimensions then describes the file
+    exactly; one of very many dimensions asks for far more bytes than the
+    file holds."""
+    def corrupt(path):
+        data = path.read_bytes()
+        count = struct.unpack_from("<I", data, 12)[0] if vertices is None else vertices
+        end = 16
+        for _ in range(count):
+            end += 2 + struct.unpack_from("<H", data, end)[0]
+        path.write_bytes(data[:8] + struct.pack("<II", dims, count) + data[16:end])
+    return corrupt
+
+
 # (stage, the input it reads, how the input is damaged, the error after the
 # file's name)
 DAMAGED_INPUTS = [
@@ -645,12 +662,22 @@ DAMAGED_INPUTS = [
                                                     left=[1, -1], right=[2, -1, -1],
                                                     leaf_p=[0.0, 1.0, 0.0])),
                  ": tree 0: 2 left entries for 3 nodes", id="model-short-left"),
+    pytest.param("predict", "model.json",
+                 edit_json_line(1, lambda model: model.update(
+                     n_features=-3, trees=[{"feature": [-1], "threshold": [0.0], "left": [-1],
+                                            "right": [-1], "leaf_p": [0.5]}])),
+                 ": n_features -3 is below 1", id="model-n-features-negative"),
     pytest.param("eval", "embedding.bin", truncate(100),
                  ": truncated or damaged embedding file (unpack requires a buffer of 2 bytes)",
                  id="embedding-truncated"),
     pytest.param("eval", "embedding.bin", append(b"\0" * 7),
                  ": truncated or damaged embedding file (bytes after the last row)",
                  id="embedding-trailing-bytes"),
+    pytest.param("eval", "embedding.bin", embedding_header(0),
+                 ": truncated or damaged embedding file (0 dimensions)", id="embedding-no-dims"),
+    pytest.param("eval", "embedding.bin", embedding_header(2**32 - 1, vertices=3),
+                 ": truncated or damaged embedding file (3 vectors of 4294967295 dimensions "
+                 "need 51539607540 bytes, 0 left)", id="embedding-huge-dims"),
     # a float32 NaN in place of the last vertex's last value
     pytest.param("predict", "embedding.bin",
                  lambda path: path.write_bytes(path.read_bytes()[:-4] + b"\0\0\xc0\x7f"),
@@ -686,6 +713,24 @@ def test_damaged_input_is_a_stage_error_naming_the_file(small_run, tmp_path, cap
     err = capsys.readouterr().err
     assert f"depwalk: {stage} failed: {fresh / name}{problem}\n" in err
     assert "Traceback" not in err
+
+
+def test_predict_with_a_model_of_another_width_names_both_files(small_run, tmp_path, capsys):
+    # the embedding is trained again at 8 dimensions; the model was fitted on 12
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    for name in pipeline.STAGE["embed"].inputs:
+        shutil.copyfile(workdir / name, fresh / name)
+    narrow = write_config(tmp_path, {**SMALL_SCENARIO,
+                                     "embedding": {**SMALL_SCENARIO["embedding"], "dims": 8}})
+    assert main(["-c", str(narrow), "-w", str(fresh), "embed"]) == 0
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict"]) == 1
+    assert capsys.readouterr().err == (
+        f"depwalk: predict failed: {fresh / 'model.json'} takes 12 features, but the vectors of "
+        f"{fresh / 'embedding.bin'} have 8 dimensions\n")
+    assert not (fresh / "predictions.csv").exists()
 
 
 def overwrite_byte(path, lineno, find, new):

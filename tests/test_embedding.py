@@ -7,7 +7,7 @@ from conftest import graph_from, repeat_pair
 from refimpl import reference_train_embedding
 from depwalk import embedding
 from depwalk.contexts import split_walk
-from depwalk.embedding import (EmbeddingConfig, EmbeddingMatrix, dependency_vector,
+from depwalk.embedding import (EmbeddingConfig, EmbeddingMatrix, dependency_vectors,
                                load_embedding, pair_loss_and_grads, save_embedding,
                                train_embedding)
 from depwalk.errors import ConfigError, TrainingDivergedError, UnknownAddressError
@@ -139,7 +139,7 @@ def test_cluster_locality():
                           EmbeddingConfig(dims=16, epochs=30, learning_rate=0.5, rng_seed=5))
 
     def cosine(a, b):
-        va, vb = emb.row(a), emb.row(b)
+        va, vb = (emb.vectors[emb.vertex_index[v]] for v in (a, b))
         return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
 
     intra = [cosine(a, b) for group in (left, right) for a in group for b in group if a < b]
@@ -150,14 +150,33 @@ def test_cluster_locality():
 def test_dependency_vector_semantics():
     emb = EmbeddingMatrix({"a": 0, "b": 1, "z": 2},
                           np.array([[1.0, 2.0], [3.0, 4.0], [0.0, 0.0]]))
-    assert dependency_vector(emb, "a", "b").tolist() == [3.0, 8.0]
-    assert dependency_vector(emb, "a", "z").tolist() == [0.0, 0.0]
+    assert dependency_vectors(emb, [("a", "b"), ("a", "z", True)]).tolist() == [[3.0, 8.0], [0.0, 0.0]]
     gen = np.random.default_rng(0)
     emb2 = EmbeddingMatrix({"a": 0, "b": 1}, gen.normal(size=(2, 5)))
-    assert np.array_equal(dependency_vector(emb2, "a", "b"), dependency_vector(emb2, "b", "a"))
+    assert np.array_equal(*dependency_vectors(emb2, [("a", "b"), ("b", "a")]))
     with pytest.raises(UnknownAddressError) as err:
-        dependency_vector(emb, "a", "missing")
+        dependency_vectors(emb, [("a", "b"), ("a", "missing")])
     assert "missing" in str(err.value)
+    with pytest.raises(UnknownAddressError, match="^unknown address: gone$"):
+        dependency_vectors(emb, [("gone", "a")])
+
+
+def test_dependency_vectors_are_the_per_pair_products():
+    gen = np.random.default_rng(2)
+    addrs = [f"10.0.0.{i}" for i in range(6)]
+    emb = EmbeddingMatrix({a: i for i, a in enumerate(addrs)},
+                          gen.normal(size=(6, 4)).astype(np.float32))
+    pairs = [(addrs[i], addrs[j], i < j) for i, j in gen.integers(0, 6, size=(20, 2))]
+    X = dependency_vectors(emb, pairs)
+    assert X.dtype == np.float32
+    for row, (src, dst, _) in zip(X, pairs):
+        expected = emb.vectors[emb.vertex_index[src]] * emb.vectors[emb.vertex_index[dst]]
+        assert row.tobytes() == expected.tobytes()
+
+
+def test_no_pairs_give_an_empty_matrix_of_the_embedding_width():
+    emb = EmbeddingMatrix({"a": 0}, np.ones((1, 3)))
+    assert dependency_vectors(emb, []).shape == (0, 3)
 
 
 def test_embedding_file_round_trip(tmp_path):

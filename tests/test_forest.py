@@ -88,8 +88,9 @@ def test_single_class_rejected():
 
 @pytest.mark.parametrize("X,y,problem", [([[0.0], [1.0, 2.0]], [True, False], None),
                                          ([0.0, 1.0], [True, False], "2-D feature matrix"),
-                                         ([[0.0], [1.0]], [True, False, True], "one label per row")],
-                         ids=["ragged", "one-dimensional", "label-count"])
+                                         ([[0.0], [1.0]], [True, False, True], "one label per row"),
+                                         (np.empty((2, 0)), [True, False], "no columns")],
+                         ids=["ragged", "one-dimensional", "label-count", "no-columns"])
 def test_misshapen_training_data_rejected(X, y, problem):
     with pytest.raises(ValueError, match=problem):
         train_forest(X, y, ForestConfig(n_trees=2))

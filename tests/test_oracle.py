@@ -11,8 +11,8 @@ from depwalk.config import ScenarioConfig
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
 from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all,
-                            enumerate_dd, enumerate_rr, enumerate_td, write_ground_truth)
-from depwalk.pipeline import _read_rows
+                            enumerate_dd, enumerate_rr, enumerate_td)
+from depwalk.pipeline import _read_rows, _write_dependencies
 from depwalk.seeds import derive_seed
 from depwalk.synth import generate
 
@@ -339,6 +339,6 @@ def test_rr3_expansion_peak_memory_stays_bounded():
 def test_ground_truth_csv_round_trip(tmp_path):
     records = enumerate_all(lr_fixture(), ocfg())
     path = tmp_path / "gt.csv"
-    write_ground_truth(records, path)
+    _write_dependencies(path, records)
     loaded = _read_rows(path, kind=DepKind, src=str, dst=str, witness_count=int)
     assert loaded == [(r.kind, r.src, r.dst, r.witness_count) for r in records]

@@ -1,47 +1,52 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import refimpl
 from conftest import flow, graph_from
-from depwalk.simindex import IndexKind, baseline_report, index_score, kendall_tau, spearman
+from depwalk.simindex import INDICES, baseline_report, index_scores, kendall_tau, spearman
 
 # a -> v, b -> v, v -> y, v -> z
 DIAMOND = [flow("a", "v", 0, 1), flow("b", "v", 0, 1),
            flow("v", "y", 0, 1), flow("v", "z", 0, 1)]
 
 
+def scores(g, x, y) -> dict[str, float]:
+    return dict(zip(INDICES, index_scores(g, x, y)))
+
+
 def test_common_neighbors():
     g = graph_from(DIAMOND)
-    assert index_score(g, "a", "y", IndexKind.CN) == 1.0
+    assert scores(g, "a", "y")["CN"] == 1.0
 
 
 def test_resource_allocation():
     g = graph_from(DIAMOND)
-    assert index_score(g, "a", "y", IndexKind.RA) == pytest.approx(0.5)
+    assert scores(g, "a", "y")["RA"] == pytest.approx(0.5)
 
 
 def test_preferential_attachment():
     g = graph_from(DIAMOND)
-    assert index_score(g, "a", "y", IndexKind.PA) == 1.0
+    assert scores(g, "a", "y")["PA"] == 1.0
 
 
 def test_adamic_adar_natural_log():
     g = graph_from(DIAMOND)
-    assert index_score(g, "a", "y", IndexKind.AA) == pytest.approx(1.0 / math.log(2))
+    assert scores(g, "a", "y")["AA"] == pytest.approx(1.0 / math.log(2))
 
 
 def test_adamic_adar_skips_single_successor_intermediates():
     flows = [flow("a", "v", 0, 1), flow("v", "y", 0, 1)]  # |successors(v)| == 1
     g = graph_from(flows)
-    assert index_score(g, "a", "y", IndexKind.AA) == 0.0
-    assert index_score(g, "a", "y", IndexKind.CN) == 1.0
+    assert scores(g, "a", "y")["AA"] == 0.0
+    assert scores(g, "a", "y")["CN"] == 1.0
 
 
 def test_empty_neighborhoods_scored_zero():
     g = graph_from(DIAMOND)
-    for kind in IndexKind:
-        assert index_score(g, "y", "a", kind) == 0.0
+    assert index_scores(g, "y", "a") == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_index_bounds_on_random_graphs(rng):
@@ -50,19 +55,39 @@ def test_index_bounds_on_random_graphs(rng):
     g = graph_from(flows)
     for _ in range(50):
         x, y = rng.sample(addrs, 2)
-        cn = index_score(g, x, y, IndexKind.CN)
-        ra = index_score(g, x, y, IndexKind.RA)
-        assert cn <= min(g.out_degree(x), len(g.in_neighbors(y)))
-        assert ra <= cn
-        for kind in IndexKind:
-            assert index_score(g, x, y, kind) >= 0.0
+        pair = scores(g, x, y)
+        assert pair["CN"] <= min(g.out_degree(x), len(g.in_neighbors(y)))
+        assert pair["RA"] <= pair["CN"]
+        assert min(pair.values()) >= 0.0
 
 
 def test_extra_out_edge_never_decreases_cn():
     g = graph_from(DIAMOND)
-    before = index_score(g, "a", "y", IndexKind.CN)
+    before = scores(g, "a", "y")["CN"]
     g2 = graph_from(DIAMOND + [flow("a", "w", 0, 1), flow("w", "y", 0, 1)])
-    assert index_score(g2, "a", "y", IndexKind.CN) >= before
+    assert scores(g2, "a", "y")["CN"] >= before
+
+
+ADDRS = "abcdefghij"
+# intermediates c, d, e of out-degrees 2, 2, 6: both sums round
+# differently when taken in reverse order
+ORDER_SENSITIVE = [("a", "c"), ("a", "d"), ("a", "e"), ("c", "b"), ("d", "b"), ("c", "f"),
+                   ("d", "f"), *(("e", z) for z in "bfghij")]
+
+
+@settings(max_examples=300, deadline=None)
+@example(ORDER_SENSITIVE, "a", "b", False)
+@example(ORDER_SENSITIVE, "a", "b", True)
+@given(st.lists(st.tuples(st.sampled_from(ADDRS), st.sampled_from(ADDRS)).filter(lambda e: e[0] != e[1]),
+                max_size=60),
+       st.sampled_from(ADDRS), st.sampled_from(ADDRS), st.booleans())
+def test_index_scores_match_the_edge_list_reference_exactly(edges, x, y, lone):
+    # repeated edges make a multigraph; with ``lone`` the path x -> v -> y
+    # adds a common intermediate v of out-degree 1
+    if lone:
+        edges = edges + [(x, "v"), ("v", y)]
+    g = graph_from([flow(src, dst, 0, 1) for src, dst in edges], vertices=ADDRS + "v")
+    assert index_scores(g, x, y) == refimpl.reference_index_scores(edges, x, y)
 
 
 # --- rank correlations -----------------------------------------------------------
@@ -124,8 +149,9 @@ def test_baseline_report_shape():
     g = graph_from(DIAMOND)
     scored = [("a", "y", 0.8), ("b", "y", 0.6), ("a", "z", 0.3), ("b", "z", 0.1)]
     rows, correlations = baseline_report(g, scored)
-    assert len(rows) == 4
-    assert set(rows[0]) == {"src", "dst", "AA", "CN", "PA", "RA", "model_probability"}
-    assert set(correlations) == {"AA", "CN", "PA", "RA"}
+    assert INDICES == ("AA", "CN", "PA", "RA")
+    assert rows[0] == ("a", "y", *index_scores(g, "a", "y"), 0.8)
+    assert [row[:2] + row[-1:] for row in rows] == scored
+    assert set(correlations) == set(INDICES)
     for stats in correlations.values():
         assert set(stats) == {"spearman", "kendall"}

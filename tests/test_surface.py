@@ -61,6 +61,16 @@ def test_the_runtime_dependencies_are_numpy_and_pyyaml():
     assert re.findall(r'"([A-Za-z0-9_.-]+)', listing) == ["numpy", "PyYAML"]
 
 
+# The size of src/ is tracked like a benchmark: a change that grows it past
+# this budget raises the budget in its own diff and says why in CHANGES.md.
+SRC_LINE_BUDGET = 3192
+
+
+def test_src_stays_within_its_line_budget():
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINE_BUDGET
+
+
 def test_every_config_section_is_declared_in_the_config_module():
     # one module declares every key, default and bound of the config file
     hints = get_type_hints(PipelineConfig)
