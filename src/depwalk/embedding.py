@@ -53,14 +53,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -_EXP_CLAMP, _EXP_CLAMP)))
 
 
+def _row_sums(index: np.ndarray, values: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``index``, sorted, and per row the sum of the
+    ``values`` rows indexed to it.  ``np.bincount`` adds each cell's values
+    in their order, starting from 0.0, as ``np.add.at`` into zeros does, so
+    every sum is bit for bit the one ``np.add.at`` gives."""
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[index] = True
+    rows = np.flatnonzero(touched)
+    slot = np.cumsum(touched) - 1  # a touched row's place in ``rows``
+    dims = values.shape[1]
+    cells = (slot[index, None] * dims + np.arange(dims)).ravel()
+    sums = np.bincount(cells, values.ravel(), minlength=rows.size * dims)
+    return rows, sums.reshape(rows.size, dims)
+
+
 def pair_loss_and_grads(target: np.ndarray, context: np.ndarray,
-                        heads: np.ndarray, ctxs: np.ndarray,
-                        signs: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                        heads: np.ndarray, ctxs: np.ndarray, signs: np.ndarray):
     """Total loss and gradients for labelled (head, context) pairs.
 
     A positive pair (sign > 0) contributes ``-log sigma(u.v)``; a negative
     pair contributes ``-log sigma(-u.v)``.  Returns the summed loss together
-    with gradients w.r.t. both matrices, evaluated at the given parameters.
+    with the gradients w.r.t. both matrices, evaluated at the given
+    parameters, each as ``(rows, gradient rows)``: the rows the pairs touch,
+    sorted, and their gradients; every other row's gradient is zero.
     """
     heads = np.asarray(heads)
     ctxs = np.asarray(ctxs)
@@ -70,11 +86,8 @@ def pair_loss_and_grads(target: np.ndarray, context: np.ndarray,
     positive = signs > 0
     loss = float(-np.log(np.where(positive, sig, 1.0 - sig)).sum())
     coef = sig - positive.astype(float)
-    d_target = np.zeros_like(target)
-    d_context = np.zeros_like(context)
-    np.add.at(d_target, heads, coef[:, None] * context[ctxs])
-    np.add.at(d_context, ctxs, coef[:, None] * target[heads])
-    return loss, d_target, d_context
+    return (loss, _row_sums(heads, coef[:, None] * context[ctxs], len(target)),
+            _row_sums(ctxs, coef[:, None] * target[heads], len(context)))
 
 
 def train_embedding(pos_pairs: Sequence[tuple[str, str]],
@@ -126,10 +139,11 @@ def train_embedding(pos_pairs: Sequence[tuple[str, str]],
         total = 0.0
         for start in range(0, order.size, _BATCH):
             batch = order[start:start + _BATCH]
-            loss, d_target, d_context = pair_loss_and_grads(
+            loss, (t_rows, d_target), (c_rows, d_context) = pair_loss_and_grads(
                 target, context, heads[batch], ctxs[batch], signs[batch])
-            target -= cfg.learning_rate * d_target
-            context -= cfg.learning_rate * d_context
+            # an untouched row would change by ``x - 0.0 == x``, so skip it
+            target[t_rows] -= cfg.learning_rate * d_target
+            context[c_rows] -= cfg.learning_rate * d_context
             total += loss
         mean_loss = total / order.size
         if not math.isfinite(mean_loss):

@@ -7,6 +7,7 @@ import json
 import logging
 import random
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 from ipaddress import ip_address, ip_network
 from itertools import chain
 from operator import attrgetter
@@ -64,13 +65,33 @@ def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set
     return set(top(internal, cfg.n_internal, "internal")) | set(top(external, cfg.m_external, "external"))
 
 
-class CommGraph:
+@dataclass
+class Neighbours:
+    """The vertices of a directed graph and each vertex's sorted out- and
+    in-neighbours, without the edges' flows: all the similarity indices
+    read."""
+
+    vertices: tuple[str, ...]
+    _out: dict[str, tuple[str, ...]]
+    _in: dict[str, tuple[str, ...]]
+
+    def out_neighbors(self, v: str) -> tuple[str, ...]:
+        return self._out.get(v, ())
+
+    def in_neighbors(self, v: str) -> tuple[str, ...]:
+        return self._in.get(v, ())
+
+    def out_degree(self, v: str) -> int:
+        return len(self._out.get(v, ()))
+
+
+class CommGraph(Neighbours):
     """Directed multigraph over selected addresses; parallel edges carry the
     flow attributes of the sampled flows."""
 
     def __init__(self, vertices: Iterable[str], pair_edges: dict[tuple[str, str], Iterable[FlowRecord]]):
-        self.vertices: tuple[str, ...] = tuple(sorted(set(vertices)))
-        vset = set(self.vertices)
+        vertices = tuple(sorted(set(vertices)))
+        vset = set(vertices)
         pairs: dict[tuple[str, str], tuple[FlowRecord, ...]] = {}
         for (src, dst), instances in sorted(pair_edges.items()):
             instances = tuple(sorted(instances, key=FlowRecord.sort_key))
@@ -85,8 +106,8 @@ class CommGraph:
         for src, dst in pairs:
             out[src].add(dst)
             inn[dst].add(src)
-        self._out = {v: tuple(sorted(targets)) for v, targets in out.items()}
-        self._in = {v: tuple(sorted(sources)) for v, sources in inn.items()}
+        super().__init__(vertices, {v: tuple(sorted(targets)) for v, targets in out.items()},
+                         {v: tuple(sorted(sources)) for v, sources in inn.items()})
 
     @classmethod
     def from_flows(cls, vertices: Iterable[str], flows: Iterable[FlowRecord]) -> "CommGraph":
@@ -95,14 +116,11 @@ class CommGraph:
             pair_edges[(f.src_ip, f.dst_ip)].append(f)
         return cls(vertices, pair_edges)
 
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        return self._out.get(v, ())
-
-    def in_neighbors(self, v: str) -> tuple[str, ...]:
-        return self._in.get(v, ())
-
-    def out_degree(self, v: str) -> int:
-        return len(self._out.get(v, ()))
+    @property
+    def neighbours(self) -> Neighbours:
+        """This graph's neighbour sets alone, sharing its tuples; they keep
+        none of the edges' flows alive."""
+        return Neighbours(self.vertices, self._out, self._in)
 
     def edge_instances(self, src: str, dst: str) -> tuple[FlowRecord, ...]:
         return self._pairs.get((src, dst), ())

@@ -10,21 +10,23 @@ subcommands, the prerequisite checks, the ``pipeline`` order and
 ``--resume`` all derive from it.  Every CSV artifact is written by
 ``_write_rows`` and read back by ``_read_rows``.
 
-Within one ``run_pipeline`` call a stage hands the value it has just written
-on to the stages that read it next, keyed by the artifact's name and the
-sha256 of the file's bytes: ``ingest`` hands its flow records to ``sample``
-and ``oracle``, and ``sample`` its ``CommGraph`` to ``walks``.  A reader takes
-the value only when the file's bytes still hash to the kept digest; any other
-file (edited, damaged, written by another program) is decoded with every
-check by ``read_flows_csv`` or ``read_graph_jsonl``.  A ``pipeline`` run thus
-parses flow text once (ingest's input) and reads ``graph.jsonl`` back once
-(``simindex``).  The cost is one sha256 pass per hand-off and per take (about
-5 ms for the 4.8 MB ``flows.csv`` of 96,000 flows) and the values themselves:
-the last reader drops each one, so the records (about 18 MB for those 96,000
-flows) live until ``oracle`` turns them into int64 columns (about 5.6 MB),
-which it does before its scan, and the graph lives until ``walks``; nothing
-kept lives through ``train`` and ``eval``.  A stage skipped by ``--resume``
-hands on nothing, and stages run outside ``run_pipeline`` decode every input.
+Within one ``run_pipeline`` call a stage hands what it has just written on
+to the stages that read it next, keyed by the artifact's name and the sha256
+of the file's bytes: ``ingest`` its flow records to ``sample`` and
+``oracle``, ``sample`` its ``CommGraph`` to ``walks`` and the graph's
+``Neighbours`` to ``simindex``, and ``walks`` its walks to ``embed``.  A
+reader takes its value only while the file's bytes hash to the kept digest;
+any other file (edited, damaged, written by another program) is decoded with
+every check.  So a run parses flow text once and reads back, of what it
+writes, only the vertex manifest of ``graph.jsonl`` (in ``embed``).  The
+cost is a sha256 pass per hand-off and per take (about 5 ms for the 4.8 MB
+``flows.csv`` of 96,000 flows) and the values: each reader drops its own, so
+the records (about 18 MB) live until ``oracle`` turns them into int64
+columns, the graph until ``walks`` and the walks until ``embed``.  Only the
+neighbour sets live through ``train`` and ``eval`` (13 KB with their address
+strings on the ``readme`` benchmark, 56 KB on ``scale``).  A stage skipped by
+``--resume`` hands on nothing; stages run outside ``run_pipeline`` decode
+every input.
 Written records read back unchanged (the round-trip tests pin this, and
 ingest rejects the scoped IPv6 addresses whose text the CSV writer could not
 carry), so stage-by-stage runs write the same bytes as ``pipeline``.
@@ -62,10 +64,10 @@ def artifact(cfg: PipelineConfig, name: str) -> Path:
 
 # The decoded values one ``run_pipeline`` call hands from the stage that writes
 # an artifact to the stages that read it: artifact name -> (sha256 of the
-# file's bytes, the value).  None outside such a call.  Readers share the
-# value, so none may change it: the flows are a tuple, and nothing changes a
-# CommGraph once built.
-_handoff: dict[str, tuple[bytes, object]] | None = None
+# file's bytes, reader stage name -> its value).  None outside such a call.
+# Readers may share a value, so none may change it: the flows and the walks
+# are tuples, and nothing changes a CommGraph or its Neighbours once built.
+_handoff: dict[str, tuple[bytes, dict[str, object]]] | None = None
 
 
 def _sha256(path: Path) -> bytes:
@@ -76,22 +78,24 @@ def _sha256(path: Path) -> bytes:
     return digest.digest()
 
 
-def _hand_off(path: Path, value) -> None:
-    """Within a pipeline run, hand on ``value``, which ``path``'s bytes
-    decode to."""
+def _hand_off(path: Path, **readers) -> None:
+    """Within a pipeline run, hand each named reader stage its value: what
+    that stage's decode of ``path``'s bytes gives."""
     if _handoff is not None:
-        _handoff[path.name] = (_sha256(path), value)
+        _handoff[path.name] = (_sha256(path), readers)
 
 
-def _decode(path: Path, decode: Callable[[Path], object], last: bool):
-    """The value handed on for ``path`` when its bytes still hash to the
-    kept digest, otherwise ``decode(path)``.  The ``last`` reader in a run
-    drops the value, so that it does not outlive its use."""
+def _decode(path: Path, reader: str, decode: Callable[[Path], object]):
+    """The value handed on to stage ``reader`` for ``path`` when the file's
+    bytes still hash to the kept digest, otherwise ``decode(path)``.  The
+    reader drops its value as it takes it, so that it does not outlive its
+    use."""
     if _handoff is None:
         return decode(path)
-    kept = _handoff.pop(path.name, None) if last else _handoff.get(path.name)
-    if kept is not None and kept[0] == _sha256(path):
-        return kept[1]
+    digest, values = _handoff.get(path.name, (None, {}))
+    value = values.pop(reader, None)
+    if value is not None and digest == _sha256(path):
+        return value
     return decode(path)
 
 
@@ -121,7 +125,7 @@ def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
     log.info("ingest: %d records parsed, %d TCP/UDP flows kept", report.parsed, len(kept))
     out = artifact(cfg, "flows.csv")
     write_flows_csv(kept, out)
-    _hand_off(out, kept)
+    _hand_off(out, sample=kept, oracle=kept)
     return out
 
 
@@ -134,34 +138,37 @@ def _checked_flows(path: Path):
     return tuple(flows)
 
 
-def _read_preprocessed(cfg: PipelineConfig, last: bool):
-    return _decode(artifact(cfg, "flows.csv"), _checked_flows, last)
-
-
 def stage_sample(cfg: PipelineConfig) -> Path:
-    flows = _read_preprocessed(cfg, last=False)
+    flows = _decode(artifact(cfg, "flows.csv"), "sample", _checked_flows)
     selected = select_top_addresses(flows, cfg.sampler)
     graph = reservoir_sample_edges(flows, selected, cfg.sampler)
     out = artifact(cfg, "graph.jsonl")
     write_graph_jsonl(graph, out)
-    _hand_off(out, graph)
+    _hand_off(out, walks=graph, simindex=graph.neighbours)
     log.info("sample: %d vertices, %d edges", len(graph.vertices), graph.n_edges)
     return out
 
 
 def stage_walks(cfg: PipelineConfig) -> Path:
-    graph = _decode(artifact(cfg, "graph.jsonl"), read_graph_jsonl, last=True)
+    graph = _decode(artifact(cfg, "graph.jsonl"), "walks", read_graph_jsonl)
     positives = walks.generate_walks(graph, cfg.walks)
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
     out = artifact(cfg, "walks.jsonl")
-    walks.write_walks_jsonl(positives + negatives, out)
+    all_walks = tuple(positives + negatives)
+    walks.write_walks_jsonl(all_walks, out)
+    _hand_off(out, embed=all_walks)
     log.info("walks: %d positive, %d negative", len(positives), len(negatives))
     return out
 
 
 def stage_embed(cfg: PipelineConfig) -> Path:
     vertices = read_graph_vertices(artifact(cfg, "graph.jsonl"))
-    all_walks = walks.read_walks_jsonl(artifact(cfg, "walks.jsonl"), vertices)
+    path = artifact(cfg, "walks.jsonl")
+    all_walks = _decode(path, "embed", lambda path: walks.read_walks_jsonl(path, vertices))
+    known = set(vertices)
+    if any(v not in known for walk in all_walks for v in walk.vertices):
+        # graph.jsonl lost a walked vertex after walks ran; the read names the walk
+        all_walks = walks.read_walks_jsonl(path, vertices)
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
@@ -177,7 +184,7 @@ def stage_embed(cfg: PipelineConfig) -> Path:
 
 def stage_oracle(cfg: PipelineConfig) -> Path:
     # only the columns outlive this line, so the records are freed before the scan
-    flows = oracle.FlowColumns(_read_preprocessed(cfg, last=True))
+    flows = oracle.FlowColumns(_decode(artifact(cfg, "flows.csv"), "oracle", _checked_flows))
     records = oracle.enumerate_all(flows, cfg.oracle)
     out = artifact(cfg, "ground_truth.csv")
     _write_dependencies(out, records)
@@ -265,6 +272,12 @@ def stage_train(cfg: PipelineConfig) -> Path:
     return out
 
 
+# Pairs per block of predict's feature matrix, so that the matrix of a large
+# pairs file (all 55,460 ordered pairs of 236 vertices: 14 MB at 64 float32
+# dimensions) is never held whole.
+_PREDICT_ROWS = 1024
+
+
 def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     """Score the pairs of ``pairs_path``, by default those of labels.csv; an
     embedding width other than the model's feature count names both files."""
@@ -275,10 +288,11 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
         raise DepwalkError(f"{model_path} takes {model.n_features} features, but the vectors of "
                            f"{emb_path} have {emb.dims} dimensions")
     pairs = _read_pairs(emb.vertex_index, pairs_path or artifact(cfg, "labels.csv"))
-    X = embedding.dependency_vectors(emb, pairs)
+    blocks = (pairs[start:start + _PREDICT_ROWS] for start in range(0, len(pairs), _PREDICT_ROWS))
     out = artifact(cfg, "predictions.csv")
     _write_rows(out, ("src", "dst", "probability"),
-                ((src, dst, forest.predict_proba(model, x)) for (src, dst), x in zip(pairs, X)))
+                ((src, dst, forest.predict_proba(model, x)) for block in blocks
+                 for (src, dst), x in zip(block, embedding.dependency_vectors(emb, block))))
     log.info("predict: %d pairs scored", len(pairs))
     return out
 
@@ -302,9 +316,11 @@ def stage_eval(cfg: PipelineConfig) -> Path:
 def stage_simindex(cfg: PipelineConfig) -> Path:
     """The similarity indices of the pairs predict scored, next to the model's
     probabilities."""
-    graph = read_graph_jsonl(artifact(cfg, "graph.jsonl"))
-    scored = _read_pairs(set(graph.vertices), artifact(cfg, "predictions.csv"), probability=_probability)
-    rows, correlations = simindex.baseline_report(graph, scored)
+    neighbours = _decode(artifact(cfg, "graph.jsonl"), "simindex",
+                         lambda path: read_graph_jsonl(path).neighbours)
+    scored = _read_pairs(set(neighbours.vertices), artifact(cfg, "predictions.csv"),
+                         probability=_probability)
+    rows, correlations = simindex.baseline_report(neighbours, scored)
     out = artifact(cfg, "baseline.csv")
     _write_rows(out, ("src", "dst", *simindex.INDICES, "model_probability"), rows)
     with open(artifact(cfg, "baseline_summary.json"), "w", encoding="utf-8") as fh:

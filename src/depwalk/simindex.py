@@ -1,7 +1,8 @@
 """Directed local similarity indices and rank correlation coefficients.
 
 The four indices operate on the multigraph collapsed to a simple directed
-graph: successors of the source against predecessors of the destination.
+graph, its ``Neighbours``: successors of the source against predecessors of
+the destination.
 Rank correlations are computed with exact integer accumulation so that the
 results are bit-for-bit reproducible against naive reference formulas.
 """
@@ -13,13 +14,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import CommGraph
+from .graph import Neighbours
 
 # The index columns of ``baseline_report`` rows, in order.
 INDICES = ("AA", "CN", "PA", "RA")
 
 
-def index_scores(g: CommGraph, x: str, y: str) -> tuple[float, float, float, float]:
+def index_scores(g: Neighbours, x: str, y: str) -> tuple[float, float, float, float]:
     """The directed similarities ``INDICES`` of the ordered pair (x, y).
 
     The common intermediates are the successors of x that are predecessors
@@ -113,7 +114,7 @@ def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return conc_minus_disc / math.sqrt(d1 * d2)
 
 
-def baseline_report(g: CommGraph, scored_pairs: Sequence[tuple[str, str, float]]):
+def baseline_report(g: Neighbours, scored_pairs: Sequence[tuple[str, str, float]]):
     """Index scores next to model probabilities for each pair, plus rank
     correlations of every index against the probabilities.
 

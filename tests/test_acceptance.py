@@ -140,7 +140,9 @@ def test_criterion_5_gradient_check():
         heads = gen.integers(0, n, m)
         ctxs = gen.integers(0, n, m)
         signs = gen.choice([-1, 1], m)
-        _, d_target, d_context = pair_loss_and_grads(target, context, heads, ctxs, signs)
+        _, (t_rows, t_grad), (c_rows, c_grad) = pair_loss_and_grads(target, context, heads, ctxs, signs)
+        d_target, d_context = np.zeros_like(target), np.zeros_like(context)
+        d_target[t_rows], d_context[c_rows] = t_grad, c_grad  # untouched rows: zero
         for mat, grad in ((target, d_target), (context, d_context)):
             for i in range(n):
                 for j in range(dims):

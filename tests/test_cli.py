@@ -19,7 +19,9 @@ from depwalk.cli import main
 from depwalk.config import PipelineConfig, load_config
 from depwalk.errors import ConfigError
 from depwalk.flows import CSV_COLUMNS
+from depwalk.graph import Neighbours, read_graph_jsonl
 from depwalk.seeds import derive_seed
+from depwalk.simindex import baseline_report
 
 SMALL_SCENARIO = {
     "master_seed": 11,
@@ -768,21 +770,71 @@ def test_in_place_damage_after_a_pipeline_is_still_a_named_error(tmp_path, capsy
     ("sample", "flows.csv", b",", b";", "flows-short-row"),
     ("oracle", "flows.csv", b",", b";", "oracle-flows-short-row"),
     ("walks", "graph.jsonl", b'"dst_ip', b"X", "graph-edge-field"),
+    ("embed", "walks.jsonl", b'"vertices', b"X", "walk-field"),
+    ("simindex", "graph.jsonl", b'"dst_ip', b"X", "graph-edge-field"),
 ])
 def test_in_place_damage_within_a_pipeline_run_is_a_named_error(tmp_path, capsys, monkeypatch,
                                                                   stage, name, find, new, case):
     # The file a reader would take from the stage that wrote it is damaged
-    # in place just before the reader runs: the reader must decode it, with
-    # every check, and the run must end with nothing handed on left over.
+    # in place, on the line the expected message names, just before the
+    # reader runs: the reader must decode it, with every check, and the run
+    # must end with nothing handed on left over.
+    problem = next(case_.values[3] for case_ in DAMAGED_INPUTS if case_.id == case)
     run = getattr(pipeline, f"stage_{stage}")
 
     def damaged_first(cfg):
-        overwrite_byte(pipeline.artifact(cfg, name), 2, find, new)
+        overwrite_byte(pipeline.artifact(cfg, name), int(problem.split(":")[1]), find, new)
         return run(cfg)
     monkeypatch.setattr(pipeline, f"stage_{stage}", damaged_first)
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
     assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 1
-    problem = next(case_.values[3] for case_ in DAMAGED_INPUTS if case_.id == case)
     assert f"depwalk: {stage} failed: {workdir / name}{problem}\n" in capsys.readouterr().err
     assert pipeline._handoff is None
+
+
+def test_a_walked_vertex_dropped_from_the_manifest_within_a_pipeline_run_names_the_walk(
+        tmp_path, capsys, monkeypatch):
+    # embed takes the walks from walks and checks them against the manifest
+    # of graph.jsonl, which here loses the first walk's first vertex after
+    # walks ran: the walks file is read back to name the walk
+    run = pipeline.stage_embed
+    dropped = []
+
+    def manifest_edited_first(cfg):
+        path = pipeline.artifact(cfg, "graph.jsonl")
+        manifest, *edges = path.read_text().splitlines(keepends=True)
+        vertices = json.loads(manifest)["vertices"]
+        dropped.append(json.loads(pipeline.artifact(cfg, "walks.jsonl").read_text().splitlines()[0])
+                       ["vertices"][0])
+        vertices[vertices.index(dropped[0])] = "10.0.99.99"
+        path.write_text(json.dumps({"vertices": sorted(vertices)}) + "\n" + "".join(edges))
+        return run(cfg)
+    monkeypatch.setattr(pipeline, "stage_embed", manifest_edited_first)
+    cfg_path = write_config(tmp_path)
+    workdir = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 1
+    assert (f"depwalk: embed failed: {workdir / 'walks.jsonl'}:1: unknown address: {dropped[0]}\n"
+            in capsys.readouterr().err)
+    assert pipeline._handoff is None
+
+
+def test_simindex_reports_the_same_on_the_handed_on_neighbour_sets_as_on_the_read_graph(
+        small_run, tmp_path, monkeypatch):
+    # sample hands simindex the neighbour sets alone, not the graph with its
+    # flows; the report must equal the one over the checked read of the file
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["sample"], workdir, fresh)
+    cfg = load_config(cfg_path, workdir=str(fresh))
+    monkeypatch.setattr(pipeline, "_handoff", {})
+    pipeline.stage_sample(cfg)
+    assert (fresh / "graph.jsonl").read_bytes() == (workdir / "graph.jsonl").read_bytes()
+    handed = pipeline._handoff["graph.jsonl"][1]["simindex"]
+    assert type(handed) is Neighbours
+    scored = pipeline._read_pairs(set(handed.vertices), workdir / "predictions.csv",
+                                  probability=float)
+    assert scored
+    graph = read_graph_jsonl(workdir / "graph.jsonl")
+    assert handed == graph.neighbours
+    assert baseline_report(handed, scored) == baseline_report(graph, scored)

@@ -45,10 +45,12 @@ def test_traced_pipeline_has_one_span_per_stage_and_restores_modules(traced_run)
     stages = traced_run.tracing.STAGES
     assert {s: counts[f"stage.{s}"] for s in stages} == {s: 1 for s in stages}
     # ingest parses its input; sample and oracle take the records ingest
-    # handed on, and walks the graph sample handed on; simindex reads the
-    # graph back (embed reads only the graph's manifest)
+    # handed on, walks the graph and simindex the neighbour sets sample
+    # handed on, and embed the walks walks handed on (embed reads only the
+    # graph's manifest): no stage reads the graph or the walks back
     assert counts["flows.parse_flows"] == 1
-    assert counts["graph.read_graph_jsonl"] == 1
+    assert counts["graph.read_graph_jsonl"] == 0
+    assert counts["walks.read_walks_jsonl"] == 0
     for module, attr, fn in traced_run.originals:
         assert getattr(importlib.import_module(module), attr) is fn, f"{module}.{attr}"
 
