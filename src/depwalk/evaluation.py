@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -134,20 +134,8 @@ class EvalSummary:
     chance_level: float
     metadata: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "n_splits": self.n_splits,
-            "fractions": {repr(frac): metrics for frac, metrics in sorted(self.fractions.items())},
-            "roc_auc": self.roc_auc,
-            "average_precision": self.average_precision,
-            "roc_points": [list(p) for p in self.roc_points],
-            "pr_points": [list(p) for p in self.pr_points],
-            "chance_level": self.chance_level,
-            "metadata": self.metadata,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 def _fit_and_score(X: np.ndarray, y: np.ndarray, forest_cfg: ForestConfig,

@@ -33,12 +33,10 @@ class Proto(str, Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "Proto":
-        text = token.strip().upper()
-        if text in ("TCP", "6"):
-            return cls.TCP
-        if text in ("UDP", "17"):
-            return cls.UDP
-        return cls.OTHER
+        return _PROTOS.get(token.strip().upper(), cls.OTHER)
+
+
+_PROTOS = {"TCP": Proto.TCP, "6": Proto.TCP, "UDP": Proto.UDP, "17": Proto.UDP}
 
 
 class SplitMode(str, Enum):
@@ -145,9 +143,6 @@ def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: d
     return FlowRecord(src_ip, dst_ip, sp, dp, Proto.from_token(str(proto)), ts, te)
 
 
-_PROTOS = {"TCP": Proto.TCP, "6": Proto.TCP, "UDP": Proto.UDP, "17": Proto.UDP}
-
-
 class _PortMemo(dict):
     """Port token -> ``int(token)``, so that all rows share one int object
     per token; a token ``int`` rejects raises and is not kept."""
@@ -205,8 +200,7 @@ def _json_flow(obj, canonical: dict[str, str]) -> FlowRecord | None:
         if isinstance(obj.get(name), (bool, float)):
             raise ValueError(f"invalid {name} {obj[name]!r}")
     try:
-        return _make_flow(obj["t_start"], obj["t_end"], obj["src_ip"], obj["dst_ip"],
-                          obj["src_port"], obj["dst_port"], obj["proto"], canonical)
+        return _make_flow(*[obj[name] for name in CSV_COLUMNS], canonical)
     except KeyError as exc:
         raise ValueError(f"missing field {exc}") from None
 
@@ -298,9 +292,7 @@ def read_flows_csv(path) -> tuple[list[FlowRecord], ParseReport]:
 
 
 def flow_to_dict(flow: FlowRecord) -> dict:
-    return {"src_ip": flow.src_ip, "dst_ip": flow.dst_ip,
-            "src_port": flow.src_port, "dst_port": flow.dst_port,
-            "proto": flow.proto.value, "t_start": flow.t_start, "t_end": flow.t_end}
+    return {**flow._asdict(), "proto": flow.proto.value}
 
 
 def flow_from_dict(obj: dict, canonical: dict[str, str]) -> FlowRecord:

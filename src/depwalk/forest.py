@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -324,18 +324,11 @@ def predict_proba(model: ForestModel, features) -> float:
 
 
 def save_forest(model: ForestModel, path) -> None:
-    obj = {
-        "format": "depwalk-forest",
-        "version": 1,
-        "n_features": model.n_features,
-        "trees": [
-            {"feature": list(t.feature), "threshold": list(t.threshold),
-             "left": list(t.left), "right": list(t.right), "leaf_p": list(t.leaf_p)}
-            for t in model.trees
-        ],
-    }
+    """One JSON object: the format tag and the model's fields, each tree
+    written as its own fields (``default=vars``)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True)
+        json.dump({"format": "depwalk-forest", "version": 1, **vars(model)}, fh,
+                  sort_keys=True, default=vars)
         fh.write("\n")
 
 
@@ -381,11 +374,8 @@ def load_forest(path) -> ForestModel:
                 raise ValueError(f"n_features {n_features!r} is not an integer")
             if n_features < 1:
                 raise ValueError(f"n_features {n_features} is below 1")
-            trees = tuple(
-                _TreeNodes(tuple(t["feature"]), tuple(t["threshold"]),
-                           tuple(t["left"]), tuple(t["right"]), tuple(t["leaf_p"]))
-                for t in obj["trees"]
-            )
+            names = [f.name for f in fields(_TreeNodes)]
+            trees = tuple(_TreeNodes(*[tuple(t[name]) for name in names]) for t in obj["trees"])
             if not trees:
                 raise ValueError("no trees")
             for t, tree in enumerate(trees):

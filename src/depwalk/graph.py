@@ -179,10 +179,10 @@ def reservoir_sample_edges(flows: Iterable[FlowRecord], selected: set[str], cfg:
 def write_graph_jsonl(graph: CommGraph, path) -> None:
     """One edge per line with all attributes; the first line is the vertex
     manifest."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"vertices": list(graph.vertices)}, sort_keys=True) + "\n")
-        for edge in graph.all_edges():
-            fh.write(json.dumps(flow_to_dict(edge), sort_keys=True) + "\n")
+        fh.write(encode({"vertices": list(graph.vertices)}) + "\n")
+        fh.writelines(encode(flow_to_dict(edge)) + "\n" for edge in graph.all_edges())
 
 
 def _read_manifest(fh, path, canonical: dict[str, str]) -> list[str]:

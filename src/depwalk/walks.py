@@ -48,6 +48,10 @@ log = logging.getLogger(__name__)
 # A negative walk of length L gets NEG_RETRY_FACTOR * L draws before giving up.
 NEG_RETRY_FACTOR = 100
 
+# vertex -> (w, the pair's instances, their start times) for each out-neighbour
+# w whose pair holds at least n_t sampled flows, in order: what each step reads
+_Qualified = dict[str, list[tuple[str, tuple[FlowRecord, ...], tuple[int, ...]]]]
+
 
 class Condition(str, Enum):
     LR_OPEN = "LR_OPEN"
@@ -117,27 +121,16 @@ def cond_rev_return(e_fwd: FlowRecord, e_rev: FlowRecord, epsilon: int) -> bool:
             and abs(e_fwd.t_end - e_rev.t_end) <= epsilon)
 
 
-class _WalkIndex:
-    """What the candidate scan reads at every step, built once per
-    :func:`generate_walks` call: for each vertex its out-neighbours whose
-    pair holds at least ``n_t`` sampled flows, in order, and for each such
-    pair its instances with their start times.  ``CommGraph`` keeps a pair's
-    instances sorted by ``FlowRecord.sort_key``, so the start times are
-    sorted and a condition's start-time window is found by bisection."""
-
-    def __init__(self, g: CommGraph, n_t: int):
-        self.qualified: dict[str, list[str]] = {}
-        self.pairs: dict[str, list[tuple[str, tuple[FlowRecord, ...], tuple[int, ...]]]] = {}
-        for v in g.vertices:
-            targets = [w for w in g.out_neighbors(v) if g.pair_flow_count(v, w) >= n_t]
-            self.qualified[v] = targets
-            self.pairs[v] = []
-            for w in targets:
-                insts = g.edge_instances(v, w)
-                self.pairs[v].append((w, insts, tuple(f.t_start for f in insts)))
+def _qualified_pairs(g: CommGraph, n_t: int) -> _Qualified:
+    """Built once per :func:`generate_walks` call; ``CommGraph`` keeps each pair's instances
+    sorted by ``FlowRecord.sort_key``, so a condition's start-time window is bisected."""
+    return {v: [(w, insts, tuple(f.t_start for f in insts))
+                for w in g.out_neighbors(v) if g.pair_flow_count(v, w) >= n_t
+                for insts in (g.edge_instances(v, w),)]
+            for v in g.vertices}
 
 
-def _condition_candidates(index: _WalkIndex, cfg: WalkConfig, prefix: list[str], e_prev: FlowRecord
+def _condition_candidates(index: _Qualified, cfg: WalkConfig, prefix: list[str], e_prev: FlowRecord
                           ) -> dict[str, tuple[set[Condition], list[FlowRecord]]]:
     """Map candidate vertex -> (satisfied conditions, satisfying instances),
     read from the ``index`` of the graph.
@@ -165,7 +158,7 @@ def _condition_candidates(index: _WalkIndex, cfg: WalkConfig, prefix: list[str],
     returns = {prefix[j] for j in range(len(prefix) - 2) if prefix[j + 1] == current}
     found: dict[str, tuple[set[Condition], list[FlowRecord]]] = {}
 
-    for w, insts, starts in index.pairs.get(current, ()):
+    for w, insts, starts in index.get(current, ()):
         n = len(starts)
         open_lo, open_hi = bisect_left(starts, t_start), bisect_right(starts, t_end)
         return_hi = bisect_right(starts, t_start) if w in returns else 0
@@ -189,7 +182,7 @@ def _condition_candidates(index: _WalkIndex, cfg: WalkConfig, prefix: list[str],
                 if not kept or kept[-1] != inst:  # equal records are adjacent
                     kept.append(inst)
 
-    for w, insts, starts in index.pairs.get(prev_src, ()):
+    for w, insts, starts in index.get(prev_src, ()):
         if w == current:
             continue
         # instances kept above for w came from another scan: compare with all
@@ -204,39 +197,40 @@ def _condition_candidates(index: _WalkIndex, cfg: WalkConfig, prefix: list[str],
     return found
 
 
+def _threshold_step(g: CommGraph, index: _Qualified, v: str, rng: random.Random
+                    ) -> tuple[str, FlowRecord, Condition]:
+    """A uniform qualified out-neighbour of ``v``, else any out-neighbour,
+    then a uniform instance of that pair, with the fallback marker of the
+    rule that chose it."""
+    qualified = index[v]
+    if qualified:
+        w, insts, _ = rng.choice(qualified)
+        return w, rng.choice(insts), Condition.FALLBACK_THRESHOLD
+    w = rng.choice(g.out_neighbors(v))
+    return w, rng.choice(g.edge_instances(v, w)), Condition.FALLBACK_ANY
+
+
 def _single_walk(g: CommGraph, cfg: WalkConfig, start: str, rng: random.Random,
-                 index: _WalkIndex) -> RandomWalk:
-    vertices = [start]
-    edges: list[FlowRecord] = []
+                 index: _Qualified) -> RandomWalk:
+    w, edge, _ = _threshold_step(g, index, start, rng)
+    vertices = [start, w]
+    edges = [edge]
     trace: list[frozenset[Condition]] = []
-
-    qualified = index.qualified[start]
-    nxt = rng.choice(qualified if qualified else g.out_neighbors(start))
-    edges.append(rng.choice(g.edge_instances(start, nxt)))
-    vertices.append(nxt)
-
     while len(vertices) < cfg.walk_length:
         current = vertices[-1]
-        outs = g.out_neighbors(current)
-        if not outs:
+        if not g.out_degree(current):
             break
         candidates = _condition_candidates(index, cfg, vertices, edges[-1])
         if candidates:
             w = rng.choice(sorted(candidates))
             conds, instances = candidates[w]
-            chosen = rng.choice(instances)
-            trace.append(frozenset(conds))
+            edge = rng.choice(instances)
         else:
-            qualified = index.qualified[current]
-            if qualified:
-                w = rng.choice(qualified)
-                trace.append(frozenset({Condition.FALLBACK_THRESHOLD}))
-            else:
-                w = rng.choice(outs)
-                trace.append(frozenset({Condition.FALLBACK_ANY}))
-            chosen = rng.choice(g.edge_instances(current, w))
+            w, edge, marker = _threshold_step(g, index, current, rng)
+            conds = {marker}
+        trace.append(frozenset(conds))
         vertices.append(w)
-        edges.append(chosen)
+        edges.append(edge)
     return RandomWalk(tuple(vertices), tuple(edges), WalkLabel.POSITIVE, tuple(trace))
 
 
@@ -247,7 +241,7 @@ def generate_walks(g: CommGraph, cfg: WalkConfig) -> list[RandomWalk]:
     Each start vertex derives its own RNG stream from (seed, vertex), so the
     output does not depend on vertex scheduling order.
     """
-    index = _WalkIndex(g, cfg.n_t)
+    index = _qualified_pairs(g, cfg.n_t)
     walks: list[RandomWalk] = []
     for v in g.vertices:
         if g.out_degree(v) == 0:

@@ -819,6 +819,32 @@ def test_a_walked_vertex_dropped_from_the_manifest_within_a_pipeline_run_names_t
     assert pipeline._handoff is None
 
 
+def test_every_hand_off_names_readers_of_its_file_and_all_are_taken(tmp_path, monkeypatch):
+    # each reader a stage hands a value to must read that file in the stage
+    # table, and by the end of simindex every value must have been taken:
+    # one left over would stay alive to the end of the run
+    handed, left = [], []
+    hand_off, run = pipeline._hand_off, pipeline.stage_simindex
+
+    def recorded(path, **readers):
+        handed.append((path.name, set(readers)))
+        hand_off(path, **readers)
+
+    def simindex_then_look(cfg):
+        out = run(cfg)
+        left.extend((name, reader) for name, (_, values) in pipeline._handoff.items()
+                    for reader in values)
+        return out
+    monkeypatch.setattr(pipeline, "_hand_off", recorded)
+    monkeypatch.setattr(pipeline, "stage_simindex", simindex_then_look)
+    cfg_path = write_config(tmp_path)
+    assert main(["-c", str(cfg_path), "-w", str(tmp_path / "out"), "pipeline", "--synth"]) == 0
+    assert [name for name, _ in handed] == ["flows.csv", "graph.jsonl", "walks.jsonl"]
+    for name, readers in handed:
+        assert readers <= {stage.name for stage in pipeline.STAGES if name in stage.inputs}, name
+    assert left == []
+
+
 def test_simindex_reports_the_same_on_the_handed_on_neighbour_sets_as_on_the_read_graph(
         small_run, tmp_path, monkeypatch):
     # sample hands simindex the neighbour sets alone, not the graph with its

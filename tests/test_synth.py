@@ -1,8 +1,10 @@
 import pytest
 
+from test_acceptance import E2E_CONFIG
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
-from depwalk.oracle import DepKind, DependencyRecord, OracleConfig, enumerate_all, enumerate_rr
+from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all, enumerate_rr,
+                            record_key)
 from depwalk.synth import ScenarioConfig, generate
 from depwalk.walks import cond_lr_open, cond_rev_return, cond_rr_open
 
@@ -46,6 +48,11 @@ def test_rr_not_found_when_epsilon_below_gap():
     assert rr == [DependencyRecord(DepKind.RR, "10.0.1.1", "10.0.3.1", 20)]
 
 
+def reaches_threshold(rec: DependencyRecord, cfg: OracleConfig) -> bool:
+    threshold = cfg.n_t_rr if rec.kind in (DepKind.RR, DepKind.RR3) else cfg.n_t_dd
+    return rec.witness_count >= threshold
+
+
 def test_planted_truth_subset_of_oracle_output():
     cfg = scenario(n_clients=4, n_web=2, n_db=1, n_dns=1, rr_dns_web=True,
                    session_rate=4.0, duration=12.0, noise_flows=25)
@@ -54,12 +61,23 @@ def test_planted_truth_subset_of_oracle_output():
     found = {(r.kind, r.src, r.dst, r.via): r.witness_count
              for r in enumerate_all(flows, oracle_cfg)}
     for rec in truth:
-        threshold = oracle_cfg.n_t_rr if rec.kind in (DepKind.RR, DepKind.RR3) else oracle_cfg.n_t_dd
-        if rec.witness_count < threshold:
+        if not reaches_threshold(rec, oracle_cfg):
             continue
         key = (rec.kind, rec.src, rec.dst, rec.via)
         assert key in found, key
         assert found[key] >= rec.witness_count
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_oracle_recovers_the_planted_truth_exactly(seed):
+    # on the acceptance scenario the oracle finds each planted record that
+    # reaches its threshold, with the session count as its witness count,
+    # and nothing else
+    flows, truth = generate(ScenarioConfig(**E2E_CONFIG["synth"], rng_seed=seed))
+    oracle_cfg = OracleConfig(**E2E_CONFIG["oracle"])
+    expected = [rec for rec in truth if reaches_threshold(rec, oracle_cfg)]
+    assert expected
+    assert sorted(enumerate_all(flows, oracle_cfg), key=record_key) == expected
 
 
 def test_planted_flows_satisfy_their_conditions():

@@ -254,7 +254,7 @@ def test_candidate_scan_equals_the_reference(problem):
     # dict equality compares each candidate's condition set and the order of
     # its instance list, which fixes the instance a walk draws
     g, cfg, prefix, e_prev = problem
-    index = walks_module._WalkIndex(g, cfg.n_t)
+    index = walks_module._qualified_pairs(g, cfg.n_t)
     assert walks_module._condition_candidates(index, cfg, prefix, e_prev) == \
         refimpl.candidate_map(g, cfg, prefix, e_prev)
 
@@ -267,7 +267,7 @@ def test_rescanned_pair_lists_each_instance_once():
     g = graph_from(twins, vertices=NAMES)
     e_prev = FlowRecord("A", "A", 1, 1, Proto.TCP, 0, 10)
     cfg = wcfg(epsilon=0)
-    found = walks_module._condition_candidates(walks_module._WalkIndex(g, cfg.n_t), cfg,
+    found = walks_module._condition_candidates(walks_module._qualified_pairs(g, cfg.n_t), cfg,
                                                ["B", "A"], e_prev)
     assert found == {"C": ({Condition.LR_OPEN, Condition.RR_OPEN}, twins)}
     assert found == refimpl.candidate_map(g, cfg, ["B", "A"], e_prev)
