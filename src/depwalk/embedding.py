@@ -162,11 +162,7 @@ def dependency_vectors(emb: EmbeddingMatrix, pairs: Iterable[Sequence[str]]) -> 
         ends = np.array([(index[row[0]], index[row[1]]) for row in pairs], dtype=np.intp).reshape(-1, 2)
     except KeyError as exc:
         raise UnknownAddressError(exc.args[0]) from None
-    features = emb.vectors[ends[:, 0]]
-    # one column at a time, so the second gather never holds a whole matrix
-    for column, values in enumerate(emb.vectors.T):
-        features[:, column] *= values[ends[:, 1]]
-    return features
+    return emb.vectors[ends[:, 0]] * emb.vectors[ends[:, 1]]
 
 
 def save_embedding(emb: EmbeddingMatrix, data_path, manifest_path) -> None:

@@ -13,6 +13,8 @@ import json
 import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -94,14 +96,10 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[bool]) -> EvalRepo
         ap_sum = Fraction(0)
         roc: list[tuple[float, float]] = [(0.0, 0.0)]
         pr: list[tuple[float, float]] = [(0.0, 1.0)]
-        i = 0
-        while i < n:
-            j = i
-            group_tp = group_fp = 0
-            while j < n and ranked[j][0] == ranked[i][0]:
-                group_tp += ranked[j][1]
-                group_fp += not ranked[j][1]
-                j += 1
+        for _, group in groupby(ranked, key=itemgetter(0)):
+            group_labels = [label for _, label in group]
+            group_tp = sum(group_labels)
+            group_fp = len(group_labels) - group_tp
             prev_tp = cum_tp
             cum_tp += group_tp
             cum_fp += group_fp
@@ -110,7 +108,6 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[bool]) -> EvalRepo
                 ap_sum += Fraction(group_tp, n_pos) * Fraction(cum_tp, cum_tp + cum_fp)
             roc.append((cum_fp / n_neg, cum_tp / n_pos))
             pr.append((cum_tp / n_pos, cum_tp / (cum_tp + cum_fp)))
-            i = j
         roc_auc = auc_twice / (2 * n_pos * n_neg)
         average_precision = float(ap_sum)
         roc_points = tuple(roc)

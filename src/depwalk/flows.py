@@ -211,8 +211,8 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
     The first line that is neither blank nor a CSV header sets the format:
     JSON lines when it starts with ``{``, CSV otherwise.  Invalid lines are
     collected in the report with their 1-based line number; valid records
-    keep the input order.  An optional CSV header line is skipped.  Each
-    distinct address token is validated once per call: a valid
+    keep the input order.  A leading BOM and an optional CSV header line are
+    skipped.  Each distinct address token is validated once per call: a valid
     one is memoised, an invalid one is reported on every line it appears on.
     CSV port tokens are memoised too, and range-checked on every line.
     With ``biflows`` every record is a bidirectional connection (split later
@@ -225,7 +225,7 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
     report = ParseReport(errors=[])
     jsonl = None
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+        line = raw.rstrip("\r\n") if lineno > 1 else raw.rstrip("\r\n").removeprefix("\ufeff")
         header = lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
         if header or not line.strip():
             continue

@@ -69,7 +69,7 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             raise ValueError(f"self pair in ground truth: {a}")
         positives.add((a, b))
     if not positives:
-        raise LabelBalanceError("ground truth contains no usable pairs")
+        raise LabelBalanceError("no ground-truth pair has both endpoints among the sampled vertices")
 
     n = len(verts)
     universe = n * (n - 1)

@@ -89,32 +89,23 @@ class CommGraph(Neighbours):
     """Directed multigraph over selected addresses; parallel edges carry the
     flow attributes of the sampled flows."""
 
-    def __init__(self, vertices: Iterable[str], pair_edges: dict[tuple[str, str], Iterable[FlowRecord]]):
+    def __init__(self, vertices: Iterable[str], flows: Iterable[FlowRecord]):
         vertices = tuple(sorted(set(vertices)))
         vset = set(vertices)
-        pairs: dict[tuple[str, str], tuple[FlowRecord, ...]] = {}
-        for (src, dst), instances in sorted(pair_edges.items()):
-            instances = tuple(sorted(instances, key=FlowRecord.sort_key))
-            if not instances:
-                continue
-            if src not in vset or dst not in vset:
-                raise ValueError(f"edge endpoint outside vertex set: {src}->{dst}")
-            pairs[(src, dst)] = instances
-        self._pairs = pairs
+        pair_edges: dict[tuple[str, str], list[FlowRecord]] = defaultdict(list)
+        for f in flows:
+            if f.src_ip not in vset or f.dst_ip not in vset:
+                raise ValueError(f"edge endpoint outside vertex set: {f.src_ip}->{f.dst_ip}")
+            pair_edges[(f.src_ip, f.dst_ip)].append(f)
+        self._pairs = {pair: tuple(sorted(pair_edges[pair], key=FlowRecord.sort_key))
+                       for pair in sorted(pair_edges)}
         out: dict[str, set[str]] = defaultdict(set)
         inn: dict[str, set[str]] = defaultdict(set)
-        for src, dst in pairs:
+        for src, dst in self._pairs:
             out[src].add(dst)
             inn[dst].add(src)
         super().__init__(vertices, {v: tuple(sorted(targets)) for v, targets in out.items()},
                          {v: tuple(sorted(sources)) for v, sources in inn.items()})
-
-    @classmethod
-    def from_flows(cls, vertices: Iterable[str], flows: Iterable[FlowRecord]) -> "CommGraph":
-        pair_edges: dict[tuple[str, str], list[FlowRecord]] = defaultdict(list)
-        for f in flows:
-            pair_edges[(f.src_ip, f.dst_ip)].append(f)
-        return cls(vertices, pair_edges)
 
     @property
     def neighbours(self) -> Neighbours:
@@ -173,7 +164,7 @@ def reservoir_sample_edges(flows: Iterable[FlowRecord], selected: set[str], cfg:
                 reservoir[slot] = f
     if seen == 0:
         log.warning("no flows with both endpoints among the %d selected addresses", len(selected))
-    return CommGraph.from_flows(sorted(selected), reservoir)
+    return CommGraph(sorted(selected), reservoir)
 
 
 def write_graph_jsonl(graph: CommGraph, path) -> None:
@@ -215,4 +206,4 @@ def read_graph_jsonl(path) -> CommGraph:
             return flow
 
         edges = _json_lines(fh, path, edge, start=2)
-    return CommGraph.from_flows(vertices, edges)
+    return CommGraph(vertices, edges)

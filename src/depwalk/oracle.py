@@ -17,9 +17,9 @@ All five kinds run on one ``FlowColumns`` view of the flows, int64 columns
 built once per call: DD is one sort of the 5-tuple keys with counts; RR and
 RR3 sort the flows by (4-tuple, start) and by (source, start) and find every
 reply, follow-up and second-hop window of all flows at once with
-``searchsorted``; TD and TD3 cut the per-pair spans out of one sort of the
-flows by (pair, start).  Window bounds saturate at the int64 edges instead of
-wrapping, so any ``epsilon`` up to ``2**63 - 1`` is exact.
+``searchsorted``; TD and TD3 cut the spans of the DD pairs out of one sort
+of their flows by (pair, start).  Window bounds saturate at the int64 edges
+instead of wrapping, so any ``epsilon`` up to ``2**63 - 1`` is exact.
 
 An outer flow contains an inner one when ``outer.start <= inner.start`` and
 ``inner.end <= outer.end``.  Every flow has ``start <= end``, so the inner
@@ -47,7 +47,6 @@ import numpy as np
 from .config import OracleConfig
 from .flows import FlowRecord, Proto
 
-_KIND_ORDER = {"DD": 0, "RR": 1, "RR3": 2, "TD": 3, "TD3": 4}
 _PROTO = {proto: code for code, proto in enumerate(Proto)}
 _INT64 = np.iinfo(np.int64)
 # raw RR/RR3 witness triples expanded at once before deduplication
@@ -60,6 +59,9 @@ class DepKind(str, Enum):
     RR3 = "RR3"
     TD = "TD"
     TD3 = "TD3"
+
+
+_KIND_ORDER = {kind: i for i, kind in enumerate(DepKind)}
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class DependencyRecord:
 
 
 def record_key(rec: DependencyRecord):
-    return (_KIND_ORDER[rec.kind.value], rec.src, rec.dst, rec.via)
+    return (_KIND_ORDER[rec.kind], rec.src, rec.dst, rec.via)
 
 
 class FlowColumns:
@@ -99,10 +101,6 @@ class FlowColumns:
 
     def __len__(self) -> int:
         return len(self.src)
-
-
-def _columns(flows) -> FlowColumns:
-    return flows if isinstance(flows, FlowColumns) else FlowColumns(flows)
 
 
 def _plus(t: np.ndarray, eps: int) -> np.ndarray:
@@ -192,24 +190,34 @@ def _distinct_majors(major: np.ndarray, minor: np.ndarray) -> np.ndarray:
     return major[_run_starts(major, minor)]
 
 
-def enumerate_dd(flows: Sequence[FlowRecord] | FlowColumns,
-                 cfg: OracleConfig) -> list[DependencyRecord]:
-    """Group flows by 5-tuple; every group reaching ``n_t_dd`` contributes its
-    size to the pair's record, so qualifying 5-tuples on the same pair
-    collapse into one DD with summed witnesses."""
-    cols = _columns(flows)
+def _records(kind: DepKind, names: list[str], pairs: np.ndarray, counts: np.ndarray,
+             n_t: int) -> list[DependencyRecord]:
+    """Sorted ``kind`` records of the packed ``pairs`` whose count reaches ``n_t``."""
+    keep = counts >= n_t
+    records = [DependencyRecord(kind, names[p // len(names)], names[p % len(names)], w)
+               for p, w in zip(pairs[keep].tolist(), counts[keep].tolist())]
+    return sorted(records, key=record_key)
+
+
+def _dd_pairs(cols: FlowColumns, n_t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The DD pairs, packed as ``src * n_addr + dst`` and sorted, with their
+    witnesses: every 5-tuple that repeats at least ``n_t`` times adds its
+    count to its pair."""
     n_addr = len(cols.addresses)
     pairs, pair_id = _dense(cols.src * n_addr + cols.dst)
     tuples, counts = np.unique((pair_id << 32 | cols.sport << 16 | cols.dport) * len(_PROTO)
                                + cols.proto, return_counts=True)
-    keep = counts >= cfg.n_t_dd
+    keep = counts >= n_t
     pair, counts = pairs[tuples[keep] // len(_PROTO) >> 32], counts[keep]
     runs = _run_starts(pair)
-    witnesses = np.add.reduceat(counts, runs).tolist() if len(runs) else []
-    names = cols.addresses
-    records = [DependencyRecord(DepKind.DD, names[p // n_addr], names[p % n_addr], w)
-               for p, w in zip(pair[runs].tolist(), witnesses)]
-    return sorted(records, key=record_key)
+    return pair[runs], np.add.reduceat(counts, runs) if len(runs) else counts
+
+
+def enumerate_dd(cols: FlowColumns, cfg: OracleConfig) -> list[DependencyRecord]:
+    """Group flows by 5-tuple; every group reaching ``n_t_dd`` contributes its
+    size to the pair's record, so qualifying 5-tuples on the same pair
+    collapse into one DD with summed witnesses."""
+    return _records(DepKind.DD, cols.addresses, *_dd_pairs(cols, cfg.n_t_dd), cfg.n_t_dd)
 
 
 def _answered_hops(cols: FlowColumns, eps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -229,7 +237,7 @@ def _answered_hops(cols: FlowColumns, eps: int) -> tuple[np.ndarray, np.ndarray]
     return init[keep], reply[keep]
 
 
-def enumerate_rr(flows: Sequence[FlowRecord] | FlowColumns,
+def enumerate_rr(cols: FlowColumns,
                  cfg: OracleConfig) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
     """RR and RR3 records.
 
@@ -244,8 +252,7 @@ def enumerate_rr(flows: Sequence[FlowRecord] | FlowColumns,
     a chunk of at most about ``_CHUNK`` raw triples at a time; a chunk holds
     every hop of its initiators, so a triple is never counted twice.
     """
-    cols, eps = _columns(flows), cfg.epsilon
-    n_addr = len(cols.addresses)
+    eps, n_addr = cfg.epsilon, len(cols.addresses)
     init, reply = _answered_hops(cols, eps)
     # hops by (subject, initiator start), one initiator's hops next to each other
     subject = cols.src[init]
@@ -281,15 +288,10 @@ def enumerate_rr(flows: Sequence[FlowRecord] | FlowColumns,
         rr3_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
         a = b
 
-    names = cols.addresses
-
     def records(kind, keys):
         pairs, counts = np.unique(np.concatenate(keys or [np.zeros(0, np.int64)]),
                                   return_counts=True)
-        keep = counts >= cfg.n_t_rr
-        records = [DependencyRecord(kind, names[p // n_addr], names[p % n_addr], w)
-                   for p, w in zip(pairs[keep].tolist(), counts[keep].tolist())]
-        return sorted(records, key=record_key)
+        return _records(kind, cols.addresses, pairs, counts, cfg.n_t_rr)
 
     return records(DepKind.RR, rr_keys), records(DepKind.RR3, rr3_keys)
 
@@ -306,24 +308,20 @@ def _containing(starts: np.ndarray, sufmin: np.ndarray, outer: np.ndarray) -> np
     return sufmin[np.searchsorted(starts, outer[0])] <= outer[1]
 
 
-def enumerate_td(flows: Sequence[FlowRecord] | FlowColumns, cfg: OracleConfig,
-                 dd_records: Sequence[DependencyRecord]) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
-    """TD and TD3 records over the pairs of ``dd_records``, the DD records of
-    ``flows``.
+def enumerate_td(cols: FlowColumns,
+                 cfg: OracleConfig) -> tuple[list[DependencyRecord], list[DependencyRecord]]:
+    """TD and TD3 records over the DD pairs of ``cols``, found by the kernel
+    of ``enumerate_dd``.
 
     A TD witness for DD(A,B) chained with DD(B,C) is an (A,B) flow that
     temporally contains some (B,C) flow; TD3 nests a third hop inside the
     second.  Witnesses count distinct initiating (A,B) flows.  Records are
     emitted per middle path.
     """
-    cols = _columns(flows)
     names = cols.addresses
     n_addr = len(names)
-    ids = {address: i for i, address in enumerate(names)}
-    dd_pairs = sorted(ids[r.src] * n_addr + ids[r.dst]
-                      for r in dd_records if r.src in ids and r.dst in ids)
     pair = cols.src * n_addr + cols.dst
-    rows = np.flatnonzero(_lookup(np.array(dd_pairs, np.int64), pair)[1])
+    rows = np.flatnonzero(_lookup(_dd_pairs(cols, cfg.n_t_dd)[0], pair)[1])
     rows = rows[np.lexsort((cols.t_start[rows], pair[rows]))]
     pair = pair[rows]
     # per pair: a (2, n) span of its flows' starts (sorted) and ends, and its index
@@ -364,9 +362,9 @@ def enumerate_td(flows: Sequence[FlowRecord] | FlowColumns, cfg: OracleConfig,
 
 def enumerate_all(flows: Sequence[FlowRecord] | FlowColumns,
                   cfg: OracleConfig) -> list[DependencyRecord]:
-    cols = _columns(flows)
+    cols = flows if isinstance(flows, FlowColumns) else FlowColumns(flows)
     dd = enumerate_dd(cols, cfg)
     rr, rr3 = enumerate_rr(cols, cfg)
-    td, td3 = enumerate_td(cols, cfg, dd_records=dd)
+    td, td3 = enumerate_td(cols, cfg)
     return dd + rr + rr3 + td + td3
 

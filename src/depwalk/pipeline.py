@@ -212,7 +212,7 @@ def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     rejects, is an error naming its line."""
     names = list(columns)
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[:len(names)] == names:
@@ -259,8 +259,6 @@ def stage_train(cfg: PipelineConfig) -> Path:
     known = set(emb.vertex_index)
     gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
                        if src in known and dst in known})
-    if not gt_pairs:
-        raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
     labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
     _write_rows(artifact(cfg, "labels.csv"), ("src", "dst", "label"),
                 ((src, dst, int(label)) for src, dst, label in labels))

@@ -28,17 +28,17 @@ def index_scores(g: Neighbours, x: str, y: str) -> tuple[float, float, float, fl
     weights each intermediate by the inverse of its out-degree; AA by the
     inverse natural log of its out-degree, skipping intermediates with a
     single successor (log 1 = 0).  RA and AA sum in sorted-intermediate
-    order; with no intermediate to sum they are the int 0, which
-    ``baseline.csv`` writes as ``0``.  Empty neighbourhoods yield 0.
+    order from ``0.0``, so all four are floats and ``baseline.csv`` writes
+    ``0.0`` where nothing is summed.  Empty neighbourhoods yield 0.0.
     """
     successors, predecessors = g.out_neighbors(x), g.in_neighbors(y)
     out = set(successors)
     # predecessors are sorted, so the common intermediates come out sorted
     degrees = [g.out_degree(v) for v in predecessors if v in out]
-    return (sum(1.0 / math.log(d) for d in degrees if d != 1),
+    return (sum((1.0 / math.log(d) for d in degrees if d != 1), 0.0),
             float(len(degrees)),
             float(len(successors) * len(predecessors)),
-            sum(1.0 / d for d in degrees))
+            sum((1.0 / d for d in degrees), 0.0))
 
 
 def _double_midranks(values: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ def flow(src, dst, t_start, t_end, sport=40000, dport=80, proto=Proto.TCP) -> Fl
 def graph_from(flows, vertices=None) -> CommGraph:
     if vertices is None:
         vertices = {f.src_ip for f in flows} | {f.dst_ip for f in flows}
-    return CommGraph.from_flows(vertices, flows)
+    return CommGraph(vertices, flows)
 
 
 def repeat_pair(src, dst, n, t_start, t_end, sport=40000, dport=80, spread=0):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -321,7 +322,7 @@ PINNED_SHA256 = {
     "model.json": "a1e9b97e3f119782f683555fdc298da56b2f2a98e803f7c463f61d4fd03e6fba",
     "predictions.csv": "d9fe817b9637934ec3d7f65668ec0114eff5e92d86ecca98d3a8743341e40983",
     "eval_report.json": "a519c1dca6c05ee9c9b493f2bfc45871b8213ab376a9e34671db8c8a8403c3b1",
-    "baseline.csv": "980024ac4c0cfc5f81e454f5f1e9fc908583093ea9d91664bd0b9f7336d9682a",
+    "baseline.csv": "9c732726a1aed705f088e8c9b53cd7d73ab39aa9c50bad7eb7eab59b2eb8050d",
     "baseline_summary.json": "d3f42ad06ec27f6003f608bbd46b5a785c4699b5629bd1c1b4d4ceb33753b9f6",
 }
 
@@ -475,17 +476,45 @@ def test_predict_short_pairs_row_is_an_error_naming_its_line(tmp_path, capsys):
     assert f"depwalk: predict failed: {pairs}:2: expected src,dst columns" in err
 
 
+def flows_as_jsonl(workdir: Path) -> str:
+    """The flows of ``workdir``'s flows.csv as JSON lines."""
+    integers = {"t_start", "t_end", "src_port", "dst_port"}
+    return "".join(json.dumps({k: int(v) if k in integers else v
+                               for k, v in zip(CSV_COLUMNS, line.split(","))}) + "\n"
+                   for line in (workdir / "flows.csv").read_text().splitlines())
+
+
 def test_jsonl_flows_ingest_like_their_csv(small_run, tmp_path):
     cfg_path, workdir = small_run
-    integers = {"t_start", "t_end", "src_port", "dst_port"}
     jsonl = tmp_path / "flows.jsonl"
-    with open(jsonl, "w") as fh:
-        for line in (workdir / "flows.csv").read_text().splitlines():
-            cells = zip(CSV_COLUMNS, line.split(","))
-            fh.write(json.dumps({k: int(v) if k in integers else v for k, v in cells}) + "\n")
+    jsonl.write_text(flows_as_jsonl(workdir))
     out = tmp_path / "out"
     assert main(["-c", str(cfg_path), "-w", str(out), "ingest", "--flows", str(jsonl)]) == 0
     assert (out / "flows.csv").read_bytes() == (workdir / "flows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("form", ["csv", "jsonl"])
+def test_flow_file_with_a_byte_order_mark_ingests_like_one_without(small_run, tmp_path, caplog, form):
+    cfg_path, workdir = small_run
+    text = (",".join(CSV_COLUMNS) + "\n" + (workdir / "flows.csv").read_text() if form == "csv"
+            else flows_as_jsonl(workdir))
+    flows = tmp_path / f"flows.{form}"
+    flows.write_text("\ufeff" + text, encoding="utf-8")
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        assert main(["-c", str(cfg_path), "-w", str(out), "ingest", "--flows", str(flows)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert (out / "flows.csv").read_bytes() == (workdir / "flows.csv").read_bytes()
+
+
+def test_pairs_file_with_a_byte_order_mark_scores_like_one_without(small_run, tmp_path):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("\ufeff" + (workdir / "labels.csv").read_text(), encoding="utf-8")
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 0
+    assert (fresh / "predictions.csv").read_bytes() == (workdir / "predictions.csv").read_bytes()
 
 
 def test_readme_library_use_runs(small_run, monkeypatch):
@@ -515,6 +544,19 @@ def test_predict_unknown_address_is_an_error_naming_its_line(small_run, tmp_path
     assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 1
     assert capsys.readouterr().err == (
         f"depwalk: predict failed: {pairs}:3: unknown address: 1.2.3.4\n")
+
+
+def test_train_without_a_usable_ground_truth_pair_exits_1_naming_the_cause(small_run, tmp_path,
+                                                                         capsys):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["train"], workdir, fresh)
+    (fresh / "ground_truth.csv").write_text("kind,src,dst,witness_count\n"
+                                            "DD,1.2.3.4,5.6.7.8,10\n")
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "train"]) == 1
+    assert capsys.readouterr().err == ("depwalk: train failed: no ground-truth pair has both "
+                                       "endpoints among the sampled vertices\n")
 
 
 def test_a_failed_stage_leaves_no_output_for_resume(small_run, tmp_path):

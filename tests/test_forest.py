@@ -290,6 +290,12 @@ def test_label_set_deterministic():
     assert one == two
 
 
+def test_label_set_without_a_usable_pair_is_an_error():
+    with pytest.raises(LabelBalanceError, match="^no ground-truth pair has both endpoints among "
+                                                "the sampled vertices$"):
+        build_label_set([], VERTS, rng_seed=0)
+
+
 def test_label_set_rejects_foreign_vertices():
     with pytest.raises(UnknownAddressError):
         build_label_set([("nope", VERTS[0])], VERTS, rng_seed=0)

@@ -185,14 +185,14 @@ def test_graph_neighbors_and_edges():
 
 
 def test_graph_rejects_foreign_endpoints():
-    with pytest.raises(ValueError):
-        CommGraph.from_flows(["10.0.0.1"], [flow("10.0.0.1", "10.0.0.2", 0, 1)])
+    with pytest.raises(ValueError, match="edge endpoint outside vertex set: 10.0.0.1->10.0.0.2"):
+        CommGraph(["10.0.0.1"], [flow("10.0.0.1", "10.0.0.2", 0, 1)])
 
 
 def test_graph_jsonl_round_trip(tmp_path):
     flows = (repeat_pair("10.0.0.1", "10.0.0.2", 3, 0, 9, spread=3)
              + [flow("10.0.0.2", "10.0.0.1", 5, 6, sport=443, dport=50000, proto=Proto.UDP)])
-    g = CommGraph.from_flows(["10.0.0.1", "10.0.0.2", "10.0.0.9"], flows)
+    g = CommGraph(["10.0.0.1", "10.0.0.2", "10.0.0.9"], flows)
     path = tmp_path / "graph.jsonl"
     write_graph_jsonl(g, path)
     assert read_graph_jsonl(path) == g
@@ -202,7 +202,7 @@ def test_graph_jsonl_round_trip(tmp_path):
 def graphs(draw) -> CommGraph:
     """A graph of up to 8 vertices, some isolated, and up to 30 edges."""
     vertices = draw(st.lists(ADDRESSES, min_size=2, max_size=8, unique=True))
-    return CommGraph.from_flows(
+    return CommGraph(
         vertices, draw(st.lists(written_flows(st.sampled_from(vertices)), max_size=30)))
 
 
@@ -217,8 +217,7 @@ def test_read_graph_jsonl_returns_the_graph_write_graph_jsonl_wrote(g):
 
 
 def test_vertex_manifest_is_read_without_the_edges(tmp_path):
-    g = CommGraph.from_flows(["10.0.0.1", "10.0.0.2", "10.0.0.9"],
-                             [flow("10.0.0.1", "10.0.0.2", 0, 1)])
+    g = CommGraph(["10.0.0.1", "10.0.0.2", "10.0.0.9"], [flow("10.0.0.1", "10.0.0.2", 0, 1)])
     path = tmp_path / "graph.jsonl"
     write_graph_jsonl(g, path)
     with open(path, "a", encoding="utf-8") as fh:

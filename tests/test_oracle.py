@@ -10,7 +10,7 @@ from conftest import STAMPS, flow, repeat_pair
 from depwalk.config import ScenarioConfig
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
-from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all,
+from depwalk.oracle import (DepKind, DependencyRecord, FlowColumns, OracleConfig, enumerate_all,
                             enumerate_dd, enumerate_rr, enumerate_td)
 from depwalk.pipeline import _read_rows, _write_dependencies
 from depwalk.seeds import derive_seed
@@ -32,21 +32,21 @@ def test_config_validation():
 
 def test_dd_threshold_boundary():
     flows = repeat_pair("A", "B", 10, 0, 1, spread=10)
-    records = enumerate_dd(flows, ocfg())
+    records = enumerate_dd(FlowColumns(flows), ocfg())
     assert records == [DependencyRecord(DepKind.DD, "A", "B", 10)]
-    assert enumerate_dd(flows[:9], ocfg()) == []
+    assert enumerate_dd(FlowColumns(flows[:9]), ocfg()) == []
 
 
 def test_dd_requires_identical_parameters():
     flows = [flow("A", "B", i * 10, i * 10 + 1, sport=40000 + i) for i in range(10)]
-    assert enumerate_dd(flows, ocfg()) == []
+    assert enumerate_dd(FlowColumns(flows), ocfg()) == []
 
 
 def test_dd_collapses_qualifying_tuples():
     flows = (repeat_pair("A", "B", 10, 0, 1, sport=1111, spread=5)
              + repeat_pair("A", "B", 12, 0, 1, sport=2222, spread=5)
              + repeat_pair("A", "B", 4, 0, 1, sport=3333, spread=5))  # below threshold
-    records = enumerate_dd(flows, ocfg())
+    records = enumerate_dd(FlowColumns(flows), ocfg())
     assert records == [DependencyRecord(DepKind.DD, "A", "B", 22)]
 
 
@@ -65,7 +65,7 @@ def test_rr_detected_on_repeated_sessions():
     flows = []
     for i in range(10):
         flows += rr_session("U", "DNS", "WEB", i * 10_000)
-    rr, rr3 = enumerate_rr(flows, ocfg(epsilon=500))
+    rr, rr3 = enumerate_rr(FlowColumns(flows), ocfg(epsilon=500))
     assert rr == [DependencyRecord(DepKind.RR, "WEB", "DNS", 10)]
     assert rr3 == []
 
@@ -74,7 +74,7 @@ def test_rr_gap_beyond_epsilon_is_ignored():
     flows = []
     for i in range(10):
         flows += rr_session("U", "DNS", "WEB", i * 10_000, eps_gap=800)
-    rr, _ = enumerate_rr(flows, ocfg(epsilon=500))
+    rr, _ = enumerate_rr(FlowColumns(flows), ocfg(epsilon=500))
     assert rr == []
 
 
@@ -90,7 +90,7 @@ def test_rr3_three_server_chain():
             flow("U", "S3", t0 + 200, t0 + 260, sport=50002, dport=443),
         ]
     cfg = ocfg(epsilon=500)
-    rr, rr3 = enumerate_rr(flows, cfg)
+    rr, rr3 = enumerate_rr(FlowColumns(flows), cfg)
     assert DependencyRecord(DepKind.RR3, "S3", "S1", 10) in rr3
     # cross-checked against the exhaustive reference
     assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
@@ -118,7 +118,7 @@ def test_td_detected_via_containment():
 
 def test_td_needs_containment():
     flows = lr_fixture(contained=False)
-    td, td3 = enumerate_td(flows, ocfg(), enumerate_dd(flows, ocfg()))
+    td, td3 = enumerate_td(FlowColumns(flows), ocfg())
     assert td == [] and td3 == []
 
 
@@ -128,7 +128,7 @@ def test_distinct_middles_yield_distinct_records():
         t0 = i * 1000
         flows += [flow("USER", "WEB2", t0, t0 + 10, sport=51001, dport=443),
                   flow("WEB2", "DB", t0 + 2, t0 + 8, sport=52001, dport=5432)]
-    td, _ = enumerate_td(flows, ocfg(), enumerate_dd(flows, ocfg()))
+    td, _ = enumerate_td(FlowColumns(flows), ocfg())
     td_user_db = [r for r in td if (r.src, r.dst) == ("USER", "DB")]
     assert len(td_user_db) == 2
     assert {r.via for r in td_user_db} == {("WEB",), ("WEB2",)}
@@ -142,7 +142,7 @@ def test_td3_nested_containment():
                   flow("B", "C", t0 + 5, t0 + 25, sport=3, dport=4),
                   flow("C", "D", t0 + 10, t0 + 20, sport=5, dport=6)]
     cfg = ocfg()
-    _, td3 = enumerate_td(flows, cfg, enumerate_dd(flows, cfg))
+    _, td3 = enumerate_td(FlowColumns(flows), cfg)
     assert td3 == [DependencyRecord(DepKind.TD3, "A", "D", 10, via=("B", "C"))]
     assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
         refimpl.reference_dependencies(flows, cfg)

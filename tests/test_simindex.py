@@ -49,6 +49,13 @@ def test_empty_neighborhoods_scored_zero():
     assert index_scores(g, "y", "a") == (0.0, 0.0, 0.0, 0.0)
 
 
+def test_scores_are_floats_where_nothing_is_summed():
+    # (a, z): no common intermediate; (a, y): the only one, v, has out-degree 1
+    g = graph_from([flow("a", "v", 0, 1), flow("v", "y", 0, 1), flow("a", "z", 0, 1)])
+    for pair in (("a", "z"), ("a", "y")):
+        assert [type(s) for s in index_scores(g, *pair)] == [float] * 4, pair
+
+
 def test_index_bounds_on_random_graphs(rng):
     addrs = [f"10.0.0.{i}" for i in range(1, 9)]
     flows = [flow(*rng.sample(addrs, 2), 0, 1) for _ in range(60)]

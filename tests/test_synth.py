@@ -3,8 +3,8 @@ import pytest
 from test_acceptance import E2E_CONFIG
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
-from depwalk.oracle import (DepKind, DependencyRecord, OracleConfig, enumerate_all, enumerate_rr,
-                            record_key)
+from depwalk.oracle import (DepKind, DependencyRecord, FlowColumns, OracleConfig, enumerate_all,
+                            enumerate_rr, record_key)
 from depwalk.synth import ScenarioConfig, generate
 from depwalk.walks import cond_lr_open, cond_rev_return, cond_rr_open
 
@@ -42,9 +42,9 @@ def test_all_plants_off_zero_noise_is_empty():
 
 def test_rr_not_found_when_epsilon_below_gap():
     flows, _ = generate(scenario(lr_web_db=False, rr_dns_web=True, duration=20.0))
-    rr, _ = enumerate_rr(flows, OracleConfig(n_t_dd=10, n_t_rr=10, epsilon=0))
+    rr, _ = enumerate_rr(FlowColumns(flows), OracleConfig(n_t_dd=10, n_t_rr=10, epsilon=0))
     assert rr == []
-    rr, _ = enumerate_rr(flows, OracleConfig(n_t_dd=10, n_t_rr=10, epsilon=1000))
+    rr, _ = enumerate_rr(FlowColumns(flows), OracleConfig(n_t_dd=10, n_t_rr=10, epsilon=1000))
     assert rr == [DependencyRecord(DepKind.RR, "10.0.1.1", "10.0.3.1", 20)]
 
 
