@@ -31,8 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p_stage.add_argument(flag, **options)
 
     p_pipe = sub.add_parser("pipeline", help="run all stages in order")
-    p_pipe.add_argument("--flows", default=None, help="input flow file")
-    p_pipe.add_argument("--synth", action="store_true",
+    source = p_pipe.add_mutually_exclusive_group(required=True)
+    source.add_argument("--flows", default=None, help="input flow file")
+    source.add_argument("--synth", action="store_true",
                         help="generate the synthetic scenario as pipeline input")
     p_pipe.add_argument("--resume", action="store_true",
                         help="skip stages whose outputs all exist already")
@@ -53,8 +54,7 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "pipeline":
-            pipeline.run_pipeline(cfg, flows_input=args.flows, use_synth=args.synth,
-                                  resume=args.resume)
+            pipeline.run_pipeline(cfg, flows_input=args.flows, resume=args.resume)
         else:
             pipeline.run_stage(cfg, pipeline.STAGE[args.command], args)
     except FileNotFoundError as exc:

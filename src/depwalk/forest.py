@@ -54,8 +54,8 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
     sorted, then as many uniformly drawn distinct non-dependency pairs
     labelled false, sorted.
 
-    Pairs are ordered: (a, b) says that a depends on b.  Raises when the
-    vertex universe cannot supply enough negatives.
+    Pairs are ordered: (a, b) says that a depends on b, another address.
+    Raises when the vertex universe cannot supply enough negatives.
     """
     verts = sorted(set(vertices))
     vset = set(verts)
@@ -65,8 +65,6 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             raise UnknownAddressError(a)
         if b not in vset:
             raise UnknownAddressError(b)
-        if a == b:
-            raise ValueError(f"self pair in ground truth: {a}")
         positives.add((a, b))
     if not positives:
         raise LabelBalanceError("no ground-truth pair has both endpoints among the sampled vertices")

@@ -26,21 +26,21 @@ An outer flow contains an inner one when ``outer.start <= inner.start`` and
 start needs no upper bound: a binary search over the start-sorted inner flows
 into the suffix minimum of their end times decides containment.
 
-Witness counts are deduplicated by the initiating flow, so one initiating
-flow contributes at most one witness to a given record.  Chains never revisit
-an address, and distinct middle paths yield distinct TD/TD3 records.  The
-module returns records and writes no file: ``pipeline`` writes them to
-``ground_truth.csv``.
+A record is one (kind, src, dst) with its witness count, and it exists when
+that count reaches the kind's threshold.  RR, RR3, TD and TD3 witnesses are
+the distinct initiating flows of chains to the pair, through any middle
+hosts, so one initiating flow contributes at most one witness to a record.
+Chains never revisit an address.  The module returns records and writes no
+file: ``pipeline`` writes them to ``ground_truth.csv``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,23 +61,14 @@ class DepKind(str, Enum):
     TD3 = "TD3"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(DepKind)}
-
-
-@dataclass(frozen=True)
-class DependencyRecord:
-    """``src`` is the dependent address, ``dst`` the depended-on one; ``via``
-    lists the middle addresses for transitive records."""
+class DependencyRecord(NamedTuple):
+    """``src`` is the dependent address, ``dst`` the depended-on one.  Records
+    sort by kind in declaration order (the kind values sort so), then pair."""
 
     kind: DepKind
     src: str
     dst: str
     witness_count: int
-    via: tuple[str, ...] = ()
-
-
-def record_key(rec: DependencyRecord):
-    return (_KIND_ORDER[rec.kind], rec.src, rec.dst, rec.via)
 
 
 class FlowColumns:
@@ -196,7 +187,7 @@ def _records(kind: DepKind, names: list[str], pairs: np.ndarray, counts: np.ndar
     keep = counts >= n_t
     records = [DependencyRecord(kind, names[p // len(names)], names[p % len(names)], w)
                for p, w in zip(pairs[keep].tolist(), counts[keep].tolist())]
-    return sorted(records, key=record_key)
+    return sorted(records)
 
 
 def _dd_pairs(cols: FlowColumns, n_t: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,10 +304,11 @@ def enumerate_td(cols: FlowColumns,
     """TD and TD3 records over the DD pairs of ``cols``, found by the kernel
     of ``enumerate_dd``.
 
-    A TD witness for DD(A,B) chained with DD(B,C) is an (A,B) flow that
-    temporally contains some (B,C) flow; TD3 nests a third hop inside the
-    second.  Witnesses count distinct initiating (A,B) flows.  Records are
-    emitted per middle path.
+    A TD witness for (A,C) is an (A,B) flow that temporally contains some
+    (B,C) flow, through any middle B; TD3 nests a third hop inside the
+    second, through any middles B and C.  Witnesses are distinct (A,B) flows
+    per pair: those of different middles B add up, and one B's chains
+    through several second middles C are joined per flow before counting.
     """
     names = cols.addresses
     n_addr = len(names)
@@ -337,27 +329,44 @@ def enumerate_td(cols: FlowColumns,
         heads[b].append(a)
         successors[a].append(b)
 
-    td, td3 = [], []
+    td, td3 = Counter(), Counter()  # witnesses per packed (head, tail) pair
     for b, into_b in heads.items():
-        # all (A,B) flows into b in one array, witnesses summed per head A
+        # all (A,B) flows into b in one array, head A's flows at own[A]
         outer = np.concatenate([spans[(a, b)] for a in into_b], axis=1)
-        first = np.cumsum([0] + [spans[(a, b)].shape[1] for a in into_b[:-1]])
+        bounds = np.cumsum([0] + [spans[(a, b)].shape[1] for a in into_b]).tolist()
+        own = dict(zip(into_b, map(slice, bounds, bounds[1:])))
+
+        def count(witnesses, tail, mask):
+            """Add the flows of ``mask`` per head to its pair with ``tail``, less
+            the tail's own flows (chains never revisit an address); ``mask``
+            is left without them."""
+            if tail in own:
+                mask[own[tail]] = False
+            per_head = np.add.reduceat(mask, bounds[:-1], dtype=np.int64)
+            for i in np.flatnonzero(per_head).tolist():
+                witnesses[into_b[i] * n_addr + tail] += int(per_head[i])
+            return mask
+
+        chained = {}  # tail -> the (A,B) flows that start a TD3 chain to it
         for c in successors[b]:
-            if {c}.issuperset(into_b):  # chains never revisit an address
+            if {c}.issuperset(into_b):  # c is the only head: no chain to count
                 continue
-            counts = np.add.reduceat(_containing(*index[(b, c)], outer), first, dtype=np.int64)
-            td += [DependencyRecord(DepKind.TD, names[a], names[c], int(n), via=(names[b],))
-                   for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a != c]
+            hit = count(td, c, _containing(*index[(b, c)], outer))
             for tail in successors[c]:
                 if tail in (b, c) or {c, tail}.issuperset(into_b):
                     continue
                 # the (B,C) flows that contain a (C,D) flow; the others never end
                 marked = _index(spans[(b, c)], keep=_containing(*index[(c, tail)], spans[(b, c)]))
-                counts = np.add.reduceat(_containing(*marked, outer), first, dtype=np.int64)
-                td3 += [DependencyRecord(DepKind.TD3, names[a], names[tail], int(n),
-                                         via=(names[b], names[c]))
-                        for a, n in zip(into_b, counts) if n >= cfg.n_t_dd and a not in (c, tail)]
-    return sorted(td, key=record_key), sorted(td3, key=record_key)
+                # a flow around a marked flow is in hit, unless its head is c
+                chained[tail] = chained.get(tail, False) | (_containing(*marked, outer) & hit)
+        for tail, mask in chained.items():
+            count(td3, tail, mask)
+
+    def records(kind, witnesses):
+        pairs, counts = np.array(list(witnesses.items()), np.int64).reshape(-1, 2).T
+        return _records(kind, names, pairs, counts, cfg.n_t_dd)
+
+    return records(DepKind.TD, td), records(DepKind.TD3, td3)
 
 
 def enumerate_all(flows: Sequence[FlowRecord] | FlowColumns,

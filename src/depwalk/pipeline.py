@@ -236,10 +236,8 @@ def _write_rows(path, columns: tuple[str, ...], rows) -> None:
 
 
 def _write_dependencies(path, records) -> None:
-    """Dependency records as ``ground_truth.csv`` holds them; middle paths
-    are not written, so rows may repeat an endpoint pair."""
-    _write_rows(path, ("kind", "src", "dst", "witness_count"),
-                ((rec.kind.value, rec.src, rec.dst, rec.witness_count) for rec in records))
+    """Dependency records as ``ground_truth.csv`` holds them, a row of its fields each."""
+    _write_rows(path, oracle.DependencyRecord._fields, records)
 
 
 def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tuple]:
@@ -254,8 +252,11 @@ def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tupl
 
 def stage_train(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    records = _read_rows(artifact(cfg, "ground_truth.csv"),
-                         kind=oracle.DepKind, src=str, dst=str, witness_count=int)
+    path = artifact(cfg, "ground_truth.csv")
+    records = _read_rows(path, kind=oracle.DepKind, src=str, dst=str, witness_count=int)
+    for _, src, dst, _ in records:
+        if src == dst:
+            raise ValueError(f"{path}: self pair in ground truth: {src}")
     known = set(emb.vertex_index)
     gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
                        if src in known and dst in known})
@@ -408,20 +409,17 @@ def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
         raise
 
 
-def run_pipeline(cfg: PipelineConfig, flows_input=None, use_synth: bool = False,
-                 resume: bool = False) -> None:
-    """Run the stages in table order, ``synth`` only with ``use_synth``; with
-    ``resume`` a stage whose outputs all exist is skipped."""
-    if use_synth:
-        flows_input = artifact(cfg, "synth_flows.csv")
-    elif flows_input is None:
-        raise DepwalkError("pipeline needs an input flow file (or synthetic generation)")
-    args = SimpleNamespace(flows=flows_input, pairs=None)
+def run_pipeline(cfg: PipelineConfig, flows_input=None, resume: bool = False) -> None:
+    """Run the stages in table order on the flow file ``flows_input``, or,
+    when it is None, from ``synth`` on; with ``resume`` a stage whose outputs
+    all exist is skipped."""
+    synth_flows = artifact(cfg, "synth_flows.csv")
+    args = SimpleNamespace(flows=synth_flows if flows_input is None else flows_input, pairs=None)
     global _handoff
     _handoff = {}
     try:
         for stage in STAGES:
-            if stage.name == "synth" and not use_synth:
+            if stage.name == "synth" and flows_input is not None:
                 continue
             if resume and all(artifact(cfg, name).exists() for name in stage.outputs):
                 log.info("%s: outputs exist, skipped", stage.name)

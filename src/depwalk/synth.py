@@ -17,7 +17,7 @@ from collections import Counter
 
 from .config import ScenarioConfig
 from .flows import FlowRecord, Proto
-from .oracle import DepKind, DependencyRecord, record_key
+from .oracle import DepKind, DependencyRecord
 
 _CLIENT_WEB_SPORT = 51000
 _WEB_DB_SPORT = 52000
@@ -45,9 +45,7 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
     max_gap = max(1, cfg.epsilon_ms // 2 - 4)
 
     flows: list[FlowRecord] = []
-    web_sessions: Counter = Counter()   # (client, web)
-    lr_sessions: Counter = Counter()    # (client, web, db)
-    rr_sessions: Counter = Counter()    # (client, dns, web)
+    planted: Counter = Counter()  # (kind, src, dst) -> sessions that plant it
 
     if cfg.lr_web_db or cfg.rr_dns_web:
         for s in range(total_sessions):
@@ -68,7 +66,8 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
                                    t0 + reply_delay, t0 + lookup_ms + reply_skew)
                 flows += [request, reply]
                 t_web = reply.t_end + rng.randrange(1, max_gap + 1)
-                rr_sessions[(client, dns, web)] += 1
+                planted.update([(DepKind.DD, client, dns), (DepKind.DD, dns, client),
+                                (DepKind.RR, web, dns)])
             service_ms = rng.randrange(lat_lo, lat_hi + 1)
             if cfg.lr_web_db:
                 db = dbs[wi % cfg.n_db]
@@ -78,11 +77,11 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
                                         t_web, t_web + lead + service_ms + tail))
                 flows.append(FlowRecord(web, db, _WEB_DB_SPORT, 5432, Proto.TCP,
                                         t_web + lead, t_web + lead + service_ms))
-                lr_sessions[(client, web, db)] += 1
+                planted.update([(DepKind.DD, web, db), (DepKind.TD, client, db)])
             else:
                 flows.append(FlowRecord(client, web, _CLIENT_WEB_SPORT, 443, Proto.TCP,
                                         t_web, t_web + service_ms))
-            web_sessions[(client, web)] += 1
+            planted[(DepKind.DD, client, web)] += 1
 
     for _ in range(cfg.noise_flows):
         src = f"172.16.{rng.randrange(0, 256)}.{rng.randrange(1, 255)}"
@@ -94,31 +93,4 @@ def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyReco
                                 rng.choice([Proto.TCP, Proto.UDP]),
                                 t_start, t_start + rng.randrange(1, 5001)))
 
-    return flows, _planted_truth(web_sessions, lr_sessions, rr_sessions)
-
-
-def _planted_truth(web_sessions: Counter, lr_sessions: Counter,
-                   rr_sessions: Counter) -> list[DependencyRecord]:
-    direct: Counter = Counter()
-    for (client, web), k in web_sessions.items():
-        direct[(client, web)] += k
-    for (client, web, db), k in lr_sessions.items():
-        direct[(web, db)] += k
-    for (client, dns, _web), k in rr_sessions.items():
-        direct[(client, dns)] += k
-        direct[(dns, client)] += k
-    records = [DependencyRecord(DepKind.DD, src, dst, k)
-               for (src, dst), k in direct.items()]
-
-    chained: Counter = Counter()
-    for (client, dns, web), k in rr_sessions.items():
-        chained[(web, dns)] += k
-    records += [DependencyRecord(DepKind.RR, web, dns, k)
-                for (web, dns), k in chained.items()]
-
-    transitive: Counter = Counter()
-    for (client, web, db), k in lr_sessions.items():
-        transitive[(client, db, web)] += k
-    records += [DependencyRecord(DepKind.TD, client, db, k, via=(web,))
-                for (client, db, web), k in transitive.items()]
-    return sorted(records, key=record_key)
+    return flows, sorted(DependencyRecord(*key, k) for key, k in planted.items())

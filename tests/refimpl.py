@@ -167,7 +167,7 @@ def check_positive_walk(g, walk, cfg) -> list[str]:
 
 def reference_dependencies(flows, cfg) -> list[tuple]:
     """Exhaustive enumeration by definition; returns sorted
-    (kind, src, dst, via, witness_count) tuples."""
+    (kind, src, dst, witness_count) tuples, one per kind and pair."""
     flows = list(flows)
     eps = cfg.epsilon
     records = []
@@ -181,7 +181,7 @@ def reference_dependencies(flows, cfg) -> list[tuple]:
             pair = (key[0], key[1])
             pair_w[pair] = pair_w.get(pair, 0) + len(members)
     for (src, dst), count in pair_w.items():
-        records.append(("DD", src, dst, (), count))
+        records.append(("DD", src, dst, count))
 
     # answered request/reply pairs
     reply_pairs = []
@@ -193,15 +193,15 @@ def reference_dependencies(flows, cfg) -> list[tuple]:
                     and abs(f1.t_end - f2.t_end) <= eps):
                 reply_pairs.append((i, j))
 
-    rr = {}
-    rr3 = {}
+    # (kind, src, dst) -> indices of the initiating flows of its chains
+    witnesses = {}
     for i1, j1 in reply_pairs:
         f1, f2 = flows[i1], flows[j1]
         subject, server1 = f1.src_ip, f1.dst_ip
         for f3 in flows:
             if (f3.src_ip == subject and f3.dst_ip not in (subject, server1)
                     and 0 <= f3.t_start - f2.t_end <= eps):
-                rr.setdefault((f3.dst_ip, server1), set()).add(i1)
+                witnesses.setdefault(("RR", f3.dst_ip, server1), set()).add(i1)
         for i2, j2 in reply_pairs:
             f3, f4 = flows[i2], flows[j2]
             if f3.src_ip != subject:
@@ -214,59 +214,40 @@ def reference_dependencies(flows, cfg) -> list[tuple]:
             for f5 in flows:
                 if (f5.src_ip == subject and f5.dst_ip not in (subject, server1, server2)
                         and 0 <= f5.t_start - f4.t_end <= eps):
-                    rr3.setdefault((f5.dst_ip, server1), set()).add(i1)
-    for (s2, s1), wits in rr.items():
-        if len(wits) >= cfg.n_t_rr:
-            records.append(("RR", s2, s1, (), len(wits)))
-    for (s3, s1), wits in rr3.items():
-        if len(wits) >= cfg.n_t_rr:
-            records.append(("RR3", s3, s1, (), len(wits)))
+                    witnesses.setdefault(("RR3", f5.dst_ip, server1), set()).add(i1)
+
+    def contains(outer, inner):
+        return outer.t_start <= inner.t_start and inner.t_end <= outer.t_end
+
+    def chains(i, path):
+        """Whether flow ``i`` starts a chain of nested flows along ``path``."""
+        if len(path) == 1:
+            return True
+        return any((inner.src_ip, inner.dst_ip) == path[:2] and contains(flows[i], inner)
+                   and chains(j, path[1:]) for j, inner in enumerate(flows))
 
     dd_pairs = set(pair_w)
     for a, b in dd_pairs:
         for b2, c in dd_pairs:
             if b2 != b or c == a:
                 continue
-            witnesses = set()
             for i, fo in enumerate(flows):
-                if (fo.src_ip, fo.dst_ip) != (a, b):
-                    continue
-                for fi in flows:
-                    if ((fi.src_ip, fi.dst_ip) == (b, c)
-                            and fo.t_start <= fi.t_start and fi.t_end <= fo.t_end):
-                        witnesses.add(i)
-                        break
-            if len(witnesses) >= cfg.n_t_dd:
-                records.append(("TD", a, c, (b,), len(witnesses)))
+                if (fo.src_ip, fo.dst_ip) == (a, b) and chains(i, (b, c)):
+                    witnesses.setdefault(("TD", a, c), set()).add(i)
             for c2, d in dd_pairs:
                 if c2 != c or d in (a, b, c):
                     continue
-                witnesses3 = set()
                 for i, fo in enumerate(flows):
-                    if (fo.src_ip, fo.dst_ip) != (a, b):
-                        continue
-                    hit = False
-                    for fm in flows:
-                        if (fm.src_ip, fm.dst_ip) != (b, c):
-                            continue
-                        if not (fo.t_start <= fm.t_start and fm.t_end <= fo.t_end):
-                            continue
-                        for fi in flows:
-                            if ((fi.src_ip, fi.dst_ip) == (c, d)
-                                    and fm.t_start <= fi.t_start and fi.t_end <= fm.t_end):
-                                hit = True
-                                break
-                        if hit:
-                            break
-                    if hit:
-                        witnesses3.add(i)
-                if len(witnesses3) >= cfg.n_t_dd:
-                    records.append(("TD3", a, d, (b, c), len(witnesses3)))
+                    if (fo.src_ip, fo.dst_ip) == (a, b) and chains(i, (b, c, d)):
+                        witnesses.setdefault(("TD3", a, d), set()).add(i)
+    for (kind, src, dst), wits in witnesses.items():
+        if len(wits) >= (cfg.n_t_rr if kind in ("RR", "RR3") else cfg.n_t_dd):
+            records.append((kind, src, dst, len(wits)))
     return sorted(records)
 
 
 def records_as_tuples(records) -> list[tuple]:
-    return sorted((r.kind.value, r.src, r.dst, r.via, r.witness_count) for r in records)
+    return sorted((r.kind.value, r.src, r.dst, r.witness_count) for r in records)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from depwalk.embedding import load_embedding, pair_loss_and_grads, save_embeddin
 from depwalk.evaluation import compute_metrics
 from depwalk.flows import filter_tcp_udp
 from depwalk.graph import SamplerConfig, reservoir_sample_edges, select_top_addresses
-from depwalk.oracle import OracleConfig, enumerate_all
+from depwalk.oracle import FlowColumns, OracleConfig, enumerate_all
 from depwalk.simindex import kendall_tau, spearman
 from depwalk.synth import ScenarioConfig, generate
 from depwalk.walks import RandomWalk, WalkConfig, WalkLabel, generate_walks
@@ -91,7 +91,7 @@ def test_criterion_2_oracle_equivalence():
         flows = random_fixture(rng, rng.randint(60, 200))
         cfg = OracleConfig(n_t_dd=rng.randint(2, 5), n_t_rr=rng.randint(2, 5),
                            epsilon=rng.choice([200, 400, 800]))
-        got = refimpl.records_as_tuples(enumerate_all(flows, cfg))
+        got = refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg))
         want = refimpl.reference_dependencies(flows, cfg)
         assert got == want, f"fixture seed {seed}"
     print("\nACCEPTANCE 2 PASS: optimized oracle == exhaustive reference on 100 fixtures")

@@ -69,6 +69,17 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inputs", [[], ["--flows", "missing.csv", "--synth"]],
+                         ids=["neither", "both"])
+def test_pipeline_takes_exactly_one_input(tmp_path, capsys, inputs):
+    cfg_path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as usage:
+        main(["-c", str(cfg_path), "-w", str(tmp_path / "out"), "pipeline", *inputs])
+    assert usage.value.code == 2
+    assert "--flows" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_invalid_config_exits_2_and_lists_problems(tmp_path, capsys):
     doc = dict(SMALL_SCENARIO)
     doc["walks"] = {"walk_length": 2, "epsilon": -5}
@@ -153,20 +164,30 @@ def test_readme_lists_exactly_the_removed_keys():
 
 
 # A config document with one mistyped value, and the problem it reports: the
-# key and the type it expects.
+# key and the type it expects.  Then documents of the wrong shape, and no
+# document: a config file that does not exist.
 MISTYPED = [({"master_seed": "abc"}, "master_seed: expected int, got 'abc'"),
             ({"context": {"size": "4"}}, "context.size: expected int, got '4'"),
             ({"evaluation": {"n_splits": "3"}}, "evaluation.n_splits: expected int, got '3'"),
             ({"walks": {"walk_length": "5"}}, "walks.walk_length: expected int, got '5'"),
             ({"sampler": {"internal_prefixes": "10.0.0.0/8"}},
-             "sampler.internal_prefixes: expected tuple[str, ...], got '10.0.0.0/8'")]
+             "sampler.internal_prefixes: expected tuple[str, ...], got '10.0.0.0/8'"),
+            ({"x": {}}, "unknown section 'x'"),
+            ({"walks": [5]}, "walks: section must be a mapping"),
+            ([5], "config.yaml: top level must be a mapping"),
+            (None, "config file not found: config.yaml")]
 
 
 @pytest.mark.parametrize("doc,problem", MISTYPED, ids=[m[1].split(":")[0] for m in MISTYPED])
-def test_mistyped_value_is_a_config_error_naming_its_key(tmp_path, capsys, doc, problem):
-    status = main(["-c", str(write_config(tmp_path, doc)), "-w", str(tmp_path / "out"), "synth"])
+def test_mistyped_value_is_a_config_error_naming_its_key(tmp_path, capsys, monkeypatch,
+                                                         doc, problem):
+    monkeypatch.chdir(tmp_path)  # the problems name the config file as given
+    if doc is not None:
+        write_config(tmp_path, doc)
+    status = main(["-c", "config.yaml", "-w", str(tmp_path / "out"), "synth"])
     assert status == 2
-    assert capsys.readouterr().err == f"depwalk: invalid configuration:\n{problem}\n"
+    heading = "" if doc is None else "invalid configuration:\n"
+    assert capsys.readouterr().err == f"depwalk: {heading}{problem}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -659,6 +680,8 @@ DAMAGED_INPUTS = [
                  ":2: invalid timestamp 20.5", id="graph-edge-float-start"),
     pytest.param("walks", "graph.jsonl", edit_edge(src_ip="not-an-ip"),
                  ":2: invalid IP address 'not-an-ip'", id="graph-edge-address"),
+    pytest.param("walks", "graph.jsonl", lambda path: path.write_text(""),
+                 ": empty graph file", id="graph-empty"),
     pytest.param("embed", "graph.jsonl",
                  edit_json_line(1, lambda manifest: manifest["vertices"].__setitem__(0, "not-an-ip")),
                  ":1: invalid IP address 'not-an-ip'", id="graph-manifest-address"),
@@ -697,6 +720,10 @@ DAMAGED_INPUTS = [
                  id="flows-interval"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
+    pytest.param("predict", "model.json", edit_json_line(1, lambda model: model.update(version=2)),
+                 ": not a version-1 forest file", id="model-format"),
+    pytest.param("predict", "model.json", edit_json_line(1, lambda model: model.update(trees=[])),
+                 ": no trees", id="model-no-trees"),
     pytest.param("predict", "model.json", edit_json_line(1, lambda model: model.update(n_features="12")),
                  ": n_features '12' is not an integer", id="model-n-features"),
     pytest.param("predict", "model.json", edit_tree(lambda tree: tree["feature"].__setitem__(0, 99)),
@@ -711,6 +738,9 @@ DAMAGED_INPUTS = [
                      n_features=-3, trees=[{"feature": [-1], "threshold": [0.0], "left": [-1],
                                             "right": [-1], "leaf_p": [0.5]}])),
                  ": n_features -3 is below 1", id="model-n-features-negative"),
+    pytest.param("eval", "embedding.bin",
+                 lambda path: path.write_bytes(b"DEPEMB99" + path.read_bytes()[8:]),
+                 ": not an embedding file (bad magic b'DEPEMB99')", id="embedding-magic"),
     pytest.param("eval", "embedding.bin", truncate(100),
                  ": truncated or damaged embedding file (unpack requires a buffer of 2 bytes)",
                  id="embedding-truncated"),
@@ -732,6 +762,9 @@ DAMAGED_INPUTS = [
                  ":2: 'XX' is not a valid DepKind", id="ground-truth-kind"),
     pytest.param("train", "ground_truth.csv", edit_first_row(lambda cells: cells[:3] + ["many"]),
                  ":2: invalid literal for int() with base 10: 'many'", id="ground-truth-count"),
+    pytest.param("train", "ground_truth.csv",
+                 edit_first_row(lambda cells: ["DD", "10.0.0.1", "10.0.0.1", "20"]),
+                 ": self pair in ground truth: 10.0.0.1", id="ground-truth-self-pair"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: cells[:2] + ["yes"]),
                  ":2: label must be 0 or 1, got 'yes'", id="label"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["1.2.3.4"] + cells[1:]),

@@ -93,7 +93,7 @@ def test_rr3_three_server_chain():
     rr, rr3 = enumerate_rr(FlowColumns(flows), cfg)
     assert DependencyRecord(DepKind.RR3, "S3", "S1", 10) in rr3
     # cross-checked against the exhaustive reference
-    assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
+    assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
         refimpl.reference_dependencies(flows, cfg)
 
 
@@ -110,8 +110,8 @@ def lr_fixture(n=10, contained=True):
 
 
 def test_td_detected_via_containment():
-    records = enumerate_all(lr_fixture(), ocfg())
-    assert DependencyRecord(DepKind.TD, "USER", "DB", 10, via=("WEB",)) in records
+    records = enumerate_all(FlowColumns(lr_fixture()), ocfg())
+    assert DependencyRecord(DepKind.TD, "USER", "DB", 10) in records
     kinds = {r.kind for r in records}
     assert DepKind.DD in kinds
 
@@ -122,16 +122,58 @@ def test_td_needs_containment():
     assert td == [] and td3 == []
 
 
-def test_distinct_middles_yield_distinct_records():
-    flows = lr_fixture()
+def through(middle, sport, sessions, lone=0):
+    """USER -> middle -> DB: ``sessions`` requests that each contain one of the
+    middle's database calls, then ``lone`` more flows of each hop, which
+    contain or sit in nothing but keep both hops DD pairs."""
+    flows = []
+    for i in range(sessions):
+        t0 = i * 1000
+        flows += [flow("USER", middle, t0, t0 + 10, sport=sport, dport=443),
+                  flow(middle, "DB", t0 + 2, t0 + 8, sport=sport + 1000, dport=5432)]
+    for i in range(lone):
+        t0 = 100_000 + i * 1000
+        flows += [flow("USER", middle, t0, t0 + 1, sport=sport, dport=443),
+                  flow(middle, "DB", t0 + 500, t0 + 501, sport=sport + 1000, dport=5432)]
+    return flows
+
+
+def test_distinct_middles_yield_one_record_per_pair(tmp_path):
+    # the pair's witnesses are the initiating flows through both middles
+    flows = through("WEB", 51000, 10) + through("WEB2", 51001, 10)
+    td, _ = enumerate_td(FlowColumns(flows), ocfg())
+    assert td == [DependencyRecord(DepKind.TD, "USER", "DB", 20)]
+    path = tmp_path / "ground_truth.csv"
+    _write_dependencies(path, enumerate_all(FlowColumns(flows), ocfg()))
+    assert [row for row in path.read_text().splitlines() if row.startswith("TD,")] == \
+        ["TD,USER,DB,20"]
+
+
+def test_paths_below_the_threshold_reach_it_together():
+    # six witnesses through each middle: neither path reaches ten, the pair does
+    flows = through("WEB", 51000, 6, lone=4) + through("WEB2", 51001, 6, lone=4)
+    cfg = ocfg()
+    td, _ = enumerate_td(FlowColumns(flows), cfg)
+    assert td == [DependencyRecord(DepKind.TD, "USER", "DB", 12)]
+    assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
+        refimpl.reference_dependencies(flows, cfg)
+
+
+def test_one_flow_around_two_second_middles_is_one_td3_witness():
+    # each A -> B flow contains a B -> C1 -> D and a B -> C2 -> D chain
+    flows = []
     for i in range(10):
         t0 = i * 1000
-        flows += [flow("USER", "WEB2", t0, t0 + 10, sport=51001, dport=443),
-                  flow("WEB2", "DB", t0 + 2, t0 + 8, sport=52001, dport=5432)]
-    td, _ = enumerate_td(FlowColumns(flows), ocfg())
-    td_user_db = [r for r in td if (r.src, r.dst) == ("USER", "DB")]
-    assert len(td_user_db) == 2
-    assert {r.via for r in td_user_db} == {("WEB",), ("WEB2",)}
+        flows.append(flow("A", "B", t0, t0 + 40))
+        for second in ("C1", "C2"):
+            flows += [flow("B", second, t0 + 5, t0 + 35), flow(second, "D", t0 + 10, t0 + 20)]
+    cfg = ocfg()
+    td, td3 = enumerate_td(FlowColumns(flows), cfg)
+    assert td3 == [DependencyRecord(DepKind.TD3, "A", "D", 10)]
+    # the B -> C1 and B -> C2 flows are distinct initiating flows of (B, D)
+    assert DependencyRecord(DepKind.TD, "B", "D", 20) in td
+    assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
+        refimpl.reference_dependencies(flows, cfg)
 
 
 def test_td3_nested_containment():
@@ -143,8 +185,8 @@ def test_td3_nested_containment():
                   flow("C", "D", t0 + 10, t0 + 20, sport=5, dport=6)]
     cfg = ocfg()
     _, td3 = enumerate_td(FlowColumns(flows), cfg)
-    assert td3 == [DependencyRecord(DepKind.TD3, "A", "D", 10, via=("B", "C"))]
-    assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
+    assert td3 == [DependencyRecord(DepKind.TD3, "A", "D", 10)]
+    assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
         refimpl.reference_dependencies(flows, cfg)
 
 
@@ -155,11 +197,11 @@ def test_order_independence(rng):
     for i in range(10):
         flows += rr_session("U", "DNS", "WEB", i * 5000)
     cfg = ocfg(epsilon=500)
-    baseline = refimpl.records_as_tuples(enumerate_all(flows, cfg))
+    baseline = refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg))
     for _ in range(5):
         shuffled = flows[:]
         rng.shuffle(shuffled)
-        assert refimpl.records_as_tuples(enumerate_all(shuffled, cfg)) == baseline
+        assert refimpl.records_as_tuples(enumerate_all(FlowColumns(shuffled), cfg)) == baseline
 
 
 def random_fixture(r: random.Random, n_flows: int):
@@ -198,14 +240,15 @@ def test_matches_reference_on_random_fixtures():
         flows = random_fixture(r, r.randint(40, 120))
         cfg = ocfg(n_t_dd=r.randint(2, 5), n_t_rr=r.randint(2, 5),
                    epsilon=r.choice([200, 400, 800]))
-        assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
+        assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
             refimpl.reference_dependencies(flows, cfg), f"seed {seed}"
 
 
-# Hop paths of a chain: a second middle (B2), a second head (E), and a tail
-# that revisits the head, so both middle paths and the no-revisit rule occur.
-CHAIN_PATHS = (("A", "B", "C", "D"), ("A", "B2", "C", "D"), ("E", "B", "C", "D"),
-               ("A", "B", "C", "A"), ("B", "C", "D", "E"))
+# Hop paths of a chain: a second middle (B2), a second middle of the second
+# hop (C2), a second head (E), and a tail that revisits the head, so several
+# middle paths per pair and the no-revisit rule occur.
+CHAIN_PATHS = (("A", "B", "C", "D"), ("A", "B2", "C", "D"), ("A", "B", "C2", "D"),
+               ("E", "B", "C", "D"), ("A", "B", "C", "A"), ("B", "C", "D", "E"))
 
 
 @st.composite
@@ -220,10 +263,12 @@ def nested_flows(draw):
         flows.append(flow(path[hop], path[hop + 1], start, end))
         if hop + 2 >= len(path):
             return
+        # an inner hop may go on along any path that shares the hops so far
+        onward = [p for p in CHAIN_PATHS if p[:hop + 2] == path[:hop + 2]]
         for _ in range(draw(st.integers(0, 3))):
             inner_start = start + draw(st.integers(-1, 2))
             inner_end = max(inner_start, end + draw(st.integers(-2, 1)))
-            grow(path, hop + 1, inner_start, inner_end)
+            grow(draw(st.sampled_from(onward)), hop + 1, inner_start, inner_end)
 
     for _ in range(draw(st.integers(1, 6))):
         path = draw(st.sampled_from(CHAIN_PATHS))
@@ -238,9 +283,12 @@ def _transitive(rows):
 
 @settings(max_examples=300, deadline=None)
 @given(nested_flows(), st.integers(1, 3))
+# one (A,B) flow around chains through two second middles is one TD3 witness
+@example([flow("A", "B", 0, 9), flow("B", "C", 1, 8), flow("C", "D", 2, 7),
+          flow("B", "C2", 1, 8), flow("C2", "D", 2, 7)], 1)
 def test_td_and_td3_equal_the_exhaustive_reference(flows, n_t_dd):
     cfg = ocfg(n_t_dd=n_t_dd)
-    assert _transitive(refimpl.records_as_tuples(enumerate_all(flows, cfg))) == \
+    assert _transitive(refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg))) == \
         _transitive(refimpl.reference_dependencies(flows, cfg))
 
 
@@ -312,7 +360,7 @@ def _hop(request, reply, follow_up, eps):
 @example(_hop((0, 5), (0, LAST), (LAST, LAST), 2**63 - 1))
 def test_answered_hops_at_the_int64_edges_equal_the_reference(case):
     flows, cfg = case
-    assert refimpl.records_as_tuples(enumerate_all(flows, cfg)) == \
+    assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
         refimpl.reference_dependencies(flows, cfg)
 
 
@@ -328,7 +376,7 @@ def test_rr3_expansion_peak_memory_stays_bounded():
     flows = generate(scenario)[0]
     tracemalloc.start()
     try:
-        records = enumerate_all(flows, ocfg(epsilon=30000))
+        records = enumerate_all(FlowColumns(flows), ocfg(epsilon=30000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,7 +385,7 @@ def test_rr3_expansion_peak_memory_stays_bounded():
 
 
 def test_ground_truth_csv_round_trip(tmp_path):
-    records = enumerate_all(lr_fixture(), ocfg())
+    records = enumerate_all(FlowColumns(lr_fixture()), ocfg())
     path = tmp_path / "gt.csv"
     _write_dependencies(path, records)
     loaded = _read_rows(path, kind=DepKind, src=str, dst=str, witness_count=int)
