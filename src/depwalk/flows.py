@@ -67,7 +67,6 @@ class ParseReport:
     """Recoverable per-line errors and drop counters from one parse run."""
 
     errors: list[tuple[int, str]]
-    parsed: int = 0
     dropped_self_loops: int = 0
 
     @property
@@ -248,7 +247,6 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[list[FlowR
             report.dropped_self_loops += 1
         else:
             flows.append(flow)
-            report.parsed += 1
     return flows, report
 
 

@@ -177,18 +177,18 @@ def write_graph_jsonl(graph: CommGraph, path) -> None:
 
 
 def _read_manifest(fh, path, canonical: dict[str, str]) -> list[str]:
+    """The vertex manifest that starts a graph or walks file: an object
+    whose one key, ``vertices``, lists addresses."""
+    def manifest(obj) -> list[str]:
+        if not isinstance(obj, dict) or list(obj) != ["vertices"]:
+            raise ValueError("not a vertex manifest")
+        return [_parse_address(v, canonical) for v in obj["vertices"]]
+
     first = fh.readline()
     if not first.strip():
-        raise ValueError(f"{path}: empty graph file")
-    (vertices,) = _json_lines([first], path, lambda manifest: [
-        _parse_address(v, canonical) for v in manifest["vertices"]])
+        raise ValueError(f"{path}: empty file, no vertex manifest")
+    (vertices,) = _json_lines([first], path, manifest)
     return vertices
-
-
-def read_graph_vertices(path) -> list[str]:
-    """The vertex manifest of a graph file, without reading its edges."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _read_manifest(fh, path, {})
 
 
 def read_graph_jsonl(path) -> CommGraph:

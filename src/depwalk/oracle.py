@@ -29,14 +29,15 @@ into the suffix minimum of their end times decides containment.
 A record is one (kind, src, dst) with its witness count, and it exists when
 that count reaches the kind's threshold.  RR, RR3, TD and TD3 witnesses are
 the distinct initiating flows of chains to the pair, through any middle
-hosts, so one initiating flow contributes at most one witness to a record.
-Chains never revisit an address.  The module returns records and writes no
-file: ``pipeline`` writes them to ``ground_truth.csv``.
+hosts, so one initiating flow contributes at most one witness to a record;
+each witness is one packed pair key, and all four kinds count their keys
+alike.  Chains never revisit an address.  The module returns records and
+writes no file: ``pipeline`` writes them to ``ground_truth.csv``.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
@@ -82,10 +83,14 @@ class FlowColumns:
             values = map(attrgetter(field), flows)
             return np.fromiter(values if code is None else map(code, values), np.int64, len(flows))
 
-        self.addresses = list(dict.fromkeys(chain(map(attrgetter("src_ip"), flows),
-                                                  map(attrgetter("dst_ip"), flows))))
-        ids = {address: i for i, address in enumerate(self.addresses)}.__getitem__
-        self.src, self.dst = column("src_ip", ids), column("dst_ip", ids)
+        # One dict numbers the addresses, and it goes before the other
+        # columns are built: a pipeline's peak RSS falls in this constructor.
+        ids = dict.fromkeys(chain(map(attrgetter("src_ip"), flows),
+                                  map(attrgetter("dst_ip"), flows)))
+        self.addresses = list(ids)
+        ids.update(zip(self.addresses, range(len(ids))))
+        self.src, self.dst = column("src_ip", ids.__getitem__), column("dst_ip", ids.__getitem__)
+        del ids
         self.sport, self.dport = column("src_port"), column("dst_port")
         self.proto = column("proto", _PROTO.__getitem__)
         self.t_start, self.t_end = column("t_start"), column("t_end")
@@ -190,6 +195,14 @@ def _records(kind: DepKind, names: list[str], pairs: np.ndarray, counts: np.ndar
     return sorted(records)
 
 
+def _witness_records(kind: DepKind, names: list[str], keys: list[np.ndarray],
+                     n_t: int) -> list[DependencyRecord]:
+    """Sorted ``kind`` records of the packed ``head * n_addr + tail`` ``keys``,
+    one entry per witness, whose count reaches ``n_t``."""
+    pairs, counts = np.unique(np.concatenate(keys or [np.zeros(0, np.int64)]), return_counts=True)
+    return _records(kind, names, pairs, counts, n_t)
+
+
 def _dd_pairs(cols: FlowColumns, n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """The DD pairs, packed as ``src * n_addr + dst`` and sorted, with their
     witnesses: every 5-tuple that repeats at least ``n_t`` times adds its
@@ -278,13 +291,8 @@ def enumerate_rr(cols: FlowColumns,
         keep = (target != subject[h]) & (target != server1[h]) & (target != server1[h2])
         rr3_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
         a = b
-
-    def records(kind, keys):
-        pairs, counts = np.unique(np.concatenate(keys or [np.zeros(0, np.int64)]),
-                                  return_counts=True)
-        return _records(kind, cols.addresses, pairs, counts, cfg.n_t_rr)
-
-    return records(DepKind.RR, rr_keys), records(DepKind.RR3, rr3_keys)
+    return (_witness_records(DepKind.RR, cols.addresses, rr_keys, cfg.n_t_rr),
+            _witness_records(DepKind.RR3, cols.addresses, rr3_keys, cfg.n_t_rr))
 
 
 def _index(span: np.ndarray, keep: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -329,29 +337,18 @@ def enumerate_td(cols: FlowColumns,
         heads[b].append(a)
         successors[a].append(b)
 
-    td, td3 = Counter(), Counter()  # witnesses per packed (head, tail) pair
+    td, td3 = [], []  # a packed (head, tail) pair per witness
     for b, into_b in heads.items():
-        # all (A,B) flows into b in one array, head A's flows at own[A]
+        # all (A,B) flows into b in one array, and each flow's head A
         outer = np.concatenate([spans[(a, b)] for a in into_b], axis=1)
-        bounds = np.cumsum([0] + [spans[(a, b)].shape[1] for a in into_b]).tolist()
-        own = dict(zip(into_b, map(slice, bounds, bounds[1:])))
-
-        def count(witnesses, tail, mask):
-            """Add the flows of ``mask`` per head to its pair with ``tail``, less
-            the tail's own flows (chains never revisit an address); ``mask``
-            is left without them."""
-            if tail in own:
-                mask[own[tail]] = False
-            per_head = np.add.reduceat(mask, bounds[:-1], dtype=np.int64)
-            for i in np.flatnonzero(per_head).tolist():
-                witnesses[into_b[i] * n_addr + tail] += int(per_head[i])
-            return mask
-
+        head = np.repeat(into_b, [spans[(a, b)].shape[1] for a in into_b])
         chained = {}  # tail -> the (A,B) flows that start a TD3 chain to it
         for c in successors[b]:
             if {c}.issuperset(into_b):  # c is the only head: no chain to count
                 continue
-            hit = count(td, c, _containing(*index[(b, c)], outer))
+            # chains never revisit an address: no head is its own tail
+            hit = _containing(*index[(b, c)], outer) & (head != c)
+            td.append(head[hit] * n_addr + c)
             for tail in successors[c]:
                 if tail in (b, c) or {c, tail}.issuperset(into_b):
                     continue
@@ -359,14 +356,9 @@ def enumerate_td(cols: FlowColumns,
                 marked = _index(spans[(b, c)], keep=_containing(*index[(c, tail)], spans[(b, c)]))
                 # a flow around a marked flow is in hit, unless its head is c
                 chained[tail] = chained.get(tail, False) | (_containing(*marked, outer) & hit)
-        for tail, mask in chained.items():
-            count(td3, tail, mask)
-
-    def records(kind, witnesses):
-        pairs, counts = np.array(list(witnesses.items()), np.int64).reshape(-1, 2).T
-        return _records(kind, names, pairs, counts, cfg.n_t_dd)
-
-    return records(DepKind.TD, td), records(DepKind.TD3, td3)
+        td3 += [head[mask & (head != tail)] * n_addr + tail for tail, mask in chained.items()]
+    return (_witness_records(DepKind.TD, names, td, cfg.n_t_dd),
+            _witness_records(DepKind.TD3, names, td3, cfg.n_t_dd))
 
 
 def enumerate_all(flows: Sequence[FlowRecord] | FlowColumns,

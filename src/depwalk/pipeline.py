@@ -14,12 +14,12 @@ Within one ``run_pipeline`` call a stage hands what it has just written on
 to the stages that read it next, keyed by the artifact's name and the sha256
 of the file's bytes: ``ingest`` its flow records to ``sample`` and
 ``oracle``, ``sample`` its ``CommGraph`` to ``walks`` and the graph's
-``Neighbours`` to ``simindex``, and ``walks`` its walks to ``embed``.  A
-reader takes its value only while the file's bytes hash to the kept digest;
-any other file (edited, damaged, written by another program) is decoded with
-every check.  So a run parses flow text once and reads back, of what it
-writes, only the vertex manifest of ``graph.jsonl`` (in ``embed``).  The
-cost is a sha256 pass per hand-off and per take (about 5 ms for the 4.8 MB
+``Neighbours`` to ``simindex``, and ``walks`` the graph's vertices and its
+walks to ``embed``.  A reader takes its value only while the file's bytes
+hash to the kept digest; any other file (edited, damaged, written by
+another program) is decoded with every check.  So a run parses flow text
+once and reads back none of the flows, graph or walks it writes.  The cost
+is a sha256 pass per hand-off and per take (about 5 ms for the 4.8 MB
 ``flows.csv`` of 96,000 flows) and the values: each reader drops its own, so
 the records (about 18 MB) live until ``oracle`` turns them into int64
 columns, the graph until ``walks`` and the walks until ``embed``.  Only the
@@ -51,8 +51,8 @@ from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, 
 from .config import PipelineConfig
 from .errors import DepwalkError, StageError
 from .flows import biflow_to_uniflows, filter_tcp_udp, parse_flows, read_flows_csv, write_flows_csv
-from .graph import (read_graph_jsonl, read_graph_vertices, reservoir_sample_edges,
-                    select_top_addresses, write_graph_jsonl)
+from .graph import (read_graph_jsonl, reservoir_sample_edges, select_top_addresses,
+                    write_graph_jsonl)
 from .walks import WalkLabel
 
 log = logging.getLogger(__name__)
@@ -115,14 +115,14 @@ def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
         raise FileNotFoundError(None, "input flow file not found", str(path))
     with open(path, "r", encoding="utf-8") as fh:
         records, report = parse_flows(fh, biflows=cfg.ingest.biflows)
-    if cfg.ingest.biflows:
-        records = [flow for b in records for flow in biflow_to_uniflows(b, cfg.ingest.split_mode)]
     for lineno, message in report.errors:
         log.warning("%s:%d: %s", path, lineno, message)
     if report.dropped_self_loops:
         log.info("dropped %d self-loop records", report.dropped_self_loops)
-    kept = tuple(filter_tcp_udp(records))
-    log.info("ingest: %d records parsed, %d TCP/UDP flows kept", report.parsed, len(kept))
+    flows = ([flow for b in records for flow in biflow_to_uniflows(b, cfg.ingest.split_mode)]
+             if cfg.ingest.biflows else records)
+    kept = tuple(filter_tcp_udp(flows))
+    log.info("ingest: %d records parsed, %d TCP/UDP flows kept", len(records), len(kept))
     out = artifact(cfg, "flows.csv")
     write_flows_csv(kept, out)
     _hand_off(out, sample=kept, oracle=kept)
@@ -155,20 +155,14 @@ def stage_walks(cfg: PipelineConfig) -> Path:
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
     out = artifact(cfg, "walks.jsonl")
     all_walks = tuple(positives + negatives)
-    walks.write_walks_jsonl(all_walks, out)
-    _hand_off(out, embed=all_walks)
+    walks.write_walks_jsonl(graph.vertices, all_walks, out)
+    _hand_off(out, embed=(graph.vertices, all_walks))
     log.info("walks: %d positive, %d negative", len(positives), len(negatives))
     return out
 
 
 def stage_embed(cfg: PipelineConfig) -> Path:
-    vertices = read_graph_vertices(artifact(cfg, "graph.jsonl"))
-    path = artifact(cfg, "walks.jsonl")
-    all_walks = _decode(path, "embed", lambda path: walks.read_walks_jsonl(path, vertices))
-    known = set(vertices)
-    if any(v not in known for walk in all_walks for v in walk.vertices):
-        # graph.jsonl lost a walked vertex after walks ran; the read names the walk
-        all_walks = walks.read_walks_jsonl(path, vertices)
+    vertices, all_walks = _decode(artifact(cfg, "walks.jsonl"), "embed", walks.read_walks_jsonl)
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
@@ -361,7 +355,7 @@ STAGES = (
           ("graph.jsonl",), ("walks.jsonl",),
           lambda cfg, args: stage_walks(cfg)),
     Stage("embed", "train the node embedding from walk contexts",
-          ("graph.jsonl", "walks.jsonl"), ("embedding.bin", "embedding.json"),
+          ("walks.jsonl",), ("embedding.bin", "embedding.json"),
           lambda cfg, args: stage_embed(cfg)),
     Stage("oracle", "enumerate ground-truth dependencies from the flows",
           ("flows.csv",), ("ground_truth.csv",),

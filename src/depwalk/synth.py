@@ -31,57 +31,57 @@ def _block(prefix: int, count: int) -> list[str]:
 
 def generate(cfg: ScenarioConfig) -> tuple[list[FlowRecord], list[DependencyRecord]]:
     """Flows in session emission order followed by noise, plus the planted
-    truth (witness counts are raw session counts; thresholds are the
-    consumer's business)."""
-    total_sessions = int(round(cfg.session_rate * cfg.duration))
+    truth: sessions go round-robin to the clients, and a record's witness
+    count is the number of sessions that plant it, summed over the clients
+    (thresholds are the consumer's business)."""
+    total_sessions = (int(round(cfg.session_rate * cfg.duration))
+                      if cfg.lr_web_db or cfg.rr_dns_web else 0)
     rng = random.Random(cfg.rng_seed)
-    clients = _block(0, cfg.n_clients)
-    webs = _block(1, cfg.n_web)
-    dbs = _block(2, cfg.n_db)
-    dnss = _block(3, cfg.n_dns)
+    webs, dbs, dnss = _block(1, cfg.n_web), _block(2, cfg.n_db), _block(3, cfg.n_dns)
 
     duration_ms = int(cfg.duration * 1000)
     lat_lo, lat_hi = _LATENCY_MS
     max_gap = max(1, cfg.epsilon_ms // 2 - 4)
 
-    flows: list[FlowRecord] = []
+    # per client with sessions: its web server, name server and database
+    # (None when that plant is off), and what one of its sessions plants
+    roles = []
     planted: Counter = Counter()  # (kind, src, dst) -> sessions that plant it
+    for ci, client in enumerate(_block(0, min(cfg.n_clients, total_sessions))):
+        web = webs[ci % cfg.n_web]
+        dns = dnss[ci % cfg.n_dns] if cfg.rr_dns_web else None
+        db = dbs[ci % cfg.n_web % cfg.n_db] if cfg.lr_web_db else None
+        roles.append((client, web, dns, db))
+        records = [(DepKind.DD, client, web)]
+        if dns:
+            records += [(DepKind.DD, client, dns), (DepKind.DD, dns, client), (DepKind.RR, web, dns)]
+        if db:
+            records += [(DepKind.DD, web, db), (DepKind.TD, client, db)]
+        planted.update(dict.fromkeys(records, len(range(ci, total_sessions, cfg.n_clients))))
 
-    if cfg.lr_web_db or cfg.rr_dns_web:
-        for s in range(total_sessions):
-            ci = s % cfg.n_clients
-            client = clients[ci]
-            wi = ci % cfg.n_web
-            web = webs[wi]
-            t0 = rng.randrange(0, max(1, duration_ms))
-            t_web = t0
-            if cfg.rr_dns_web:
-                dns = dnss[ci % cfg.n_dns]
-                lookup_ms = rng.randrange(lat_lo, lat_hi + 1)
-                reply_delay = rng.randrange(0, 3)
-                reply_skew = rng.randrange(0, 3)
-                request = FlowRecord(client, dns, _CLIENT_DNS_SPORT, 53, Proto.UDP,
-                                     t0, t0 + lookup_ms)
-                reply = FlowRecord(dns, client, 53, _CLIENT_DNS_SPORT, Proto.UDP,
-                                   t0 + reply_delay, t0 + lookup_ms + reply_skew)
-                flows += [request, reply]
-                t_web = reply.t_end + rng.randrange(1, max_gap + 1)
-                planted.update([(DepKind.DD, client, dns), (DepKind.DD, dns, client),
-                                (DepKind.RR, web, dns)])
-            service_ms = rng.randrange(lat_lo, lat_hi + 1)
-            if cfg.lr_web_db:
-                db = dbs[wi % cfg.n_db]
-                lead = rng.randrange(1, 4)
-                tail = rng.randrange(1, 4)
-                flows.append(FlowRecord(client, web, _CLIENT_WEB_SPORT, 443, Proto.TCP,
-                                        t_web, t_web + lead + service_ms + tail))
-                flows.append(FlowRecord(web, db, _WEB_DB_SPORT, 5432, Proto.TCP,
-                                        t_web + lead, t_web + lead + service_ms))
-                planted.update([(DepKind.DD, web, db), (DepKind.TD, client, db)])
-            else:
-                flows.append(FlowRecord(client, web, _CLIENT_WEB_SPORT, 443, Proto.TCP,
-                                        t_web, t_web + service_ms))
-            planted[(DepKind.DD, client, web)] += 1
+    flows: list[FlowRecord] = []
+    for s in range(total_sessions):
+        client, web, dns, db = roles[s % cfg.n_clients]
+        t0 = rng.randrange(0, max(1, duration_ms))
+        t_web = t0
+        if dns:
+            lookup_ms = rng.randrange(lat_lo, lat_hi + 1)
+            reply_delay = rng.randrange(0, 3)
+            reply_skew = rng.randrange(0, 3)
+            request = FlowRecord(client, dns, _CLIENT_DNS_SPORT, 53, Proto.UDP,
+                                 t0, t0 + lookup_ms)
+            reply = FlowRecord(dns, client, 53, _CLIENT_DNS_SPORT, Proto.UDP,
+                               t0 + reply_delay, t0 + lookup_ms + reply_skew)
+            flows += [request, reply]
+            t_web = reply.t_end + rng.randrange(1, max_gap + 1)
+        service_ms = rng.randrange(lat_lo, lat_hi + 1)
+        # with a database, the client's request encloses the web server's call
+        lead, tail = (rng.randrange(1, 4), rng.randrange(1, 4)) if db else (0, 0)
+        flows.append(FlowRecord(client, web, _CLIENT_WEB_SPORT, 443, Proto.TCP,
+                                t_web, t_web + lead + service_ms + tail))
+        if db:
+            flows.append(FlowRecord(web, db, _WEB_DB_SPORT, 5432, Proto.TCP,
+                                    t_web + lead, t_web + lead + service_ms))
 
     for _ in range(cfg.noise_flows):
         src = f"172.16.{rng.randrange(0, 256)}.{rng.randrange(1, 255)}"

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 from .config import WalkConfig
 from .errors import NegativeWalkError
 from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
-from .graph import CommGraph
+from .graph import CommGraph, _read_manifest
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -290,8 +290,11 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
     return negatives
 
 
-def write_walks_jsonl(walks: Iterable[RandomWalk], path) -> None:
+def write_walks_jsonl(vertices: Sequence[str], walks: Iterable[RandomWalk], path) -> None:
+    """One walk per line; the first line is the walked graph's vertex
+    manifest, written as ``graph.jsonl`` writes it."""
     with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"vertices": list(vertices)}, sort_keys=True) + "\n")
         for walk in walks:
             obj = {
                 "label": walk.label.value,
@@ -318,10 +321,12 @@ def _walk_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> Ra
     )
 
 
-def read_walks_jsonl(path, vertices: Iterable[str]) -> list[RandomWalk]:
-    """The walks of a walks file; a walk whose vertices are not addresses
-    among ``vertices``, the graph's, is an error naming its line."""
-    known = set(vertices)
+def read_walks_jsonl(path) -> tuple[list[str], list[RandomWalk]]:
+    """The vertex manifest and the walks of a walks file; a walk whose
+    vertices are not addresses of the manifest is an error naming its line."""
     canonical: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        return _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical, known))
+        vertices = _read_manifest(fh, path, canonical)
+        known = set(vertices)
+        return vertices, _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical, known),
+                                     start=2)

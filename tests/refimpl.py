@@ -651,5 +651,4 @@ def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[
             report.dropped_self_loops += 1
         else:
             flows.append(flow)
-            report.parsed += 1
     return flows, report

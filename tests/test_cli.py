@@ -69,6 +69,13 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_a_workdir_that_is_a_file_exits_1_naming_it(tmp_path, capsys):
+    taken = tmp_path / "out"
+    taken.write_text("")
+    assert main(["-c", str(write_config(tmp_path)), "-w", str(taken), "synth"]) == 1
+    assert capsys.readouterr().err == f"depwalk: synth failed: [Errno 17] File exists: '{taken}'\n"
+
+
 @pytest.mark.parametrize("inputs", [[], ["--flows", "missing.csv", "--synth"]],
                          ids=["neither", "both"])
 def test_pipeline_takes_exactly_one_input(tmp_path, capsys, inputs):
@@ -95,7 +102,7 @@ def test_invalid_config_exits_2_and_lists_problems(tmp_path, capsys):
 PREREQUISITES = [
     ("sample", "flows.csv", "ingest"),
     ("walks", "graph.jsonl", "sample"),
-    ("embed", "graph.jsonl", "sample"),
+    ("embed", "walks.jsonl", "walks"),
     ("oracle", "flows.csv", "ingest"),
     ("train", "ground_truth.csv", "oracle"),
     ("predict", "embedding.bin", "embed"),
@@ -259,9 +266,13 @@ def test_planted_session_checks_apply_only_to_planted_sessions(tmp_path):
 SECTIONS = [f.name for f in fields(PipelineConfig) if f.name not in ("master_seed", "workdir")]
 
 
-def test_each_seeded_section_gets_its_derived_seed():
+def test_each_seeded_section_gets_its_derived_seed(tmp_path):
+    # a section written with no value (YAML null) takes its defaults
+    bare = tmp_path / "bare.yaml"
+    bare.write_text("".join(f"{name}:\n" for name in SECTIONS))
     for master in (0, 11, 2**40 + 3):
         cfg = load_config(master_seed=master)
+        assert load_config(bare, master_seed=master) == cfg
         seeded = {name: getattr(cfg, name).rng_seed for name in SECTIONS
                   if hasattr(getattr(cfg, name), "rng_seed")}
         assert seeded == {name: derive_seed(master, name)
@@ -335,7 +346,7 @@ PINNED_SHA256 = {
     "planted_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
     "flows.csv": "6fda6860022487830bf9da69946034d9f41d6a11fb45282e1e4b03bcd611a37b",
     "graph.jsonl": "df9908e1e6e3c08360756c22d0e480c181e9e72ee41f9efe72f354e9ec86e6f0",
-    "walks.jsonl": "cdb4f35a82162793d593b7814257a299184d6b96008a9175e9ec6e3f69cf7e8c",
+    "walks.jsonl": "53dc74b752997b9f62fa276e99e72e511647f433b244a0d581eaadb99f84e1de",
     "embedding.bin": "3c0ecd1939659c77368c87d77f359338da93e876987d7018087e79894c09d2f4",
     "embedding.json": "6613c8a937628dff8e7da322c2adf27a3805be42ef3f6d5a8bae4b1bc07036c9",
     "ground_truth.csv": "b1b04630d784cd648a2bac0fc1d71996b2b97587c75e14f421b2d7412e1f5602",
@@ -352,6 +363,19 @@ def test_small_run_artifacts_keep_their_pinned_bytes(small_run):
     _, workdir = small_run
     assert {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
             for name in PINNED_SHA256} == PINNED_SHA256
+
+
+def test_pipeline_on_a_flow_file_writes_what_the_synth_run_wrote_from_it(small_run, tmp_path):
+    # the run on your own flow file, and the benchmark's timed command: every
+    # stage but synth, with the same artifacts and no synth outputs
+    cfg_path, workdir = small_run
+    out = tmp_path / "out"
+    assert main(["-c", str(cfg_path), "-w", str(out), "pipeline",
+                 "--flows", str(workdir / "synth_flows.csv")]) == 0
+    written = [name for stage in pipeline.STAGES[1:] for name in stage.outputs]
+    assert len(written) == 12 and sorted(path.name for path in out.iterdir()) == sorted(written)
+    for name in written:
+        assert (out / name).read_bytes() == (workdir / name).read_bytes(), name
 
 
 def copy_inputs(stage: pipeline.Stage, workdir: Path, fresh: Path) -> None:
@@ -465,6 +489,25 @@ def test_biflow_ingest_splits_directions(tmp_path):
     assert len(lines) == 4
     assert lines[0] == "0,10,10.0.0.1,10.0.0.2,50000,443,TCP"
     assert lines[1] == "1,10,10.0.0.2,10.0.0.1,443,50000,TCP"
+
+
+def test_ingest_logs_each_invalid_line_and_the_dropped_self_loops(tmp_path, caplog):
+    flows = tmp_path / "flows.csv"
+    flows.write_text("0,10,10.0.0.1,10.0.0.2,50000,443,TCP\n"
+                     "5,9,10.0.0.3,10.0.0.4,40000,70000,UDP\n"
+                     "6,8,10.0.0.5,10.0.0.5,40000,53,UDP\n"
+                     "7,9,10.0.0.3,10.0.0.4,40000,53,UDP\n"
+                     "8,9,10.0.0.3,10.0.0.4,0,0,ICMP\n")
+    workdir = tmp_path / "out"
+    with caplog.at_level(logging.INFO):
+        assert main(["-c", str(write_config(tmp_path)), "-w", str(workdir),
+                     "ingest", "--flows", str(flows)]) == 0
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, f"{flows}:2: dst_port 70000 out of range 0-65535"),
+        (logging.INFO, "dropped 1 self-loop records"),
+        (logging.INFO, "ingest: 3 records parsed, 2 TCP/UDP flows kept")]
+    assert (workdir / "flows.csv").read_text() == ("0,10,10.0.0.1,10.0.0.2,50000,443,TCP\n"
+                                                   "7,9,10.0.0.3,10.0.0.4,40000,53,UDP\n")
 
 
 def test_predict_with_explicit_pairs(tmp_path):
@@ -681,27 +724,38 @@ DAMAGED_INPUTS = [
     pytest.param("walks", "graph.jsonl", edit_edge(src_ip="not-an-ip"),
                  ":2: invalid IP address 'not-an-ip'", id="graph-edge-address"),
     pytest.param("walks", "graph.jsonl", lambda path: path.write_text(""),
-                 ": empty graph file", id="graph-empty"),
-    pytest.param("embed", "graph.jsonl",
+                 ": empty file, no vertex manifest", id="graph-empty"),
+    pytest.param("walks", "graph.jsonl",
                  edit_json_line(1, lambda manifest: manifest["vertices"].__setitem__(0, "not-an-ip")),
                  ":1: invalid IP address 'not-an-ip'", id="graph-manifest-address"),
-    pytest.param("embed", "walks.jsonl", drop_field(1, "vertices"),
-                 ":1: missing field 'vertices'", id="walk-field"),
+    pytest.param("walks", "graph.jsonl", edit_json_line(1, lambda manifest: manifest.update(x=1)),
+                 ":1: not a vertex manifest", id="graph-manifest-key"),
+    pytest.param("embed", "walks.jsonl", lambda path: path.write_text(""),
+                 ": empty file, no vertex manifest", id="walks-empty"),
+    # a walks file written before the manifest line: its first walk is no manifest
     pytest.param("embed", "walks.jsonl",
-                 edit_json_line(1, lambda walk: walk["vertices"].__setitem__(0, "not-an-ip")),
-                 ":1: invalid IP address 'not-an-ip'", id="walk-vertex-address"),
+                 lambda path: path.write_text("".join(path.read_text().splitlines(True)[1:])),
+                 ":1: not a vertex manifest", id="walks-no-manifest"),
     pytest.param("embed", "walks.jsonl",
-                 edit_json_line(1, lambda walk: walk["vertices"].__setitem__(0, "9.9.9.9")),
-                 ":1: unknown address: 9.9.9.9", id="walk-vertex-unknown"),
+                 edit_json_line(1, lambda manifest: manifest["vertices"].__setitem__(0, "not-an-ip")),
+                 ":1: invalid IP address 'not-an-ip'", id="walks-manifest-address"),
+    pytest.param("embed", "walks.jsonl", drop_field(2, "vertices"),
+                 ":2: missing field 'vertices'", id="walk-field"),
     pytest.param("embed", "walks.jsonl",
-                 edit_json_line(1, lambda walk: walk.update(vertices=walk["vertices"][:1])),
-                 ":1: a walk needs at least three vertices, got 1", id="walk-one-vertex"),
+                 edit_json_line(2, lambda walk: walk["vertices"].__setitem__(0, "not-an-ip")),
+                 ":2: invalid IP address 'not-an-ip'", id="walk-vertex-address"),
     pytest.param("embed", "walks.jsonl",
-                 edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_port=-1)),
-                 ":1: dst_port -1 out of range 0-65535", id="walk-step-edge-port"),
+                 edit_json_line(2, lambda walk: walk["vertices"].__setitem__(0, "9.9.9.9")),
+                 ":2: unknown address: 9.9.9.9", id="walk-vertex-unknown"),
     pytest.param("embed", "walks.jsonl",
-                 edit_json_line(1, lambda walk: walk["step_edges"][0].update(dst_ip="not-an-ip")),
-                 ":1: invalid IP address 'not-an-ip'", id="walk-step-edge-address"),
+                 edit_json_line(2, lambda walk: walk.update(vertices=walk["vertices"][:1])),
+                 ":2: a walk needs at least three vertices, got 1", id="walk-one-vertex"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(2, lambda walk: walk["step_edges"][0].update(dst_port=-1)),
+                 ":2: dst_port -1 out of range 0-65535", id="walk-step-edge-port"),
+    pytest.param("embed", "walks.jsonl",
+                 edit_json_line(2, lambda walk: walk["step_edges"][0].update(dst_ip="not-an-ip")),
+                 ":2: invalid IP address 'not-an-ip'", id="walk-step-edge-address"),
     pytest.param("sample", "flows.csv", edit_first_row(lambda cells: cells[:6]),
                  ":2: expected 7 columns, got 6; 1 invalid line in a pipeline artifact",
                  id="flows-short-row"),
@@ -868,28 +922,27 @@ def test_in_place_damage_within_a_pipeline_run_is_a_named_error(tmp_path, capsys
     assert pipeline._handoff is None
 
 
-def test_a_walked_vertex_dropped_from_the_manifest_within_a_pipeline_run_names_the_walk(
+def test_a_walk_naming_an_address_missing_from_its_manifest_within_a_pipeline_run_is_named(
         tmp_path, capsys, monkeypatch):
-    # embed takes the walks from walks and checks them against the manifest
-    # of graph.jsonl, which here loses the first walk's first vertex after
-    # walks ran: the walks file is read back to name the walk
+    # embed takes the manifest and walks that walks handed on; here the
+    # manifest of walks.jsonl loses the first walk's first vertex after walks
+    # ran, so embed decodes the file, and the read names the walk
     run = pipeline.stage_embed
     dropped = []
 
     def manifest_edited_first(cfg):
-        path = pipeline.artifact(cfg, "graph.jsonl")
-        manifest, *edges = path.read_text().splitlines(keepends=True)
+        path = pipeline.artifact(cfg, "walks.jsonl")
+        manifest, first, *rest = path.read_text().splitlines(keepends=True)
         vertices = json.loads(manifest)["vertices"]
-        dropped.append(json.loads(pipeline.artifact(cfg, "walks.jsonl").read_text().splitlines()[0])
-                       ["vertices"][0])
-        vertices[vertices.index(dropped[0])] = "10.0.99.99"
-        path.write_text(json.dumps({"vertices": sorted(vertices)}) + "\n" + "".join(edges))
+        dropped.append(json.loads(first)["vertices"][0])
+        vertices.remove(dropped[0])
+        path.write_text(json.dumps({"vertices": vertices}) + "\n" + first + "".join(rest))
         return run(cfg)
     monkeypatch.setattr(pipeline, "stage_embed", manifest_edited_first)
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
     assert main(["-c", str(cfg_path), "-w", str(workdir), "pipeline", "--synth"]) == 1
-    assert (f"depwalk: embed failed: {workdir / 'walks.jsonl'}:1: unknown address: {dropped[0]}\n"
+    assert (f"depwalk: embed failed: {workdir / 'walks.jsonl'}:2: unknown address: {dropped[0]}\n"
             in capsys.readouterr().err)
     assert pipeline._handoff is None
 

@@ -11,8 +11,7 @@ from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
 from depwalk.graph import (CommGraph, SamplerConfig, _internal_check, read_graph_jsonl,
-                           read_graph_vertices, reservoir_sample_edges,
-                           select_top_addresses, write_graph_jsonl)
+                           reservoir_sample_edges, select_top_addresses, write_graph_jsonl)
 from refimpl import reference_is_internal
 
 INTERNAL = ("10.0.0.0/16",)
@@ -214,14 +213,3 @@ def test_read_graph_jsonl_returns_the_graph_write_graph_jsonl_wrote(g):
         path = Path(tmp) / "graph.jsonl"
         write_graph_jsonl(g, path)
         assert read_graph_jsonl(path) == g
-
-
-def test_vertex_manifest_is_read_without_the_edges(tmp_path):
-    g = CommGraph(["10.0.0.1", "10.0.0.2", "10.0.0.9"], [flow("10.0.0.1", "10.0.0.2", 0, 1)])
-    path = tmp_path / "graph.jsonl"
-    write_graph_jsonl(g, path)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("not json\n")
-    assert read_graph_vertices(path) == list(g.vertices)
-    with pytest.raises(ValueError, match=r"graph.jsonl:3: "):
-        read_graph_jsonl(path)

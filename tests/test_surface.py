@@ -63,7 +63,7 @@ def test_the_runtime_dependencies_are_numpy_and_pyyaml():
 
 # The size of src/ is tracked like a benchmark: a change that grows it past
 # this budget raises the budget in its own diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 3162
+SRC_LINE_BUDGET = 3151
 
 
 def test_src_stays_within_its_line_budget():

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from test_acceptance import E2E_CONFIG
@@ -65,6 +67,27 @@ def test_planted_truth_subset_of_oracle_output():
             continue
         assert rec[:3] in found, rec
         assert found[rec[:3]] >= rec.witness_count
+
+
+def test_planted_counts_equal_the_emitted_flows_when_sessions_do_not_divide_evenly():
+    # 7 sessions over 3 clients: clients 0, 1 and 2 run 3, 2 and 2 of them,
+    # and clients 0 and 2 share web server 0
+    flows, truth = generate(scenario(n_clients=3, n_web=2, rr_dns_web=True, duration=7.0))
+    count = Counter((f.src_ip, f.dst_ip) for f in flows)
+    assert [count[(f"10.0.0.{i}", web)] for i, web in ((1, "10.0.1.1"), (2, "10.0.1.2"),
+                                                         (3, "10.0.1.1"))] == [3, 2, 2]
+    for kind, src, dst, witnesses in truth:
+        if kind is DepKind.DD:
+            expected = count[(src, dst)]
+        elif kind is DepKind.TD:  # client -> web server -> database
+            expected = sum(n for (a, web), n in count.items() if a == src and count[(web, dst)])
+        else:  # RR: the clients that look up the name server, then call the web server
+            assert kind is DepKind.RR
+            expected = sum(n for (client, web), n in count.items()
+                           if web == src and count[(client, dst)])
+        assert witnesses == expected, (kind, src, dst)
+    assert DependencyRecord(DepKind.DD, "10.0.1.1", "10.0.2.1", 5) in truth
+    assert DependencyRecord(DepKind.RR, "10.0.1.1", "10.0.3.1", 5) in truth
 
 
 @pytest.mark.parametrize("seed", range(1, 6))

@@ -46,8 +46,8 @@ def test_traced_pipeline_has_one_span_per_stage_and_restores_modules(traced_run)
     assert {s: counts[f"stage.{s}"] for s in stages} == {s: 1 for s in stages}
     # ingest parses its input; sample and oracle take the records ingest
     # handed on, walks the graph and simindex the neighbour sets sample
-    # handed on, and embed the walks walks handed on (embed reads only the
-    # graph's manifest): no stage reads the graph or the walks back
+    # handed on, and embed the vertex manifest and walks walks handed on:
+    # no stage reads the graph or the walks back
     assert counts["flows.parse_flows"] == 1
     assert counts["graph.read_graph_jsonl"] == 0
     assert counts["walks.read_walks_jsonl"] == 0

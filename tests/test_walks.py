@@ -353,5 +353,5 @@ def test_walk_jsonl_round_trip(tmp_path):
     walks = generate_walks(g, config)
     walks += generate_negative_walks(g, walks, config)
     path = tmp_path / "walks.jsonl"
-    write_walks_jsonl(walks, path)
-    assert read_walks_jsonl(path, g.vertices) == walks
+    write_walks_jsonl(g.vertices, walks, path)
+    assert read_walks_jsonl(path) == (list(g.vertices), walks)
