@@ -57,10 +57,6 @@ class FlowRecord(NamedTuple):
     t_start: int
     t_end: int
 
-    def sort_key(self):
-        return (self.t_start, self.t_end, self.src_ip, self.dst_ip,
-                self.src_port, self.dst_port, self.proto.value)
-
 
 @dataclass
 class ParseReport:
@@ -96,14 +92,14 @@ def _parse_timestamp(token) -> int:
 # A dotted quad of decimal octets without leading zeros is its own canonical
 # text; matching it is several times cheaper than ``ip_address``.
 _OCTET = "(?:25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_CANONICAL_IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
+CANONICAL_IPV4 = re.compile(rf"(?:{_OCTET}\.){{3}}{_OCTET}")
 
 
-def _parse_address(token, canonical: dict[str, str]) -> str:
+def parse_address(token, canonical: dict[str, str]) -> str:
     """Canonical text of an address token; only valid tokens are memoised."""
     if (text := str(token)) not in canonical:
         try:
-            address = text if _CANONICAL_IPV4.fullmatch(text) else str(ip_address(text.strip()))
+            address = text if CANONICAL_IPV4.fullmatch(text) else str(ip_address(text.strip()))
         except ValueError:
             raise ValueError(f"invalid IP address {token!r}") from None
         if "%" in address:  # a scope ID names one host's interface, not a device
@@ -133,8 +129,8 @@ def _make_flow(t_start, t_end, src, dst, src_port, dst_port, proto, canonical: d
     """Validated FlowRecord, or None for a dropped self-loop."""
     ts, te = _parse_timestamp(t_start), _parse_timestamp(t_end)
     _check_interval(ts, te)
-    src_ip = _parse_address(src, canonical)
-    dst_ip = _parse_address(dst, canonical)
+    src_ip = parse_address(src, canonical)
+    dst_ip = parse_address(dst, canonical)
     sp = _parse_port(src_port, "src_port")
     dp = _parse_port(dst_port, "dst_port")
     if src_ip == dst_ip:
@@ -165,8 +161,8 @@ def _csv_flow(cells: list[str], canonical: dict[str, str], ports: _PortMemo) -> 
         if not (-2**63 <= ts <= te < 2**63 - 1 and 0 <= sp <= 65535 and 0 <= dp <= 65535):
             raise ValueError
         src, dst = src.strip(), dst.strip()
-        src_ip = canonical.get(src) or _parse_address(src, canonical)
-        dst_ip = canonical.get(dst) or _parse_address(dst, canonical)
+        src_ip = canonical.get(src) or parse_address(src, canonical)
+        dst_ip = canonical.get(dst) or parse_address(dst, canonical)
     except ValueError:
         return _make_flow(*[c.strip() for c in cells], canonical)
     if src_ip == dst_ip:
@@ -303,21 +299,3 @@ def flow_from_dict(obj: dict, canonical: dict[str, str]) -> FlowRecord:
     if flow.proto.value != obj["proto"]:
         raise ValueError(f"{obj['proto']!r} is not a valid Proto")
     return flow
-
-
-def _json_lines(fh, path, convert, start: int = 1) -> list:
-    """``convert`` of the JSON object on each non-blank line of ``fh``, whose
-    first line is line ``start`` of ``path``.  A line that is not JSON, or
-    whose object ``convert`` rejects (a missing field, a wrong type or
-    value), is a ValueError naming ``path`` and the line."""
-    out = []
-    lineno = start  # bound even when the first line fails to decode
-    try:
-        for lineno, line in enumerate(fh, start):
-            if line.strip():
-                out.append(convert(json.loads(line)))
-    except KeyError as exc:
-        raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return out

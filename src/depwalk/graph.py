@@ -14,8 +14,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .config import SamplerConfig
-from .flows import (_CANONICAL_IPV4, FlowRecord, _json_lines, _parse_address, flow_from_dict,
-                    flow_to_dict)
+from .flows import (CANONICAL_IPV4, CSV_COLUMNS, FlowRecord, flow_from_dict, flow_to_dict,
+                    parse_address)
 
 log = logging.getLogger(__name__)
 
@@ -29,7 +29,7 @@ def _internal_check(prefixes: Iterable[str]) -> Callable[[str], bool]:
     v4 = [(int(net.netmask), int(net.network_address)) for net in networks if net.version == 4]
 
     def is_internal(addr: str) -> bool:
-        if _CANONICAL_IPV4.fullmatch(addr):
+        if CANONICAL_IPV4.fullmatch(addr):
             value = int.from_bytes(bytes(map(int, addr.split("."))), "big")
             return any(value & mask == base for mask, base in v4)
         try:
@@ -97,7 +97,8 @@ class CommGraph(Neighbours):
             if f.src_ip not in vset or f.dst_ip not in vset:
                 raise ValueError(f"edge endpoint outside vertex set: {f.src_ip}->{f.dst_ip}")
             pair_edges[(f.src_ip, f.dst_ip)].append(f)
-        self._pairs = {pair: tuple(sorted(pair_edges[pair], key=FlowRecord.sort_key))
+        # a pair's instances in the CSV column order: interval, then five-tuple
+        self._pairs = {pair: tuple(sorted(pair_edges[pair], key=attrgetter(*CSV_COLUMNS)))
                        for pair in sorted(pair_edges)}
         out: dict[str, set[str]] = defaultdict(set)
         inn: dict[str, set[str]] = defaultdict(set)
@@ -167,43 +168,60 @@ def reservoir_sample_edges(flows: Iterable[FlowRecord], selected: set[str], cfg:
     return CommGraph(sorted(selected), reservoir)
 
 
-def write_graph_jsonl(graph: CommGraph, path) -> None:
-    """One edge per line with all attributes; the first line is the vertex
-    manifest."""
+def write_jsonl(path, vertices: Iterable[str], objects: Iterable) -> None:
+    """The layout of ``graph.jsonl`` and ``walks.jsonl``: a vertex manifest
+    (an object whose one key, ``vertices``, lists addresses), then one
+    object per line, all with sorted keys."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode({"vertices": list(graph.vertices)}) + "\n")
-        fh.writelines(encode(flow_to_dict(edge)) + "\n" for edge in graph.all_edges())
+        fh.write(encode({"vertices": list(vertices)}) + "\n")
+        fh.writelines(encode(obj) + "\n" for obj in objects)
 
 
-def _read_manifest(fh, path, canonical: dict[str, str]) -> list[str]:
-    """The vertex manifest that starts a graph or walks file: an object
-    whose one key, ``vertices``, lists addresses."""
-    def manifest(obj) -> list[str]:
-        if not isinstance(obj, dict) or list(obj) != ["vertices"]:
-            raise ValueError("not a vertex manifest")
-        return [_parse_address(v, canonical) for v in obj["vertices"]]
+def read_jsonl(path, convert: Callable[[dict, dict[str, str], set[str]], object]
+               ) -> tuple[list[str], list]:
+    """The manifest of a :func:`write_jsonl` file, and ``convert(obj,
+    canonical, known)`` of each later non-blank line's object (``canonical``
+    memoises addresses, ``known`` is the manifest's).  A line that is not
+    JSON, or whose object is rejected (a missing field, a wrong type or
+    value), is a ValueError naming ``path`` and the line."""
+    canonical: dict[str, str] = {}
+    objects = []
+    with open(path, "r", encoding="utf-8") as fh:
+        first = fh.readline()
+        if not first.strip():
+            raise ValueError(f"{path}: empty file, no vertex manifest")
+        lineno = 1
+        try:
+            manifest = json.loads(first)
+            if not isinstance(manifest, dict) or list(manifest) != ["vertices"]:
+                raise ValueError("not a vertex manifest")
+            vertices = [parse_address(v, canonical) for v in manifest["vertices"]]
+            known = set(vertices)
+            lineno = 2  # bound even when the second line fails to decode
+            for lineno, line in enumerate(fh, 2):
+                if line.strip():
+                    objects.append(convert(json.loads(line), canonical, known))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    return vertices, objects
 
-    first = fh.readline()
-    if not first.strip():
-        raise ValueError(f"{path}: empty file, no vertex manifest")
-    (vertices,) = _json_lines([first], path, manifest)
-    return vertices
+
+def write_graph_jsonl(graph: CommGraph, path) -> None:
+    """One edge per line with all attributes, after the vertex manifest."""
+    write_jsonl(path, graph.vertices, map(flow_to_dict, graph.all_edges()))
+
+
+def _edge_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> FlowRecord:
+    """A flow that passes the checks of parsing and joins two known vertices."""
+    flow = flow_from_dict(obj, canonical)
+    if flow.src_ip not in known or flow.dst_ip not in known:
+        raise ValueError(f"edge endpoint outside vertex set: {flow.src_ip}->{flow.dst_ip}")
+    return flow
 
 
 def read_graph_jsonl(path) -> CommGraph:
-    """A graph file back; an edge must pass the flow checks of parsing and
-    join two manifest vertices, or it is an error naming its line."""
-    canonical: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        vertices = _read_manifest(fh, path, canonical)
-        known = set(vertices)
-
-        def edge(obj: dict) -> FlowRecord:
-            flow = flow_from_dict(obj, canonical)
-            if flow.src_ip not in known or flow.dst_ip not in known:
-                raise ValueError(f"edge endpoint outside vertex set: {flow.src_ip}->{flow.dst_ip}")
-            return flow
-
-        edges = _json_lines(fh, path, edge, start=2)
-    return CommGraph(vertices, edges)
+    """A graph file back; a bad edge is an error naming its line."""
+    return CommGraph(*read_jsonl(path, _edge_from_dict))

@@ -29,7 +29,6 @@ edges; walks that end shorter than three vertices are discarded.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from bisect import bisect_left, bisect_right
@@ -39,8 +38,8 @@ from typing import Iterable, Sequence
 
 from .config import WalkConfig
 from .errors import NegativeWalkError
-from .flows import FlowRecord, _json_lines, _parse_address, flow_from_dict, flow_to_dict
-from .graph import CommGraph, _read_manifest
+from .flows import FlowRecord, flow_from_dict, flow_to_dict, parse_address
+from .graph import CommGraph, read_jsonl, write_jsonl
 from .seeds import derive_seed
 
 log = logging.getLogger(__name__)
@@ -123,7 +122,7 @@ def cond_rev_return(e_fwd: FlowRecord, e_rev: FlowRecord, epsilon: int) -> bool:
 
 def _qualified_pairs(g: CommGraph, n_t: int) -> _Qualified:
     """Built once per :func:`generate_walks` call; ``CommGraph`` keeps each pair's instances
-    sorted by ``FlowRecord.sort_key``, so a condition's start-time window is bisected."""
+    sorted by start time first, so a condition's start-time window is bisected."""
     return {v: [(w, insts, tuple(f.t_start for f in insts))
                 for w in g.out_neighbors(v) if g.pair_flow_count(v, w) >= n_t
                 for insts in (g.edge_instances(v, w),)]
@@ -291,22 +290,17 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
 
 
 def write_walks_jsonl(vertices: Sequence[str], walks: Iterable[RandomWalk], path) -> None:
-    """One walk per line; the first line is the walked graph's vertex
-    manifest, written as ``graph.jsonl`` writes it."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"vertices": list(vertices)}, sort_keys=True) + "\n")
-        for walk in walks:
-            obj = {
-                "label": walk.label.value,
-                "vertices": list(walk.vertices),
-                "condition_trace": [sorted(c.value for c in conds) for conds in walk.condition_trace],
-                "step_edges": [flow_to_dict(e) for e in walk.step_edges],
-            }
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    """One walk per line, after the walked graph's vertex manifest."""
+    write_jsonl(path, vertices, ({
+        "label": walk.label.value,
+        "vertices": list(walk.vertices),
+        "condition_trace": [sorted(c.value for c in conds) for conds in walk.condition_trace],
+        "step_edges": [flow_to_dict(e) for e in walk.step_edges],
+    } for walk in walks))
 
 
 def _walk_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> RandomWalk:
-    vertices = tuple(_parse_address(v, canonical) for v in obj["vertices"])
+    vertices = tuple(parse_address(v, canonical) for v in obj["vertices"])
     for v in vertices:
         if v not in known:
             raise ValueError(f"unknown address: {v}")
@@ -324,9 +318,4 @@ def _walk_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> Ra
 def read_walks_jsonl(path) -> tuple[list[str], list[RandomWalk]]:
     """The vertex manifest and the walks of a walks file; a walk whose
     vertices are not addresses of the manifest is an error naming its line."""
-    canonical: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        vertices = _read_manifest(fh, path, canonical)
-        known = set(vertices)
-        return vertices, _json_lines(fh, path, lambda obj: _walk_from_dict(obj, canonical, known),
-                                     start=2)
+    return read_jsonl(path, _walk_from_dict)

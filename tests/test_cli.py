@@ -412,6 +412,21 @@ def test_simindex_ranks_the_pairs_predict_scored(small_run, tmp_path):
     assert len(predictions) == 4
 
 
+def test_simindex_on_one_scored_pair_has_no_rank_correlation(small_run, tmp_path):
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    shutil.copyfile(workdir / "graph.jsonl", fresh / "graph.jsonl")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("src,dst\n10.0.0.1,10.0.1.1\n")
+    base = ["-c", str(cfg_path), "-w", str(fresh)]
+    assert main(base + ["predict", "--pairs", str(pairs)]) == 0
+    assert main(base + ["simindex"]) == 0
+    summary = json.loads((fresh / "baseline_summary.json").read_text())
+    assert summary == {"n_pairs": 1, "correlations": dict.fromkeys(
+        ("AA", "CN", "PA", "RA"), {"kendall": None, "spearman": None})}
+
+
 def test_pipeline_resume_skips_existing(tmp_path):
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
@@ -508,6 +523,17 @@ def test_ingest_logs_each_invalid_line_and_the_dropped_self_loops(tmp_path, capl
         (logging.INFO, "ingest: 3 records parsed, 2 TCP/UDP flows kept")]
     assert (workdir / "flows.csv").read_text() == ("0,10,10.0.0.1,10.0.0.2,50000,443,TCP\n"
                                                    "7,9,10.0.0.3,10.0.0.4,40000,53,UDP\n")
+
+
+def test_an_input_without_a_tcp_or_udp_flow_is_a_named_sample_error(tmp_path, capsys):
+    flows = tmp_path / "icmp.csv"
+    flows.write_text("0,10,10.0.0.1,10.0.0.2,0,0,ICMP\n")
+    workdir = tmp_path / "out"
+    assert main(["-c", str(write_config(tmp_path)), "-w", str(workdir),
+                 "pipeline", "--flows", str(flows)]) == 1
+    assert capsys.readouterr().err == "depwalk: sample failed: selected address set is empty\n"
+    assert (workdir / "flows.csv").read_text() == ""
+    assert not (workdir / "graph.jsonl").exists()
 
 
 def test_predict_with_explicit_pairs(tmp_path):
@@ -635,6 +661,29 @@ def test_a_failed_stage_leaves_no_output_for_resume(small_run, tmp_path):
     assert main(base + ["pipeline", "--synth", "--resume"]) == 0
     n_labels = len((fresh / "labels.csv").read_text().splitlines()) - 1
     assert json.loads((fresh / "baseline_summary.json").read_text())["n_pairs"] == n_labels
+
+
+def test_an_interrupted_stage_leaves_no_output_for_resume(small_run, tmp_path, monkeypatch):
+    # an exception that is not a stage failure still deletes the partial
+    # output, and then reaches the caller as it was raised
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    shutil.copytree(workdir, fresh)
+
+    def interrupted_sample(cfg):
+        out = pipeline.artifact(cfg, "graph.jsonl")
+        out.write_text(workdir.joinpath("graph.jsonl").read_text()[:100])
+        raise KeyboardInterrupt
+
+    base = ["-c", str(cfg_path), "-w", str(fresh)]
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "stage_sample", interrupted_sample)
+        with pytest.raises(KeyboardInterrupt):
+            main(base + ["sample"])
+    assert not (fresh / "graph.jsonl").exists()
+    assert main(base + ["pipeline", "--synth", "--resume"]) == 0
+    digest = hashlib.sha256((fresh / "graph.jsonl").read_bytes()).hexdigest()
+    assert digest == PINNED_SHA256["graph.jsonl"]
 
 
 def edit_json_line(lineno, change):

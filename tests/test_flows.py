@@ -224,16 +224,6 @@ def test_flow_record_is_an_immutable_hashable_value():
     assert record != FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 10)
 
 
-def test_flow_record_sort_key_orders_by_interval_then_five_tuple(rng):
-    records = [FlowRecord(f"10.0.0.{rng.randrange(1, 4)}", f"10.0.1.{rng.randrange(1, 4)}",
-                          rng.randrange(3), rng.randrange(3), rng.choice(list(Proto)),
-                          start := rng.randrange(4), start + rng.randrange(3))
-               for _ in range(300)]
-    expected = sorted(records, key=lambda f: (f.t_start, f.t_end, f.src_ip, f.dst_ip,
-                                              f.src_port, f.dst_port, f.proto.value))
-    assert sorted(records, key=FlowRecord.sort_key) == expected
-
-
 def test_records_are_built_positionally_in_field_order():
     assert flow("10.0.0.1", "10.0.0.2", 5, 9, sport=3, dport=4, proto=Proto.UDP) == FlowRecord(
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=3, dst_port=4, proto=Proto.UDP,

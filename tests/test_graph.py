@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk.errors import ConfigError
-from depwalk.flows import Proto
+from depwalk.flows import FlowRecord, Proto
 from depwalk.graph import (CommGraph, SamplerConfig, _internal_check, read_graph_jsonl,
                            reservoir_sample_edges, select_top_addresses, write_graph_jsonl)
 from refimpl import reference_is_internal
@@ -181,6 +181,21 @@ def test_graph_neighbors_and_edges():
     assert g.in_neighbors("10.0.0.3") == ("10.0.0.1", "10.0.0.2")
     assert g.out_degree("10.0.0.3") == 0
     assert g.has_edge("10.0.0.2", "10.0.0.3") and not g.has_edge("10.0.0.3", "10.0.0.2")
+
+
+def test_graph_orders_each_pairs_instances_by_interval_then_five_tuple(rng):
+    records = [FlowRecord(f"10.0.0.{rng.randrange(1, 4)}", f"10.0.1.{rng.randrange(1, 4)}",
+                          rng.randrange(3), rng.randrange(3), rng.choice(list(Proto)),
+                          start := rng.randrange(4), start + rng.randrange(3))
+               for _ in range(300)]
+    g = graph_from(records)
+    pairs = {(f.src_ip, f.dst_ip) for f in records}
+    assert sum(len(g.edge_instances(*pair)) for pair in pairs) == len(records)
+    for pair in pairs:
+        expected = sorted((f for f in records if (f.src_ip, f.dst_ip) == pair),
+                          key=lambda f: (f.t_start, f.t_end, f.src_ip, f.dst_ip,
+                                         f.src_port, f.dst_port, f.proto.value))
+        assert list(g.edge_instances(*pair)) == expected
 
 
 def test_graph_rejects_foreign_endpoints():
