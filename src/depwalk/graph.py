@@ -6,16 +6,17 @@ import heapq
 import json
 import logging
 import random
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from ipaddress import ip_address, ip_network
-from itertools import chain
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .config import SamplerConfig
-from .flows import (CANONICAL_IPV4, CSV_COLUMNS, FlowRecord, flow_from_dict, flow_to_dict,
-                    parse_address)
+from .flows import (CANONICAL_IPV4, CSV_COLUMNS, FlowColumns, FlowRecord, flow_from_dict,
+                    flow_to_json, open_lines, parse_address, utf8)
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +42,7 @@ def _internal_check(prefixes: Iterable[str]) -> Callable[[str], bool]:
     return is_internal
 
 
-def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set[str]:
+def select_top_addresses(flows: FlowColumns, cfg: SamplerConfig) -> set[str]:
     """The ``n_internal`` internal and ``m_external`` external addresses with
     the most flow appearances (as source or destination).
 
@@ -49,18 +50,20 @@ def select_top_addresses(flows: Sequence[FlowRecord], cfg: SamplerConfig) -> set
     distinct addresses exist than requested, everything available is returned
     and a warning is logged.
     """
-    counts = Counter(chain(map(attrgetter("src_ip"), flows), map(attrgetter("dst_ip"), flows)))
+    names, n = flows.addresses, len(flows.addresses)
+    counts = (np.bincount(flows.src, minlength=n) + np.bincount(flows.dst, minlength=n)).tolist()
     is_internal = _internal_check(cfg.internal_prefixes)
-    internal: list[str] = []
-    external: list[str] = []
-    for addr in counts:
-        (internal if is_internal(addr) else external).append(addr)
+    internal: list[int] = []
+    external: list[int] = []
+    for number, addr in enumerate(names):
+        if counts[number]:  # the table may name addresses of dropped flows
+            (internal if is_internal(addr) else external).append(number)
 
-    def top(addrs: list[str], wanted: int, kind: str) -> list[str]:
-        ranked = heapq.nsmallest(wanted, addrs, key=lambda a: (-counts[a], a))
+    def top(numbers: list[int], wanted: int, kind: str) -> list[str]:
+        ranked = heapq.nsmallest(wanted, numbers, key=lambda i: (-counts[i], names[i]))
         if len(ranked) < wanted:
             log.warning("only %d %s addresses available (requested %d)", len(ranked), kind, wanted)
-        return ranked
+        return [names[i] for i in ranked]
 
     return set(top(internal, cfg.n_internal, "internal")) | set(top(external, cfg.m_external, "external"))
 
@@ -140,42 +143,37 @@ class CommGraph(Neighbours):
     __hash__ = None  # mutable-by-convention container semantics
 
 
-def reservoir_sample_edges(flows: Iterable[FlowRecord], selected: set[str], cfg: SamplerConfig) -> CommGraph:
+def reservoir_sample_edges(flows: FlowColumns, selected: set[str], cfg: SamplerConfig) -> CommGraph:
     """Uniform reservoir sample over flows whose endpoints are both selected.
 
-    Classic single-reservoir sampling: the first ``k_edges`` eligible flows
-    fill the reservoir, and the k-th eligible flow thereafter replaces a
-    uniformly drawn slot with probability ``k_edges / k``.  After N eligible
-    flows every one of them is retained with probability ``k_edges / N``.
+    Classic single-reservoir sampling over the eligible rows: the first
+    ``k_edges`` fill the reservoir, and the k-th eligible row thereafter
+    replaces a uniformly drawn slot with probability ``k_edges / k``.  After
+    N eligible flows every one of them is retained with probability
+    ``k_edges / N``.  Only the retained rows become records.
     """
     if not selected:
         raise ValueError("selected address set is empty")
+    chosen = np.array([addr in selected for addr in flows.addresses], bool)
+    eligible = np.flatnonzero(chosen[flows.src] & chosen[flows.dst])
     rng = random.Random(cfg.rng_seed)
-    reservoir: list[FlowRecord] = []
-    seen = 0
-    for f in flows:
-        if f.src_ip not in selected or f.dst_ip not in selected:
-            continue
-        seen += 1
-        if len(reservoir) < cfg.k_edges:
-            reservoir.append(f)
-        else:
-            slot = rng.randrange(seen)
-            if slot < cfg.k_edges:
-                reservoir[slot] = f
-    if seen == 0:
+    kept = list(range(min(cfg.k_edges, len(eligible))))  # positions in eligible
+    for seen in range(len(kept) + 1, len(eligible) + 1):
+        slot = rng.randrange(seen)
+        if slot < cfg.k_edges:
+            kept[slot] = seen - 1
+    if not len(eligible):
         log.warning("no flows with both endpoints among the %d selected addresses", len(selected))
-    return CommGraph(sorted(selected), reservoir)
+    return CommGraph(sorted(selected), flows.records(eligible[kept]))
 
 
-def write_jsonl(path, vertices: Iterable[str], objects: Iterable) -> None:
+def write_jsonl(path, vertices: Iterable[str], lines: Iterable[str]) -> None:
     """The layout of ``graph.jsonl`` and ``walks.jsonl``: a vertex manifest
     (an object whose one key, ``vertices``, lists addresses), then one
-    object per line, all with sorted keys."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    JSON object with sorted keys per line of ``lines``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(encode({"vertices": list(vertices)}) + "\n")
-        fh.writelines(encode(obj) + "\n" for obj in objects)
+        fh.write(json.dumps({"vertices": list(vertices)}) + "\n")
+        fh.writelines(line + "\n" for line in lines)
 
 
 def read_jsonl(path, convert: Callable[[dict, dict[str, str], set[str]], object]
@@ -183,25 +181,24 @@ def read_jsonl(path, convert: Callable[[dict, dict[str, str], set[str]], object]
     """The manifest of a :func:`write_jsonl` file, and ``convert(obj,
     canonical, known)`` of each later non-blank line's object (``canonical``
     memoises addresses, ``known`` is the manifest's).  A line that is not
-    JSON, or whose object is rejected (a missing field, a wrong type or
-    value), is a ValueError naming ``path`` and the line."""
+    UTF-8 or not JSON, or whose object is rejected (a missing field, a wrong
+    type or value), is a ValueError naming ``path`` and the line."""
     canonical: dict[str, str] = {}
     objects = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_lines(path) as fh:
         first = fh.readline()
         if not first.strip():
             raise ValueError(f"{path}: empty file, no vertex manifest")
         lineno = 1
         try:
-            manifest = json.loads(first)
+            manifest = json.loads(utf8(first))
             if not isinstance(manifest, dict) or list(manifest) != ["vertices"]:
                 raise ValueError("not a vertex manifest")
             vertices = [parse_address(v, canonical) for v in manifest["vertices"]]
             known = set(vertices)
-            lineno = 2  # bound even when the second line fails to decode
             for lineno, line in enumerate(fh, 2):
                 if line.strip():
-                    objects.append(convert(json.loads(line), canonical, known))
+                    objects.append(convert(json.loads(utf8(line)), canonical, known))
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -211,7 +208,7 @@ def read_jsonl(path, convert: Callable[[dict, dict[str, str], set[str]], object]
 
 def write_graph_jsonl(graph: CommGraph, path) -> None:
     """One edge per line with all attributes, after the vertex manifest."""
-    write_jsonl(path, graph.vertices, map(flow_to_dict, graph.all_edges()))
+    write_jsonl(path, graph.vertices, map(flow_to_json, graph.all_edges()))
 
 
 def _edge_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> FlowRecord:

@@ -13,12 +13,13 @@ graph):
          host's own onward request), making the head depend on the tail.
 * TD3 -- three chained direct dependencies with nested containment.
 
-All five kinds run on one ``FlowColumns`` view of the flows, int64 columns
-built once per call: DD is one sort of the 5-tuple keys with counts; RR and
-RR3 sort the flows by (4-tuple, start) and by (source, start) and find every
-reply, follow-up and second-hop window of all flows at once with
-``searchsorted``; TD and TD3 cut the spans of the DD pairs out of one sort
-of their flows by (pair, start).  Window bounds saturate at the int64 edges
+All five kinds run on the int64 ``FlowColumns`` that ingest parses the
+flows into (records are turned into columns once per call): DD is one sort
+of the 5-tuple keys with counts; RR and RR3 sort the flows by (4-tuple,
+start) and by (source, start) and find every reply, follow-up and
+second-hop window of all flows at once with ``searchsorted``; TD and TD3
+cut the spans of the DD pairs out of one sort of their flows by (pair,
+start).  Window bounds saturate at the int64 edges
 instead of wrapping, so any ``epsilon`` up to ``2**63 - 1`` is exact.
 
 An outer flow contains an inner one when ``outer.start <= inner.start`` and
@@ -39,16 +40,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from enum import Enum
-from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .config import OracleConfig
-from .flows import FlowRecord, Proto
+from .flows import FlowColumns, FlowRecord, Proto
 
-_PROTO = {proto: code for code, proto in enumerate(Proto)}
 _INT64 = np.iinfo(np.int64)
 # raw RR/RR3 witness triples expanded at once before deduplication
 _CHUNK = 1 << 13
@@ -70,33 +68,6 @@ class DependencyRecord(NamedTuple):
     src: str
     dst: str
     witness_count: int
-
-
-class FlowColumns:
-    """Flows as int64 columns, built once per oracle call: address ids into
-    ``addresses`` (``src``, ``dst``), the 16-bit ports ``sport`` and
-    ``dport``, a ``proto`` code and ``t_start``/``t_end``; ``len()`` is the
-    flow count."""
-
-    def __init__(self, flows: Sequence[FlowRecord]):
-        def column(field, code=None):
-            values = map(attrgetter(field), flows)
-            return np.fromiter(values if code is None else map(code, values), np.int64, len(flows))
-
-        # One dict numbers the addresses, and it goes before the other
-        # columns are built: a pipeline's peak RSS falls in this constructor.
-        ids = dict.fromkeys(chain(map(attrgetter("src_ip"), flows),
-                                  map(attrgetter("dst_ip"), flows)))
-        self.addresses = list(ids)
-        ids.update(zip(self.addresses, range(len(ids))))
-        self.src, self.dst = column("src_ip", ids.__getitem__), column("dst_ip", ids.__getitem__)
-        del ids
-        self.sport, self.dport = column("src_port"), column("dst_port")
-        self.proto = column("proto", _PROTO.__getitem__)
-        self.t_start, self.t_end = column("t_start"), column("t_end")
-
-    def __len__(self) -> int:
-        return len(self.src)
 
 
 def _plus(t: np.ndarray, eps: int) -> np.ndarray:
@@ -209,10 +180,10 @@ def _dd_pairs(cols: FlowColumns, n_t: int) -> tuple[np.ndarray, np.ndarray]:
     count to its pair."""
     n_addr = len(cols.addresses)
     pairs, pair_id = _dense(cols.src * n_addr + cols.dst)
-    tuples, counts = np.unique((pair_id << 32 | cols.sport << 16 | cols.dport) * len(_PROTO)
+    tuples, counts = np.unique((pair_id << 32 | cols.sport << 16 | cols.dport) * len(Proto)
                                + cols.proto, return_counts=True)
     keep = counts >= n_t
-    pair, counts = pairs[tuples[keep] // len(_PROTO) >> 32], counts[keep]
+    pair, counts = pairs[tuples[keep] // len(Proto) >> 32], counts[keep]
     runs = _run_starts(pair)
     return pair[runs], np.add.reduceat(counts, runs) if len(runs) else counts
 

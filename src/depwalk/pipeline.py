@@ -12,22 +12,24 @@ subcommands, the prerequisite checks, the ``pipeline`` order and
 
 Within one ``run_pipeline`` call a stage hands what it has just written on
 to the stages that read it next, keyed by the artifact's name and the sha256
-of the file's bytes: ``ingest`` its flow records to ``sample`` and
+of the file's bytes: ``ingest`` its ``FlowColumns`` to ``sample`` and
 ``oracle``, ``sample`` its ``CommGraph`` to ``walks`` and the graph's
 ``Neighbours`` to ``simindex``, and ``walks`` the graph's vertices and its
 walks to ``embed``.  A reader takes its value only while the file's bytes
 hash to the kept digest; any other file (edited, damaged, written by
 another program) is decoded with every check.  So a run parses flow text
-once and reads back none of the flows, graph or walks it writes.  The cost
-is a sha256 pass per hand-off and per take (about 5 ms for the 4.8 MB
-``flows.csv`` of 96,000 flows) and the values: each reader drops its own, so
-the records (about 18 MB) live until ``oracle`` turns them into int64
-columns, the graph until ``walks`` and the walks until ``embed``.  Only the
-neighbour sets live through ``train`` and ``eval`` (13 KB with their address
-strings on the ``readme`` benchmark, 56 KB on ``scale``).  A stage skipped by
-``--resume`` hands on nothing; stages run outside ``run_pipeline`` decode
-every input.
-Written records read back unchanged (the round-trip tests pin this, and
+once and reads back none of the flows, graph or walks it writes.  The flows
+are int64 columns from the parse on: no record per flow exists, and only the
+edges ``sample`` keeps become ``FlowRecord``s.  The cost is a sha256 pass
+per hand-off and per take (about 5 ms for the 4.8 MB ``flows.csv`` of
+96,000 flows) and the values: each reader drops its own, so the columns
+(5.4 MB for those flows, with 1.8 MB of address strings) live until
+``oracle``, the graph until ``walks`` and the walks until ``embed``.  Only
+the neighbour sets live through ``train`` and ``eval`` (13 KB with their
+address strings on the ``readme`` benchmark, 56 KB on ``scale``).  A stage
+skipped by ``--resume`` hands on nothing; stages run outside
+``run_pipeline`` decode every input.
+Written flows read back unchanged (the round-trip tests pin this, and
 ingest rejects the scoped IPv6 addresses whose text the CSV writer could not
 carry), so stage-by-stage runs write the same bytes as ``pipeline``.
 """
@@ -50,7 +52,8 @@ import numpy  # noqa: F401
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
 from .config import PipelineConfig
 from .errors import DepwalkError, StageError
-from .flows import biflow_to_uniflows, filter_tcp_udp, parse_flows, read_flows_csv, write_flows_csv
+from .flows import (FlowColumns, biflow_to_uniflows, filter_tcp_udp, open_lines, parse_flows,
+                    read_flows_csv, write_flows_csv)
 from .graph import (read_graph_jsonl, reservoir_sample_edges, select_top_addresses,
                     write_graph_jsonl)
 from .walks import WalkLabel
@@ -65,8 +68,9 @@ def artifact(cfg: PipelineConfig, name: str) -> Path:
 # The decoded values one ``run_pipeline`` call hands from the stage that writes
 # an artifact to the stages that read it: artifact name -> (sha256 of the
 # file's bytes, reader stage name -> its value).  None outside such a call.
-# Readers may share a value, so none may change it: the flows and the walks
-# are tuples, and nothing changes a CommGraph or its Neighbours once built.
+# Readers may share a value, so none may change it: the flows' columns are
+# read-only arrays, the walks a tuple, and nothing changes a CommGraph or its
+# Neighbours once built.
 _handoff: dict[str, tuple[bytes, dict[str, object]]] | None = None
 
 
@@ -109,33 +113,33 @@ def stage_synth(cfg: PipelineConfig) -> Path:
 
 
 def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
-    """Parse, optionally split biflows, filter to TCP/UDP, write flows.csv."""
+    """Parse, optionally split biflows, filter to TCP/UDP, write flows.csv.
+    A line that is not UTF-8 is a bad line like any other: warned and skipped."""
     path = Path(flows_in)
     if not path.exists():
         raise FileNotFoundError(None, "input flow file not found", str(path))
-    with open(path, "r", encoding="utf-8") as fh:
-        records, report = parse_flows(fh, biflows=cfg.ingest.biflows)
+    with open_lines(path) as fh:
+        parsed, report = parse_flows(fh, biflows=cfg.ingest.biflows)
     for lineno, message in report.errors:
         log.warning("%s:%d: %s", path, lineno, message)
     if report.dropped_self_loops:
         log.info("dropped %d self-loop records", report.dropped_self_loops)
-    flows = ([flow for b in records for flow in biflow_to_uniflows(b, cfg.ingest.split_mode)]
-             if cfg.ingest.biflows else records)
-    kept = tuple(filter_tcp_udp(flows))
-    log.info("ingest: %d records parsed, %d TCP/UDP flows kept", len(records), len(kept))
+    flows = biflow_to_uniflows(parsed, cfg.ingest.split_mode) if cfg.ingest.biflows else parsed
+    kept = filter_tcp_udp(flows)
+    log.info("ingest: %d records parsed, %d TCP/UDP flows kept", len(parsed), len(kept))
     out = artifact(cfg, "flows.csv")
-    write_flows_csv(kept, out)
+    write_flows_csv(kept.rows(), out)
     _hand_off(out, sample=kept, oracle=kept)
     return out
 
 
-def _checked_flows(path: Path):
+def _checked_flows(path: Path) -> FlowColumns:
     flows, report = read_flows_csv(path)
     if not report.ok:
         (lineno, message), n = report.errors[0], len(report.errors)
         raise DepwalkError(f"{path}:{lineno}: {message}; {n} invalid "
                            f"{'line' if n == 1 else 'lines'} in a pipeline artifact")
-    return tuple(flows)
+    return flows
 
 
 def stage_sample(cfg: PipelineConfig) -> Path:
@@ -177,8 +181,7 @@ def stage_embed(cfg: PipelineConfig) -> Path:
 
 
 def stage_oracle(cfg: PipelineConfig) -> Path:
-    # only the columns outlive this line, so the records are freed before the scan
-    flows = oracle.FlowColumns(_decode(artifact(cfg, "flows.csv"), "oracle", _checked_flows))
+    flows = _decode(artifact(cfg, "flows.csv"), "oracle", _checked_flows)
     records = oracle.enumerate_all(flows, cfg.oracle)
     out = artifact(cfg, "ground_truth.csv")
     _write_dependencies(out, records)

@@ -87,27 +87,49 @@ def spearman(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     return num / (math.sqrt(den_x) * math.sqrt(den_y))
 
 
-def _tie_pairs(values: np.ndarray) -> int:
-    _, counts = np.unique(values, return_counts=True)
-    return int(sum(int(c) * (int(c) - 1) // 2 for c in counts))
+def _tie_pairs(*columns: np.ndarray) -> int:
+    """Pairs of positions whose values are equal in every one of ``columns``."""
+    counts = np.unique(np.stack(columns, 1), axis=0, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _inversions(values: np.ndarray) -> int:
+    """Pairs of positions ``i < j`` with ``values[i] > values[j]``, counted
+    exactly by a bottom-up merge sort: per round, each right-hand block
+    counts the larger entries of its sorted left-hand neighbour."""
+    ranks = np.unique(values, return_inverse=True)[1].astype(np.int64)
+    n, total, width = len(ranks), 0, 1
+    position = np.arange(n)
+    while width < n:
+        block = position // (2 * width)
+        right = position // width % 2 == 1
+        # blocks are kept sorted; offsetting each by its block number keeps all sorted
+        keyed = block * n + ranks
+        left_keys = keyed[~right]
+        ends = np.searchsorted(left_keys, (block[right] + 1) * n)
+        total += int((ends - np.searchsorted(left_keys, keyed[right], "right")).sum())
+        ranks = np.sort(keyed) - block * n
+        width *= 2
+    return total
 
 
 def kendall_tau(xs: Sequence[float], ys: Sequence[float]) -> float | None:
     """Tie-corrected tau: (concordant - discordant) / sqrt((n0-n1)(n0-n2)).
 
-    Returns None when either input is entirely tied.  The concordance count
-    is an exact integer; only the final division is floating point.
+    Returns None when either input is entirely tied.  Knight's count gives
+    concordant minus discordant as ``n0 - n1 - n2 + n3 - 2 D``, where ``n3``
+    counts the pairs tied in both inputs and ``D`` the strict inversions of
+    the ys once sorted by (x, y); it is an exact integer, and only the final
+    division is floating point.
     """
     x, y = _check_inputs(xs, ys)
     n = len(x)
-    conc_minus_disc = 0
-    for i in range(n - 1):
-        conc_minus_disc += int(np.sum(np.sign(x[i + 1:] - x[i]) * np.sign(y[i + 1:] - y[i])))
     n0 = n * (n - 1) // 2
     n1 = _tie_pairs(x)
     n2 = _tie_pairs(y)
     if n0 == n1 or n0 == n2:
         return None
+    conc_minus_disc = n0 - n1 - n2 + _tie_pairs(x, y) - 2 * _inversions(y[np.lexsort((y, x))])
     d1, d2 = n0 - n1, n0 - n2
     if conc_minus_disc * conc_minus_disc == d1 * d2:
         return 1.0 if conc_minus_disc > 0 else -1.0

@@ -29,6 +29,7 @@ edges; walks that end shorter than three vertices are discarded.
 
 from __future__ import annotations
 
+import json
 import logging
 import random
 from bisect import bisect_left, bisect_right
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence
 
 from .config import WalkConfig
 from .errors import NegativeWalkError
-from .flows import FlowRecord, flow_from_dict, flow_to_dict, parse_address
+from .flows import FlowRecord, flow_from_dict, flow_to_json, parse_address
 from .graph import CommGraph, read_jsonl, write_jsonl
 from .seeds import derive_seed
 
@@ -289,14 +290,18 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
     return negatives
 
 
+def _walk_to_json(walk: RandomWalk) -> str:
+    """A walk as a JSON object with sorted keys: lists through the encoder,
+    its step edges through the flows' template."""
+    trace = [sorted(c.value for c in conds) for conds in walk.condition_trace]
+    return (f'{{"condition_trace": {json.dumps(trace)}, "label": {json.dumps(walk.label.value)}, '
+            f'"step_edges": [{", ".join(map(flow_to_json, walk.step_edges))}], '
+            f'"vertices": {json.dumps(list(walk.vertices))}}}')
+
+
 def write_walks_jsonl(vertices: Sequence[str], walks: Iterable[RandomWalk], path) -> None:
     """One walk per line, after the walked graph's vertex manifest."""
-    write_jsonl(path, vertices, ({
-        "label": walk.label.value,
-        "vertices": list(walk.vertices),
-        "condition_trace": [sorted(c.value for c in conds) for conds in walk.condition_trace],
-        "step_edges": [flow_to_dict(e) for e in walk.step_edges],
-    } for walk in walks))
+    write_jsonl(path, vertices, map(_walk_to_json, walks))
 
 
 def _walk_from_dict(obj: dict, canonical: dict[str, str], known: set[str]) -> RandomWalk:

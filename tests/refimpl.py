@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from ipaddress import ip_address, ip_network
@@ -15,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from depwalk.flows import CSV_COLUMNS, FlowRecord, ParseReport, Proto
+from depwalk.flows import CSV_COLUMNS, FlowRecord, ParseReport, Proto, SplitMode
 from depwalk.forest import ForestModel, _TreeNodes
 from depwalk.seeds import derive_seed
 from depwalk.walks import Condition, WalkLabel
@@ -616,7 +617,8 @@ def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[
     The first line that is neither blank nor a CSV header sets the format:
     JSON lines when it starts with ``{``, CSV otherwise.  Invalid lines are
     collected in the report with their 1-based line number; valid records
-    keep the input order.  An optional CSV header line is skipped.  Each
+    keep the input order.  A leading BOM and an optional CSV header line
+    are skipped.  Each
     distinct address token is validated once per call: a valid
     one is memoised, an invalid one is reported on every line it appears on.
     With ``biflows`` every record is a bidirectional connection (split later
@@ -629,6 +631,8 @@ def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[
     jsonl = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         header = lineno == 1 and line.split(",", 1)[0].strip().lower() == "t_start"
         if header or not line.strip():
             continue
@@ -652,3 +656,78 @@ def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[
         else:
             flows.append(flow)
     return flows, report
+
+
+def reference_biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode) -> tuple[FlowRecord, FlowRecord]:
+    """A biflow record as its forward flow (itself) and its reverse flow:
+    addresses and ports swapped, starting 1 ms later (but not after the
+    end) in DISTINCT_TIMESTAMPS mode."""
+    rev_start = biflow.t_start if mode is SplitMode.SAME_TIMESTAMPS else min(biflow.t_start + 1,
+                                                                             biflow.t_end)
+    return biflow, FlowRecord(biflow.dst_ip, biflow.src_ip, biflow.dst_port, biflow.src_port,
+                              biflow.proto, rev_start, biflow.t_end)
+
+
+# ---------------------------------------------------------------------------
+# graph and walk files: one sort-keyed dict per line through the JSON encoder
+
+
+def flow_to_dict(flow: FlowRecord) -> dict:
+    return {**flow._asdict(), "proto": flow.proto.value}
+
+
+def _reference_jsonl(path, vertices, objects) -> None:
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(encode({"vertices": list(vertices)}) + "\n")
+        fh.writelines(encode(obj) + "\n" for obj in objects)
+
+
+def reference_write_graph_jsonl(graph, path) -> None:
+    _reference_jsonl(path, graph.vertices, map(flow_to_dict, graph.all_edges()))
+
+
+def reference_write_walks_jsonl(vertices, walks, path) -> None:
+    _reference_jsonl(path, vertices, ({
+        "label": walk.label.value,
+        "vertices": list(walk.vertices),
+        "condition_trace": [sorted(c.value for c in conds) for conds in walk.condition_trace],
+        "step_edges": [flow_to_dict(e) for e in walk.step_edges],
+    } for walk in walks))
+
+
+# ---------------------------------------------------------------------------
+# address selection and reservoir sampling over records
+
+
+def reference_top_addresses(flows, cfg) -> set[str]:
+    """The ``n_internal`` internal and ``m_external`` external addresses that
+    appear in the most flows, ties to the smaller address, by sorting."""
+    counts: dict[str, int] = {}
+    for f in flows:
+        for addr in (f.src_ip, f.dst_ip):
+            counts[addr] = counts.get(addr, 0) + 1
+    ranked = sorted(counts, key=lambda a: (-counts[a], a))
+    internal = [a for a in ranked if reference_is_internal(a, cfg.internal_prefixes)]
+    external = [a for a in ranked if not reference_is_internal(a, cfg.internal_prefixes)]
+    return set(internal[:cfg.n_internal]) | set(external[:cfg.m_external])
+
+
+def reference_reservoir_sample(flows, selected, cfg) -> list[FlowRecord]:
+    """The flows one reservoir keeps: the first ``k_edges`` eligible flows,
+    then the k-th eligible one replaces slot ``randrange(k)`` when that slot
+    is below ``k_edges``."""
+    rng = random.Random(cfg.rng_seed)
+    reservoir: list[FlowRecord] = []
+    seen = 0
+    for f in flows:
+        if f.src_ip not in selected or f.dst_ip not in selected:
+            continue
+        seen += 1
+        if len(reservoir) < cfg.k_edges:
+            reservoir.append(f)
+        else:
+            slot = rng.randrange(seen)
+            if slot < cfg.k_edges:
+                reservoir[slot] = f
+    return reservoir

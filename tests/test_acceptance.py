@@ -68,7 +68,7 @@ def test_criterion_1_condition_soundness():
                               session_rate=0.8, duration=120.0, lr_web_db=True,
                               rr_dns_web=True, noise_flows=0, epsilon_ms=500,
                               rng_seed=5)
-    flows = filter_tcp_udp(generate(scenario)[0])
+    flows = filter_tcp_udp(FlowColumns(generate(scenario)[0]))
     sampler = SamplerConfig(n_internal=20, m_external=0, k_edges=10000,
                             internal_prefixes=("10.0.0.0/16",), rng_seed=1)
     graph = reservoir_sample_edges(flows, select_top_addresses(flows, sampler), sampler)
@@ -109,7 +109,7 @@ def test_criterion_4_reservoir_uniformity():
     from conftest import flow
 
     n_flows, k, seeds = 10_000, 1_000, 50
-    stream = [flow("10.0.0.1", "10.0.0.2", i, i + 1) for i in range(n_flows)]
+    stream = FlowColumns([flow("10.0.0.1", "10.0.0.2", i, i + 1) for i in range(n_flows)])
     selected = {"10.0.0.1", "10.0.0.2"}
     counts = [0] * n_flows
     for seed in range(seeds):

@@ -15,11 +15,11 @@ from typing import get_type_hints
 import pytest
 import yaml
 
-from depwalk import pipeline
+from depwalk import oracle, pipeline
 from depwalk.cli import main
 from depwalk.config import PipelineConfig, load_config
 from depwalk.errors import ConfigError
-from depwalk.flows import CSV_COLUMNS
+from depwalk.flows import CSV_COLUMNS, FlowColumns
 from depwalk.graph import Neighbours, read_graph_jsonl
 from depwalk.seeds import derive_seed
 from depwalk.simindex import baseline_report
@@ -525,6 +525,43 @@ def test_ingest_logs_each_invalid_line_and_the_dropped_self_loops(tmp_path, capl
                                                    "7,9,10.0.0.3,10.0.0.4,40000,53,UDP\n")
 
 
+def test_a_flow_line_that_is_not_utf8_is_warned_and_skipped(small_run, tmp_path, caplog):
+    # like any other bad input line: ingest names it, drops it and goes on
+    cfg_path, workdir = small_run
+    lines = (workdir / "flows.csv").read_bytes().splitlines(keepends=True)
+    flows = tmp_path / "flows.csv"
+    flows.write_bytes(b"".join(lines))
+    undecodable(200)(flows)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING):
+        assert main(["-c", str(cfg_path), "-w", str(out), "ingest", "--flows", str(flows)]) == 0
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        f"{flows}:200: {NOT_UTF8}"]
+    assert (out / "flows.csv").read_bytes() == b"".join(lines[:199] + lines[200:])
+
+
+def test_ingest_hands_its_read_only_columns_to_sample_and_oracle(tmp_path, monkeypatch):
+    # a pipeline holds no record per input flow: ingest parses the flows into
+    # columns, and sample and oracle both take that one value
+    handed, taken = {}, []
+    hand_off, select, enumerate_all = (pipeline._hand_off, pipeline.select_top_addresses,
+                                       oracle.enumerate_all)
+    monkeypatch.setattr(pipeline, "_hand_off",
+                        lambda path, **readers: handed.update({path.name: readers}) or
+                        hand_off(path, **readers))
+    monkeypatch.setattr(pipeline, "select_top_addresses",
+                        lambda flows, cfg: taken.append(flows) or select(flows, cfg))
+    monkeypatch.setattr(oracle, "enumerate_all",
+                        lambda flows, cfg: taken.append(flows) or enumerate_all(flows, cfg))
+    assert main(["-c", str(write_config(tmp_path)), "-w", str(tmp_path / "out"),
+                 "pipeline", "--synth"]) == 0
+    flows = handed["flows.csv"]["sample"]
+    assert isinstance(flows, FlowColumns) and handed["flows.csv"]["oracle"] is flows
+    assert len(taken) == 2 and all(value is flows for value in taken)
+    with pytest.raises(ValueError, match="read-only"):
+        flows.t_start[0] = 0
+
+
 def test_an_input_without_a_tcp_or_udp_flow_is_a_named_sample_error(tmp_path, capsys):
     flows = tmp_path / "icmp.csv"
     flows.write_text("0,10,10.0.0.1,10.0.0.2,0,0,ICMP\n")
@@ -715,6 +752,18 @@ def edit_first_row(change):
     return corrupt
 
 
+def undecodable(lineno):
+    """Overwrite the first byte of line ``lineno`` with 0xff, a byte UTF-8 never uses."""
+    def corrupt(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1][1:]
+        path.write_bytes(b"".join(lines))
+    return corrupt
+
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
 def edit_tree(change):
     """Apply ``change`` to the first tree of a model file."""
     def corrupt(path):
@@ -821,6 +870,17 @@ DAMAGED_INPUTS = [
     pytest.param("sample", "flows.csv", edit_first_row(lambda cells: ["20", "10"] + cells[2:]),
                  ":2: t_end 10 earlier than t_start 20; 1 invalid line in a pipeline artifact",
                  id="flows-interval"),
+    pytest.param("walks", "graph.jsonl", undecodable(1), f":1: {NOT_UTF8}",
+                 id="graph-manifest-not-utf8"),
+    pytest.param("walks", "graph.jsonl", undecodable(2), f":2: {NOT_UTF8}", id="graph-edge-not-utf8"),
+    pytest.param("simindex", "graph.jsonl", undecodable(9), f":9: {NOT_UTF8}",
+                 id="simindex-graph-not-utf8"),
+    pytest.param("embed", "walks.jsonl", undecodable(2), f":2: {NOT_UTF8}", id="walk-not-utf8"),
+    pytest.param("sample", "flows.csv", undecodable(2),
+                 f":2: {NOT_UTF8}; 1 invalid line in a pipeline artifact", id="flows-not-utf8"),
+    pytest.param("oracle", "flows.csv", undecodable(150),
+                 f":150: {NOT_UTF8}; 1 invalid line in a pipeline artifact",
+                 id="oracle-flows-not-utf8"),
     pytest.param("predict", "model.json", drop_field(1, "trees"),
                  ": missing field 'trees'", id="model-trees"),
     pytest.param("predict", "model.json", edit_json_line(1, lambda model: model.update(version=2)),

@@ -8,16 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import ADDRESSES as WRITTEN_ADDRESSES
 from conftest import flow, written_flows
-from depwalk.flows import (CSV_COLUMNS, FlowRecord, ParseReport, Proto, SplitMode,
-                           biflow_to_uniflows, filter_tcp_udp, flow_from_dict, flow_to_csv_line,
-                           flow_to_dict, parse_flows, write_flows_csv)
+from depwalk.flows import (CSV_COLUMNS, FlowColumns, FlowRecord, ParseReport, Proto, SplitMode,
+                           biflow_to_uniflows, filter_tcp_udp, flow_from_dict, flow_to_json,
+                           open_lines, parse_flows, read_flows_csv, write_flows_csv)
 from depwalk.synth import ScenarioConfig, generate
-from refimpl import reference_parse_flows
+from refimpl import (flow_to_dict, reference_biflow_to_uniflows, reference_parse_flows)
 
 
 def parse_text(text):
-    return parse_flows(io.StringIO(text))
+    """The parsed flows of ``text`` as records, and the report."""
+    flows, report = parse_flows(io.StringIO(text))
+    return flows.records(), report
+
+
+def split(biflow, mode):
+    """The two unidirectional records of one biflow record."""
+    return tuple(biflow_to_uniflows(FlowColumns([biflow]), mode).records())
 
 
 def test_parse_csv_line_maps_fields():
@@ -82,7 +90,7 @@ def test_scoped_ipv6_address_is_an_error_on_its_line():
     assert (flows, report.errors) == ([], [(1, "scoped IPv6 address 'fe80::1%a,b'")])
 
 
-def test_repeated_port_token_shares_one_int_and_is_range_checked_on_each_line():
+def test_repeated_port_token_is_range_checked_on_each_line():
     flows, report = parse_text(
         "1,2,10.0.0.1,10.0.0.2,50000,70000,TCP\n"
         "3,4,10.0.0.1,10.0.0.2,50000,443,TCP\n"
@@ -91,7 +99,6 @@ def test_repeated_port_token_shares_one_int_and_is_range_checked_on_each_line():
     assert report.errors == [(1, "dst_port 70000 out of range 0-65535"),
                              (3, "src_port 70000 out of range 0-65535")]
     assert [(f.src_port, f.dst_port) for f in flows] == [(50000, 443), (443, 50000)]
-    assert flows[0].src_port is flows[1].dst_port
 
 
 def test_address_tokens_parse_to_their_canonical_text():
@@ -127,10 +134,10 @@ def test_jsonl_records_equal_the_equivalent_csv(rows):
     from_json = parse_text("".join(json_lines))
     assert from_json == from_csv
     # graph and walk files hold TCP/UDP flows without self-loops, written by
-    # flow_to_dict; read back by flow_from_dict they are the parsed flows
-    kept = filter_tcp_udp(from_csv[0])
+    # flow_to_json; read back by flow_from_dict they are the parsed flows
+    kept = filter_tcp_udp(FlowColumns(from_csv[0])).records()
     canonical = {}
-    assert [flow_from_dict(json.loads(json.dumps(flow_to_dict(f))), canonical) for f in kept] == kept
+    assert [flow_from_dict(json.loads(flow_to_json(f)), canonical) for f in kept] == kept
 
 
 PADDING = st.sampled_from(["", "", "", " ", "  ", "\t", " \t "])
@@ -207,11 +214,19 @@ def json_lines(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.lists(csv_lines(), max_size=10), st.lists(json_lines(), max_size=10)),
        st.sampled_from(["", "t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto\n", "\n"]),
-       st.booleans())
-def test_parse_matches_the_reference_parser(lines, head, biflows):
-    # the same records, counters and (line, message) errors, message for message
+       st.booleans(), st.booleans(), st.sampled_from(SplitMode))
+def test_parse_matches_the_reference_parser(lines, head, bom, biflows, mode):
+    # the columns of the same records, the same counters and (line, message)
+    # errors, message for message; split and filtered, the same flows
     lines = [head, *lines] if head else lines
-    assert parse_flows(lines, biflows) == reference_parse_flows(lines, biflows)
+    if bom and lines:
+        lines[0] = "\ufeff" + lines[0]
+    records, report = reference_parse_flows(lines, biflows)
+    flows = parse_flows(lines, biflows)
+    assert flows == (FlowColumns(records), report)
+    uniflows = [f for b in records for f in reference_biflow_to_uniflows(b, mode)]
+    assert biflow_to_uniflows(flows[0], mode) == FlowColumns(uniflows)
+    assert filter_tcp_udp(flows[0]) == FlowColumns([f for f in records if f.proto is not Proto.OTHER])
 
 
 def test_flow_record_is_an_immutable_hashable_value():
@@ -228,7 +243,7 @@ def test_records_are_built_positionally_in_field_order():
     assert flow("10.0.0.1", "10.0.0.2", 5, 9, sport=3, dport=4, proto=Proto.UDP) == FlowRecord(
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=3, dst_port=4, proto=Proto.UDP,
         t_start=5, t_end=9)
-    _, rev = biflow_to_uniflows(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
+    _, rev = split(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
     assert rev == FlowRecord(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=443, dst_port=50000,
                              proto=Proto.TCP, t_start=1, t_end=10)
     flows, _ = generate(ScenarioConfig(n_clients=2, duration=20.0, rng_seed=5))
@@ -334,12 +349,13 @@ def test_proto_numbers_and_unknown_tokens():
     assert [f.proto for f in flows] == [Proto.TCP, Proto.UDP, Proto.OTHER]
 
 
-def test_csv_round_trip_is_byte_identical():
+def test_csv_round_trip_is_byte_identical(tmp_path):
     text = ("1000,2000,10.0.0.1,10.0.0.2,50000,443,TCP\n"
             "1,1,192.168.1.9,10.0.0.2,0,65535,UDP\n")
-    flows, report = parse_text(text)
+    flows, report = parse_flows(io.StringIO(text))
     assert report.ok
-    assert "".join(flow_to_csv_line(f) + "\n" for f in flows) == text
+    write_flows_csv(flows.rows(), tmp_path / "flows.csv")
+    assert (tmp_path / "flows.csv").read_text() == text
 
 
 @settings(max_examples=200, deadline=None)
@@ -349,32 +365,31 @@ def test_parse_flows_returns_the_records_write_flows_csv_wrote(flows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "flows.csv"
         write_flows_csv(flows, path)
-        with open(path, encoding="utf-8") as fh:
-            assert parse_flows(fh) == (flows, ParseReport(errors=[]))
+        assert read_flows_csv(path) == (FlowColumns(flows), ParseReport(errors=[]))
 
 
 BIFLOW = FlowRecord("10.0.0.1", "10.0.0.2", 50000, 443, Proto.TCP, 0, 10)
 
 
 def test_biflow_same_timestamps():
-    fwd, rev = biflow_to_uniflows(BIFLOW, SplitMode.SAME_TIMESTAMPS)
+    fwd, rev = split(BIFLOW, SplitMode.SAME_TIMESTAMPS)
     assert (fwd.src_ip, fwd.dst_ip, fwd.src_port, fwd.dst_port) == ("10.0.0.1", "10.0.0.2", 50000, 443)
     assert (rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port) == ("10.0.0.2", "10.0.0.1", 443, 50000)
     assert (fwd.t_start, fwd.t_end) == (0, 10) and (rev.t_start, rev.t_end) == (0, 10)
 
 
 def test_biflow_distinct_timestamps():
-    fwd, rev = biflow_to_uniflows(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
+    fwd, rev = split(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
     assert (fwd.t_start, fwd.t_end) == (0, 10)
     assert (rev.t_start, rev.t_end) == (1, 10)
 
 
 def test_biflow_degenerate_duration():
     b = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 5)
-    fwd, rev = biflow_to_uniflows(b, SplitMode.SAME_TIMESTAMPS)
+    fwd, rev = split(b, SplitMode.SAME_TIMESTAMPS)
     assert (fwd.t_start, fwd.t_end) == (5, 5) and (rev.t_start, rev.t_end) == (5, 5)
     # distinct mode clamps so the reverse interval stays valid
-    _, rev = biflow_to_uniflows(b, SplitMode.DISTINCT_TIMESTAMPS)
+    _, rev = split(b, SplitMode.DISTINCT_TIMESTAMPS)
     assert rev.t_start <= rev.t_end
 
 
@@ -382,19 +397,19 @@ def test_biflow_swap_is_an_involution(rng):
     for _ in range(50):
         b = FlowRecord(f"10.0.0.{rng.randrange(1, 50)}", f"10.0.1.{rng.randrange(1, 50)}",
                          rng.randrange(65536), rng.randrange(65536), Proto.TCP, 0, 10)
-        _, rev = biflow_to_uniflows(b, SplitMode.SAME_TIMESTAMPS)
+        _, rev = split(b, SplitMode.SAME_TIMESTAMPS)
         back = FlowRecord(rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port, rev.proto, 0, 10)
-        _, again = biflow_to_uniflows(back, SplitMode.SAME_TIMESTAMPS)
+        _, again = split(back, SplitMode.SAME_TIMESTAMPS)
         assert (again.src_ip, again.dst_ip, again.src_port, again.dst_port) == \
             (b.src_ip, b.dst_ip, b.src_port, b.dst_port)
 
 
 def test_biflow_row_with_counts_ingests_to_two_uniflows():
-    records, report = parse_flows(io.StringIO("1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3,4\n"),
+    biflows, report = parse_flows(io.StringIO("1,2,10.0.0.1,10.0.0.2,1,2,TCP,100,200,3,4\n"),
                                   biflows=True)
     assert report.ok
-    assert records == [FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2)]
-    assert list(biflow_to_uniflows(records[0], SplitMode.SAME_TIMESTAMPS)) == [
+    assert biflows.records() == [FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2)]
+    assert biflow_to_uniflows(biflows, SplitMode.SAME_TIMESTAMPS).records() == [
         FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2),
         FlowRecord("10.0.0.2", "10.0.0.1", 2, 1, Proto.TCP, 1, 2)]
 
@@ -420,13 +435,58 @@ def mk(proto):
 
 def test_filter_tcp_udp():
     mixed = [mk(Proto.TCP), mk(Proto.UDP), mk(Proto.OTHER)]
-    assert [f.proto for f in filter_tcp_udp(mixed)] == [Proto.TCP, Proto.UDP]
-    assert filter_tcp_udp([mk(Proto.OTHER)] * 3) == []
-    assert filter_tcp_udp([]) == []
+    assert [f.proto for f in filter_tcp_udp(FlowColumns(mixed)).records()] == [Proto.TCP, Proto.UDP]
+    assert filter_tcp_udp(FlowColumns([mk(Proto.OTHER)] * 3)).records() == []
+    assert filter_tcp_udp(FlowColumns([])).records() == []
 
 
 def test_filter_conserves_totals(rng):
     flows = [mk(rng.choice([Proto.TCP, Proto.UDP, Proto.OTHER])) for _ in range(200)]
-    kept = filter_tcp_udp(flows)
+    kept = filter_tcp_udp(FlowColumns(flows))
     rejected = sum(1 for f in flows if f.proto is Proto.OTHER)
     assert len(kept) + rejected == len(flows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(written_flows(st.sampled_from(["10.0.0.1", "10.0.0.2", "2001:db8::1", "::ffff:1.2.3.4"])),
+                max_size=20))
+def test_columns_read_back_as_the_records_they_were_built_from(flows):
+    columns = FlowColumns(flows)
+    assert columns.records() == flows and len(columns) == len(flows)
+    # each address once
+    assert sorted(columns.addresses) == sorted({a for f in flows for a in (f.src_ip, f.dst_ip)})
+    rows = list(range(len(flows)))[::-2]
+    assert columns.records(rows) == [flows[i] for i in rows]
+
+
+def test_flow_columns_are_read_only():
+    # ingest hands one FlowColumns to both sample and oracle: neither may change it
+    flows = FlowColumns([flow("10.0.0.1", "10.0.0.2", 1, 2), flow("10.0.0.2", "10.0.0.3", 3, 4)])
+    for column in (flows.src, flows.dst, flows.sport, flows.dport, flows.proto, flows.t_start,
+                   flows.t_end):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 7
+    assert flows.records()[0] == flow("10.0.0.1", "10.0.0.2", 1, 2)
+
+
+def test_a_byte_that_is_not_utf8_is_an_error_on_its_own_line(tmp_path):
+    # a text-mode read decodes ahead of the lines it hands out, so a bad byte
+    # used to stop the parse with no line, or with an earlier line's number
+    lines = [f"{i},{i + 1},10.0.0.1,10.0.0.2,1,2,TCP\n".encode() for i in range(600)]
+    lines[401] = b"5,6,10.0.\xff.1,10.0.0.2,1,2,TCP\n"
+    lines[1] = b"5,6,10.0.0.1,10.0.0.2,1,2,T\xc3\n"
+    path = tmp_path / "flows.csv"
+    path.write_bytes(b"".join(lines))
+    flows, report = read_flows_csv(path)
+    assert report.errors == [
+        (2, "'utf-8' codec can't decode byte 0xc3 in position 27: invalid continuation byte"),
+        (402, "'utf-8' codec can't decode byte 0xff in position 9: invalid start byte")]
+    assert [f.t_start for f in flows.records()] == [i for i in range(600) if i not in (1, 401)]
+    with open_lines(path) as fh:
+        assert parse_flows(fh) == (flows, report)
+
+
+@settings(max_examples=200, deadline=None)
+@given(written_flows(st.one_of(WRITTEN_ADDRESSES, st.ip_addresses(v=6).map(str))))
+def test_flow_template_writes_what_the_sort_keyed_encoder_writes(f):
+    assert flow_to_json(f) == json.dumps(flow_to_dict(f), sort_keys=True)

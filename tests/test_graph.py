@@ -1,4 +1,6 @@
+import io
 import math
+import re
 import tempfile
 from ipaddress import ip_network
 from pathlib import Path
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk.errors import ConfigError
-from depwalk.flows import FlowRecord, Proto
+from depwalk.flows import FlowColumns, FlowRecord, Proto, filter_tcp_udp, parse_flows
 from depwalk.graph import (CommGraph, SamplerConfig, _internal_check, read_graph_jsonl,
                            reservoir_sample_edges, select_top_addresses, write_graph_jsonl)
-from refimpl import reference_is_internal
+from refimpl import (reference_is_internal, reference_reservoir_sample,
+                     reference_top_addresses, reference_write_graph_jsonl)
 
 INTERNAL = ("10.0.0.0/16",)
 
@@ -33,20 +36,30 @@ def test_config_validation_lists_problems():
 def test_top_addresses_by_flow_count():
     flows = (repeat_pair("10.0.0.1", "10.0.0.2", 3, 0, 1)      # A in 5, B in 3 (+2 below)
              + repeat_pair("10.0.0.1", "10.0.0.3", 2, 0, 1))   # C in 1... A:5 B:3 C:2
-    picked = select_top_addresses(flows, cfg(n_internal=2, m_external=0))
+    picked = select_top_addresses(FlowColumns(flows), cfg(n_internal=2, m_external=0))
     assert picked == {"10.0.0.1", "10.0.0.2"}
 
 
 def test_top_addresses_zero_requested():
     flows = repeat_pair("10.0.0.1", "10.0.0.2", 3, 0, 1)
-    assert select_top_addresses(flows, cfg(n_internal=0, m_external=0)) == set()
+    assert select_top_addresses(FlowColumns(flows), cfg(n_internal=0, m_external=0)) == set()
 
 
 def test_tie_broken_lexicographically():
     flows = (repeat_pair("10.0.0.4", "10.0.8.8", 2, 0, 1)
              + repeat_pair("10.0.0.2", "10.0.9.9", 2, 0, 1))
-    picked = select_top_addresses(flows, cfg(n_internal=1, m_external=0))
+    picked = select_top_addresses(FlowColumns(flows), cfg(n_internal=1, m_external=0))
     assert picked == {"10.0.0.2"}
+
+
+def test_addresses_of_dropped_flows_are_never_selected():
+    # the parsed columns' address table still names the endpoints of dropped lines
+    text = ("1,2,10.0.0.1,10.0.0.2,1,2,TCP\n"
+            "3,4,10.0.0.3,10.0.0.4,1,2,ICMP\n"   # filtered out
+            "5,6,10.0.0.5,10.0.0.5,1,2,TCP\n"    # a self-loop
+            "7,8,10.0.0.6,not-an-ip,1,2,TCP\n")  # a bad line
+    flows = filter_tcp_udp(parse_flows(io.StringIO(text))[0])
+    assert select_top_addresses(flows, cfg(n_internal=10, m_external=10)) == {"10.0.0.1", "10.0.0.2"}
 
 
 @st.composite
@@ -81,23 +94,23 @@ def test_internal_check_agrees_with_parsing_every_address(prefixes, data):
 
 def test_internal_external_partition():
     flows = repeat_pair("10.0.0.1", "192.168.5.5", 4, 0, 1)
-    picked = select_top_addresses(flows, cfg(n_internal=5, m_external=5))
+    picked = select_top_addresses(FlowColumns(flows), cfg(n_internal=5, m_external=5))
     assert picked == {"10.0.0.1", "192.168.5.5"}
-    only_internal = select_top_addresses(flows, cfg(n_internal=5, m_external=0))
+    only_internal = select_top_addresses(FlowColumns(flows), cfg(n_internal=5, m_external=0))
     assert only_internal == {"10.0.0.1"}
 
 
 def test_fewer_available_than_requested_warns(caplog):
     flows = repeat_pair("10.0.0.1", "10.0.0.2", 1, 0, 1)
     with caplog.at_level("WARNING"):
-        picked = select_top_addresses(flows, cfg(n_internal=10, m_external=0))
+        picked = select_top_addresses(FlowColumns(flows), cfg(n_internal=10, m_external=0))
     assert picked == {"10.0.0.1", "10.0.0.2"}
     assert any("available" in rec.message for rec in caplog.records)
 
 
 def test_reservoir_keeps_everything_when_larger_than_stream():
     flows = repeat_pair("10.0.0.1", "10.0.0.2", 5, 0, 1, spread=10)
-    g = reservoir_sample_edges(flows, {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=10))
+    g = reservoir_sample_edges(FlowColumns(flows), {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=10))
     assert g.n_edges == 5
     assert g.pair_flow_count("10.0.0.1", "10.0.0.2") == 5
 
@@ -105,7 +118,7 @@ def test_reservoir_keeps_everything_when_larger_than_stream():
 def test_reservoir_eligibility_filter():
     eligible = repeat_pair("10.0.0.1", "10.0.0.2", 5, 0, 1)
     outside = repeat_pair("10.0.0.1", "10.0.99.99", 5, 0, 1)
-    g = reservoir_sample_edges(eligible + outside, {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=100))
+    g = reservoir_sample_edges(FlowColumns(eligible + outside), {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=100))
     assert g.n_edges == 5
     assert "10.0.99.99" not in g.vertices
 
@@ -113,14 +126,14 @@ def test_reservoir_eligibility_filter():
 def test_reservoir_empty_eligible_warns(caplog):
     flows = repeat_pair("10.0.5.5", "10.0.6.6", 3, 0, 1)
     with caplog.at_level("WARNING"):
-        g = reservoir_sample_edges(flows, {"10.0.0.1", "10.0.0.2"}, cfg())
+        g = reservoir_sample_edges(FlowColumns(flows), {"10.0.0.1", "10.0.0.2"}, cfg())
     assert g.n_edges == 0 and len(g.vertices) == 2
 
 
 def test_reservoir_size_invariant(rng):
     flows = [flow("10.0.0.1", "10.0.0.2", i, i + 1) for i in range(500)]
     for k in (1, 7, 100, 499, 500, 600):
-        g = reservoir_sample_edges(flows, {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=k, rng_seed=rng.randrange(2**32)))
+        g = reservoir_sample_edges(FlowColumns(flows), {"10.0.0.1", "10.0.0.2"}, cfg(k_edges=k, rng_seed=rng.randrange(2**32)))
         assert g.n_edges == min(k, len(flows))
 
 
@@ -132,7 +145,7 @@ def test_reservoir_pair_fraction_across_seeds():
     selected = {"10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4"}
     fractions = []
     for seed in range(50):
-        g = reservoir_sample_edges(flows, selected, cfg(k_edges=1000, rng_seed=seed))
+        g = reservoir_sample_edges(FlowColumns(flows), selected, cfg(k_edges=1000, rng_seed=seed))
         fractions.append(g.pair_flow_count("10.0.0.1", "10.0.0.2") / 1000)
     mean = sum(fractions) / len(fractions)
     assert abs(mean - 0.9) <= 0.03
@@ -145,7 +158,7 @@ def test_reservoir_per_flow_binomial_bound():
     selected = {"10.0.0.1", "10.0.0.2"}
     counts = [0] * n_flows
     for seed in range(runs):
-        g = reservoir_sample_edges(flows, selected, cfg(k_edges=k, rng_seed=seed))
+        g = reservoir_sample_edges(FlowColumns(flows), selected, cfg(k_edges=k, rng_seed=seed))
         for inst in g.edge_instances("10.0.0.1", "10.0.0.2"):
             counts[inst.t_start] += 1
     p = k / n_flows
@@ -157,9 +170,9 @@ def test_reservoir_per_flow_binomial_bound():
 def test_reservoir_determinism():
     flows = [flow("10.0.0.1", "10.0.0.2", i, i + 1) for i in range(300)]
     selected = {"10.0.0.1", "10.0.0.2"}
-    a = reservoir_sample_edges(flows, selected, cfg(k_edges=50, rng_seed=9))
-    b = reservoir_sample_edges(flows, selected, cfg(k_edges=50, rng_seed=9))
-    c = reservoir_sample_edges(flows, selected, cfg(k_edges=50, rng_seed=10))
+    a = reservoir_sample_edges(FlowColumns(flows), selected, cfg(k_edges=50, rng_seed=9))
+    b = reservoir_sample_edges(FlowColumns(flows), selected, cfg(k_edges=50, rng_seed=9))
+    c = reservoir_sample_edges(FlowColumns(flows), selected, cfg(k_edges=50, rng_seed=10))
     assert a == b
     assert a != c
 
@@ -228,3 +241,43 @@ def test_read_graph_jsonl_returns_the_graph_write_graph_jsonl_wrote(g):
         path = Path(tmp) / "graph.jsonl"
         write_graph_jsonl(g, path)
         assert read_graph_jsonl(path) == g
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_graph_template_writes_the_bytes_of_the_sort_keyed_encoder(g):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graph_jsonl(g, Path(tmp) / "graph.jsonl")
+        reference_write_graph_jsonl(g, Path(tmp) / "reference.jsonl")
+        assert (Path(tmp) / "graph.jsonl").read_bytes() == (Path(tmp) / "reference.jsonl").read_bytes()
+
+
+POOL = ("10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.7.7", "192.168.0.1", "2001:db8::1", "8.8.8.8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(written_flows(st.sampled_from(POOL)), max_size=60),
+       st.sets(st.sampled_from(POOL), min_size=1), st.integers(1, 40), st.integers(0, 2**32 - 1),
+       st.integers(0, 4), st.integers(0, 4))
+def test_columns_sample_what_records_sampled(flows, selected, k, seed, n_internal, m_external):
+    # the same counts and ranking, and the same draws over the same eligible flows
+    sampler = cfg(n_internal=n_internal, m_external=m_external, k_edges=k, rng_seed=seed)
+    assert select_top_addresses(FlowColumns(flows), sampler) == \
+        reference_top_addresses(flows, sampler)
+    assert reservoir_sample_edges(FlowColumns(flows), selected, sampler) == \
+        CommGraph(sorted(selected), reference_reservoir_sample(flows, selected, sampler))
+
+
+def test_a_byte_that_is_not_utf8_names_its_own_line(tmp_path):
+    # a text-mode read decodes 8 KiB ahead of the line it hands out, so the
+    # byte used to be reported on an earlier line, or on none
+    g = CommGraph(["10.0.0.1", "10.0.0.2"], [flow("10.0.0.1", "10.0.0.2", i, i + 1)
+                                              for i in range(600)])
+    path = tmp_path / "graph.jsonl"
+    write_graph_jsonl(g, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    for lineno in (402, 2):
+        damaged = lines[:lineno - 1] + [lines[lineno - 1].replace(b"t_end", b"t_\xffnd")] + lines[lineno:]
+        path.write_bytes(b"".join(damaged))
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{lineno}: 'utf-8' codec can't decode byte 0xff")):
+            read_graph_jsonl(path)

@@ -120,6 +120,10 @@ def test_kendall_extremes():
     xs = [1.0, 2.0, 3.0, 4.0]
     assert kendall_tau(xs, xs) == 1.0
     assert kendall_tau(xs, list(reversed(xs))) == -1.0
+    assert kendall_tau([1.0, 2.0], [4.0, 3.0]) == -1.0
+    # pairs tied in both inputs count for neither side: still exactly +-1
+    assert kendall_tau([1.0, 1.0, 2.0, 3.0], [4.0, 4.0, 5.0, 9.0]) == 1.0
+    assert kendall_tau([3.0, 3.0, 2.0, 1.0], [4.0, 4.0, 5.0, 9.0]) == -1.0
 
 
 def test_kendall_undefined_on_all_ties():
@@ -162,3 +166,22 @@ def test_baseline_report_shape():
     assert set(correlations) == set(INDICES)
     for stats in correlations.values():
         assert set(stats) == {"spearman", "kendall"}
+
+
+# few distinct values, so that ties within and across both inputs are common
+TIED_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 7.0]),
+                        st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.lists(TIED_VALUES, min_size=n, max_size=n),
+                                                      st.lists(TIED_VALUES, min_size=n, max_size=n))))
+@example(([1.0, 2.0], [3.0, 4.0]))      # n = 2, exactly +1
+@example(([1.0, 2.0], [4.0, 3.0]))      # n = 2, exactly -1
+@example(([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]))  # x all tied: undefined
+@example(([1.0, 2.0, 3.0], [5.0, 5.0, 5.0]))  # y all tied: undefined
+@example(([1.0, 1.0, 2.0, 3.0], [4.0, 4.0, 5.0, 9.0]))  # ties in both, exactly +1
+def test_kendall_counts_as_the_pairwise_reference(data):
+    # Knight's sort-and-count is exact: every pair, tied or not, as the loop counts it
+    xs, ys = data
+    assert kendall_tau(xs, ys) == refimpl.kendall_reference(xs, ys)

@@ -1,5 +1,7 @@
 import math
+import tempfile
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refimpl
-from conftest import flow, graph_from, repeat_pair
+from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk import walks as walks_module
 from depwalk.errors import ConfigError, NegativeWalkError
 from depwalk.flows import FlowRecord, Proto
@@ -355,3 +357,23 @@ def test_walk_jsonl_round_trip(tmp_path):
     path = tmp_path / "walks.jsonl"
     write_walks_jsonl(g.vertices, walks, path)
     assert read_walks_jsonl(path) == (list(g.vertices), walks)
+
+
+@st.composite
+def any_walks(draw) -> RandomWalk:
+    """A walk as the encoder sees it: IPv4 and IPv6 vertices, step edges,
+    a label and a set of conditions per step, whether or not they agree."""
+    vertices = draw(st.lists(ADDRESSES, min_size=2, max_size=6, unique=True))
+    return RandomWalk(tuple(vertices),
+                      tuple(draw(st.lists(written_flows(st.sampled_from(vertices)), max_size=4))),
+                      draw(st.sampled_from(WalkLabel)),
+                      tuple(draw(st.lists(st.frozensets(st.sampled_from(Condition)), max_size=4))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ADDRESSES, max_size=4), st.lists(any_walks(), max_size=5))
+def test_walk_template_writes_the_bytes_of_the_sort_keyed_encoder(vertices, walks):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_walks_jsonl(vertices, walks, Path(tmp) / "walks.jsonl")
+        refimpl.reference_write_walks_jsonl(vertices, walks, Path(tmp) / "reference.jsonl")
+        assert (Path(tmp) / "walks.jsonl").read_bytes() == (Path(tmp) / "reference.jsonl").read_bytes()
