@@ -27,8 +27,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for stage in pipeline.STAGES:
         p_stage = sub.add_parser(stage.name, help=stage.help)
-        for flag, options in stage.options:
-            p_stage.add_argument(flag, **options)
+        for name, options in stage.options:
+            p_stage.add_argument(f"--{name}", **options)
 
     p_pipe = sub.add_parser("pipeline", help="run all stages in order")
     source = p_pipe.add_mutually_exclusive_group(required=True)
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         if args.command == "pipeline":
             pipeline.run_pipeline(cfg, flows_input=args.flows, resume=args.resume)
         else:
-            pipeline.run_stage(cfg, pipeline.STAGE[args.command], args)
+            pipeline.run_stage(cfg, pipeline.STAGE[args.command], **vars(args))
     except FileNotFoundError as exc:
         print(f"depwalk: {exc.strerror or 'file not found'}: {exc.filename}", file=sys.stderr)
         return 2

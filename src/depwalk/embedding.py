@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import EmbeddingConfig
-from .errors import TrainingDivergedError, UnknownAddressError
+from .errors import DepwalkError, UnknownAddressError
 
 log = logging.getLogger(__name__)
 
@@ -147,7 +147,7 @@ def train_embedding(pos_pairs: Sequence[tuple[str, str]],
             total += loss
         mean_loss = total / order.size
         if not math.isfinite(mean_loss):
-            raise TrainingDivergedError(
+            raise DepwalkError(
                 f"non-finite epoch loss at epoch {epoch} (learning_rate={cfg.learning_rate})")
         losses.append(mean_loss)
         log.info("embedding epoch %d/%d mean loss %.6f", epoch, cfg.epochs, mean_loss)

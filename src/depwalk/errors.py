@@ -14,23 +14,6 @@ class UnknownAddressError(DepwalkError):
 
     def __init__(self, address: str):
         super().__init__(f"unknown address: {address}")
-        self.address = address
-
-
-class LabelBalanceError(DepwalkError):
-    """Not enough non-dependency pairs to balance the positive labels."""
-
-
-class NegativeWalkError(DepwalkError):
-    """Rejection sampling for negative walks exhausted its retry budget."""
-
-
-class TrainingDivergedError(DepwalkError):
-    """Embedding training produced a non-finite loss."""
-
-
-class EvaluationError(DepwalkError):
-    """A train/test split or metric computation cannot be performed."""
 
 
 class StageError(DepwalkError):

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EvaluationError
+from .errors import DepwalkError
 from .forest import ForestConfig, predict_proba, train_forest
 from .seeds import derive_seed
 
@@ -47,12 +47,12 @@ def split(data: Sequence, test_fraction: float, seed: int) -> tuple[list, list]:
     """
     data = list(data)
     if not 0.0 < test_fraction < 1.0:
-        raise EvaluationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise DepwalkError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if len(data) < 2:
-        raise EvaluationError("need at least two items to split")
+        raise DepwalkError("need at least two items to split")
     test_size = int(len(data) * test_fraction + 0.5)
     if test_size == 0 or test_size == len(data):
-        raise EvaluationError(
+        raise DepwalkError(
             f"split leaves an empty side (n={len(data)}, test_fraction={test_fraction})")
     rng = random.Random(seed)
     indices = list(range(len(data)))
@@ -72,7 +72,7 @@ def compute_metrics(scores: Sequence[float], labels: Sequence[bool]) -> EvalRepo
     scores = [float(s) for s in scores]
     labels = [bool(b) for b in labels]
     if len(scores) != len(labels) or not scores:
-        raise EvaluationError("scores and labels must be non-empty and of equal length")
+        raise DepwalkError("scores and labels must be non-empty and of equal length")
     n = len(scores)
     tp = sum(1 for s, l in zip(scores, labels) if l and s >= THRESHOLD)
     fp = sum(1 for s, l in zip(scores, labels) if not l and s >= THRESHOLD)
@@ -140,11 +140,11 @@ def _fit_and_score(X: np.ndarray, y: np.ndarray, forest_cfg: ForestConfig,
                    where: str) -> EvalReport:
     """Split the rows, fit a forest on the training side and score the test
     side.  The forest needs both classes on the training side, or the split
-    named by ``where`` is an EvaluationError."""
+    named by ``where`` is a DepwalkError."""
     train, test = split(range(len(y)), test_fraction, split_seed)
     if len(set(y[train])) < 2:
         n_pos = int(y.sum())
-        raise EvaluationError(
+        raise DepwalkError(
             f"{where}: the training side holds one class only (the labelled set has "
             f"{n_pos} positive and {len(y) - n_pos} negative pairs); raise "
             "sampler.n_internal or the scenario size for more labelled pairs")
@@ -160,7 +160,7 @@ def repeated_eval(X, y, forest_cfg: ForestConfig, *,
 
     The ROC-AUC / AP figures come from one dedicated 50% split, independent of
     the fraction sweep, and the scoring pass is recorded in the metadata.  A
-    split whose training side holds one class only is an EvaluationError.
+    split whose training side holds one class only is a DepwalkError.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=bool)

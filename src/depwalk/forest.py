@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ForestConfig
-from .errors import LabelBalanceError, UnknownAddressError
+from .errors import DepwalkError, UnknownAddressError
 from .seeds import derive_seed
 
 
@@ -67,13 +67,13 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
             raise UnknownAddressError(b)
         positives.add((a, b))
     if not positives:
-        raise LabelBalanceError("no ground-truth pair has both endpoints among the sampled vertices")
+        raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
 
     n = len(verts)
     universe = n * (n - 1)
     need = len(positives)
     if universe - need < need:
-        raise LabelBalanceError(
+        raise DepwalkError(
             f"cannot draw {need} negative pairs: only {universe - need} non-dependency pairs exist")
 
     rng = random.Random(rng_seed)

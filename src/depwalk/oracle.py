@@ -202,10 +202,11 @@ def _answered_hops(cols: FlowColumns, eps: int) -> tuple[np.ndarray, np.ndarray]
     n, n_addr = len(cols), len(cols.addresses)
     pair_id = _dense(np.concatenate([cols.src * n_addr + cols.dst,
                                      cols.dst * n_addr + cols.src]))[1]
+    query = pair_id[n:] << 32 | cols.dport << 16 | cols.sport
     replies = _Windows(pair_id[:n] << 32 | cols.sport << 16 | cols.dport, cols.t_start)
+    del pair_id  # 2n ids the search needs no more: they set the oracle's peak memory
     # a reply ends within epsilon of the initiator, so it starts by t_end + epsilon
-    init, pos = _expand(*replies.find(pair_id[n:] << 32 | cols.dport << 16 | cols.sport,
-                                      cols.t_start, _plus(cols.t_end, eps)))
+    init, pos = _expand(*replies.find(query, cols.t_start, _plus(cols.t_end, eps)))
     reply = replies.order[pos]
     end, reply_end = cols.t_end[init], cols.t_end[reply]
     keep = (_minus(end, eps) <= reply_end) & (reply_end <= _plus(end, eps))

@@ -42,7 +42,6 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
 
 # Unused here, but imported ahead of the stage modules: importing it later shifts
@@ -52,8 +51,8 @@ import numpy  # noqa: F401
 from . import contexts, embedding, evaluation, forest, oracle, simindex, synth, walks
 from .config import PipelineConfig
 from .errors import DepwalkError, StageError
-from .flows import (FlowColumns, biflow_to_uniflows, filter_tcp_udp, open_lines, parse_flows,
-                    read_flows_csv, write_flows_csv)
+from .flows import (FlowColumns, biflow_to_uniflows, filter_tcp_udp, open_lines, parse_address,
+                    parse_flows, read_flows_csv, utf8, write_flows_csv)
 from .graph import (read_graph_jsonl, reservoir_sample_edges, select_top_addresses,
                     write_graph_jsonl)
 from .walks import WalkLabel
@@ -112,10 +111,10 @@ def stage_synth(cfg: PipelineConfig) -> Path:
     return out
 
 
-def stage_ingest(cfg: PipelineConfig, flows_in) -> Path:
+def stage_ingest(cfg: PipelineConfig, flows) -> Path:
     """Parse, optionally split biflows, filter to TCP/UDP, write flows.csv.
     A line that is not UTF-8 is a bad line like any other: warned and skipped."""
-    path = Path(flows_in)
+    path = Path(flows)
     if not path.exists():
         raise FileNotFoundError(None, "input flow file not found", str(path))
     with open_lines(path) as fh:
@@ -202,15 +201,26 @@ def _probability(cell: str) -> float:
     return value
 
 
+def _utf8_lines(path, lines):
+    """``lines`` of ``path``; one that is not UTF-8 is an error naming it."""
+    for number, line in enumerate(lines, 1):
+        try:
+            utf8(line)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from exc
+        yield line
+
+
 def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     """The rows of a CSV file as tuples, one cell per key of ``columns``
-    converted by its function, without the header (a row that starts with
-    the column names) and blank lines.  A short row, or a cell its function
-    rejects, is an error naming its line."""
+    converted by its function, without a leading byte-order mark, the header
+    (a row that starts with the column names) and blank lines.  A line that
+    is not UTF-8, a short row or a cell its function rejects is an error
+    naming its line."""
     names = list(columns)
     rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(_utf8_lines(path, fh))
         for row in reader:
             if not row or row[:len(names)] == names:
                 continue
@@ -237,20 +247,31 @@ def _write_dependencies(path, records) -> None:
     _write_rows(path, oracle.DependencyRecord._fields, records)
 
 
+def _address(vertices=None) -> Callable[[str], str]:
+    """A cell converter for one read: the canonical text of an address cell,
+    as ingest reads it, which must be one of ``vertices`` when given."""
+    canonical: dict[str, str] = {}
+
+    def address(cell: str) -> str:
+        text = parse_address(cell, canonical)
+        if vertices is not None and text not in vertices:
+            raise ValueError(f"unknown address: {text}")
+        return text
+    return address
+
+
 def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tuple]:
     """:func:`_read_rows` of ``src``, ``dst`` and ``columns``, where an
     address not in ``vertices`` is an error naming its line."""
-    def address(cell: str) -> str:
-        if cell not in vertices:
-            raise ValueError(f"unknown address: {cell}")
-        return cell
+    address = _address(vertices)
     return _read_rows(path, src=address, dst=address, **columns)
 
 
 def stage_train(cfg: PipelineConfig) -> Path:
     emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
     path = artifact(cfg, "ground_truth.csv")
-    records = _read_rows(path, kind=oracle.DepKind, src=str, dst=str, witness_count=int)
+    address = _address()
+    records = _read_rows(path, kind=oracle.DepKind, src=address, dst=address, witness_count=int)
     for _, src, dst, _ in records:
         if src == dst:
             raise ValueError(f"{path}: self pair in ground truth: {src}")
@@ -274,8 +295,8 @@ def stage_train(cfg: PipelineConfig) -> Path:
 _PREDICT_ROWS = 1024
 
 
-def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
-    """Score the pairs of ``pairs_path``, by default those of labels.csv; an
+def stage_predict(cfg: PipelineConfig, pairs=None) -> Path:
+    """Score the pairs of the file ``pairs``, by default those of labels.csv; an
     embedding width other than the model's feature count names both files."""
     emb_path, model_path = artifact(cfg, "embedding.bin"), artifact(cfg, "model.json")
     emb = embedding.load_embedding(emb_path)
@@ -283,13 +304,13 @@ def stage_predict(cfg: PipelineConfig, pairs_path=None) -> Path:
     if emb.dims != model.n_features:
         raise DepwalkError(f"{model_path} takes {model.n_features} features, but the vectors of "
                            f"{emb_path} have {emb.dims} dimensions")
-    pairs = _read_pairs(emb.vertex_index, pairs_path or artifact(cfg, "labels.csv"))
-    blocks = (pairs[start:start + _PREDICT_ROWS] for start in range(0, len(pairs), _PREDICT_ROWS))
+    rows = _read_pairs(emb.vertex_index, pairs or artifact(cfg, "labels.csv"))
+    blocks = (rows[start:start + _PREDICT_ROWS] for start in range(0, len(rows), _PREDICT_ROWS))
     out = artifact(cfg, "predictions.csv")
     _write_rows(out, ("src", "dst", "probability"),
                 ((src, dst, forest.predict_proba(model, x)) for block in blocks
                  for (src, dst), x in zip(block, embedding.dependency_vectors(emb, block))))
-    log.info("predict: %d pairs scored", len(pairs))
+    log.info("predict: %d pairs scored", len(rows))
     return out
 
 
@@ -329,61 +350,57 @@ def stage_simindex(cfg: PipelineConfig) -> Path:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage: its subcommand, the work-directory files it reads and
-    writes, how to run it from parsed CLI arguments, and the subcommand's
-    own arguments as ``(flag, argparse keywords)``."""
+    """One stage: its subcommand, run by ``stage_<name>``, the work-directory
+    files it reads and writes, and its options as ``(name, argparse keywords)``:
+    ``--<name>`` on the command line, a keyword argument of the function."""
 
     name: str
     help: str
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    run: Callable[[PipelineConfig, object], object]
     options: tuple[tuple[str, dict], ...] = ()
 
 
-# In pipeline order.  ``run`` looks ``stage_<name>`` up when it is called, so
-# anything that replaces a module attribute (a tracer, a test) is honoured.
+def _stage(function: Callable[..., Path], *fields) -> Stage:
+    """The stage of ``fields`` run by ``function``, ``stage_<name>``; it keeps
+    only the name."""
+    return Stage(function.__name__.removeprefix("stage_"), *fields)
+
+
+# In pipeline order.  ``run_stage`` looks ``stage_<name>`` up when it is
+# called, so a replaced module attribute (a tracer's, a test's) is honoured.
 STAGES = (
-    Stage("synth", "generate a synthetic flow trace with planted structure",
-          (), ("synth_flows.csv", "planted_truth.csv"),
-          lambda cfg, args: stage_synth(cfg)),
-    Stage("ingest", "parse and preprocess a flow file",
-          (), ("flows.csv",),
-          lambda cfg, args: stage_ingest(cfg, args.flows),
-          (("--flows", {"required": True, "help": "input flow file (CSV or JSON lines)"}),)),
-    Stage("sample", "select top addresses and reservoir-sample the graph",
-          ("flows.csv",), ("graph.jsonl",),
-          lambda cfg, args: stage_sample(cfg)),
-    Stage("walks", "generate constrained random walks plus negatives",
-          ("graph.jsonl",), ("walks.jsonl",),
-          lambda cfg, args: stage_walks(cfg)),
-    Stage("embed", "train the node embedding from walk contexts",
-          ("walks.jsonl",), ("embedding.bin", "embedding.json"),
-          lambda cfg, args: stage_embed(cfg)),
-    Stage("oracle", "enumerate ground-truth dependencies from the flows",
-          ("flows.csv",), ("ground_truth.csv",),
-          lambda cfg, args: stage_oracle(cfg)),
-    Stage("train", "build the label set and train the classifier",
-          ("ground_truth.csv", "embedding.bin"), ("labels.csv", "model.json"),
-          lambda cfg, args: stage_train(cfg)),
-    Stage("predict", "score address pairs with the trained model",
-          ("embedding.bin", "model.json", "labels.csv"), ("predictions.csv",),
-          lambda cfg, args: stage_predict(cfg, args.pairs),
-          (("--pairs", {"default": None,
-                        "help": "CSV of src,dst pairs (defaults to labels.csv)"}),)),
-    Stage("eval", "repeated train/test evaluation",
-          ("embedding.bin", "labels.csv"), ("eval_report.json",),
-          lambda cfg, args: stage_eval(cfg)),
-    Stage("simindex", "baseline similarity indices and correlations",
-          ("graph.jsonl", "predictions.csv"), ("baseline.csv", "baseline_summary.json"),
-          lambda cfg, args: stage_simindex(cfg)),
+    _stage(stage_synth, "generate a synthetic flow trace with planted structure",
+           (), ("synth_flows.csv", "planted_truth.csv")),
+    _stage(stage_ingest, "parse and preprocess a flow file",
+           (), ("flows.csv",),
+           (("flows", {"required": True, "help": "input flow file (CSV or JSON lines)"}),)),
+    _stage(stage_sample, "select top addresses and reservoir-sample the graph",
+           ("flows.csv",), ("graph.jsonl",)),
+    _stage(stage_walks, "generate constrained random walks plus negatives",
+           ("graph.jsonl",), ("walks.jsonl",)),
+    _stage(stage_embed, "train the node embedding from walk contexts",
+           ("walks.jsonl",), ("embedding.bin", "embedding.json")),
+    _stage(stage_oracle, "enumerate ground-truth dependencies from the flows",
+           ("flows.csv",), ("ground_truth.csv",)),
+    _stage(stage_train, "build the label set and train the classifier",
+           ("ground_truth.csv", "embedding.bin"), ("labels.csv", "model.json")),
+    _stage(stage_predict, "score address pairs with the trained model",
+           ("embedding.bin", "model.json", "labels.csv"), ("predictions.csv",),
+           (("pairs", {"default": None,
+                       "help": "CSV of src,dst pairs (defaults to labels.csv)"}),)),
+    _stage(stage_eval, "repeated train/test evaluation",
+           ("embedding.bin", "labels.csv"), ("eval_report.json",)),
+    _stage(stage_simindex, "baseline similarity indices and correlations",
+           ("graph.jsonl", "predictions.csv"), ("baseline.csv", "baseline_summary.json")),
 )
 STAGE = {stage.name: stage for stage in STAGES}
 PRODUCER = {name: stage.name for stage in STAGES for name in stage.outputs}
 
 
-def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
-    """Run one stage once its inputs exist.  A missing input raises
+def run_stage(cfg: PipelineConfig, stage: Stage, **values) -> None:
+    """Run one stage once its inputs exist, passing ``stage_<name>`` those
+    ``values`` that name the stage's options.  A missing input raises
     FileNotFoundError naming the stage that produces it, and so does a
     missing file the stage is given.  Any other failure inside the stage
     first deletes the stage's outputs, so that ``--resume`` cannot take a
@@ -395,7 +412,8 @@ def run_stage(cfg: PipelineConfig, stage: Stage, args) -> None:
         if not path.exists():
             raise FileNotFoundError(None, f"{name} not found (run {PRODUCER[name]} first)", str(path))
     try:
-        stage.run(cfg, args)
+        globals()[f"stage_{stage.name}"](
+            cfg, **{name: values[name] for name, _ in stage.options if name in values})
     except FileNotFoundError:
         raise
     except BaseException as exc:  # an interrupt too may leave a partial output
@@ -410,8 +428,7 @@ def run_pipeline(cfg: PipelineConfig, flows_input=None, resume: bool = False) ->
     """Run the stages in table order on the flow file ``flows_input``, or,
     when it is None, from ``synth`` on; with ``resume`` a stage whose outputs
     all exist is skipped."""
-    synth_flows = artifact(cfg, "synth_flows.csv")
-    args = SimpleNamespace(flows=synth_flows if flows_input is None else flows_input, pairs=None)
+    flows = artifact(cfg, "synth_flows.csv") if flows_input is None else flows_input
     global _handoff
     _handoff = {}
     try:
@@ -421,6 +438,6 @@ def run_pipeline(cfg: PipelineConfig, flows_input=None, resume: bool = False) ->
             if resume and all(artifact(cfg, name).exists() for name in stage.outputs):
                 log.info("%s: outputs exist, skipped", stage.name)
                 continue
-            run_stage(cfg, stage, args)
+            run_stage(cfg, stage, flows=flows)
     finally:
         _handoff = None

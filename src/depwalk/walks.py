@@ -12,10 +12,11 @@ least one of four conditions against the edge recorded on the previous step:
 * ``LR_RETURN``: the previous flow lies inside the candidate flow and the
   walk already traversed the opposite direction of the candidate pair
   earlier; this is the return leg of a nested request chain.
-* ``RR_OPEN``: the candidate flow leaves the previous flow's *source* within
-  ``epsilon`` after the previous flow ended (ask one server, then contact
-  another; the repeated middle vertex is elided, so the candidate edge
-  originates two steps back).
+* ``RR_OPEN``: the candidate flow leaves the previous flow's *source* and
+  starts within ``epsilon`` after the previous flow ended (ask one server,
+  then contact another; the repeated middle vertex is elided, so the
+  candidate edge originates two steps back).  This start-time window is
+  bisected from the pair's sorted instances, and it is the whole test.
 * ``REV_RETURN``: the candidate vertex is the previous flow's source and the
   candidate flow is its port-swapped reply ending within ``epsilon``.
 
@@ -38,7 +39,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .config import WalkConfig
-from .errors import NegativeWalkError
+from .errors import DepwalkError
 from .flows import FlowRecord, flow_from_dict, flow_to_json, parse_address
 from .graph import CommGraph, read_jsonl, write_jsonl
 from .seeds import derive_seed
@@ -89,26 +90,11 @@ def cond_lr_open(e_prev: FlowRecord, e_next: FlowRecord) -> bool:
     return e_prev.t_start <= e_next.t_start <= e_next.t_end <= e_prev.t_end
 
 
-def cond_lr_return(e_prev: FlowRecord, e_next: FlowRecord,
-                   prefix: Sequence[str], candidate: str) -> bool:
-    """Previous flow contained in the candidate flow, and the walk already
-    holds the candidate pair's opposite direction at an earlier position.
-
-    ``prefix`` is the walk so far (its last element is the current vertex);
-    the earlier occurrence must be a consecutive pair (candidate, current)
-    strictly before the triplet under evaluation.
-    """
-    if not (e_next.t_start <= e_prev.t_start <= e_prev.t_end <= e_next.t_end):
-        return False
-    current = prefix[-1]
-    return any(prefix[j] == candidate and prefix[j + 1] == current
-               for j in range(len(prefix) - 2))
-
-
-def cond_rr_open(e_prev: FlowRecord, e_next: FlowRecord, epsilon: int) -> bool:
-    """Candidate flow starts after the previous flow ends, within epsilon."""
-    gap = e_next.t_start - e_prev.t_end
-    return 0 <= gap <= epsilon
+def cond_lr_return(e_prev: FlowRecord, e_next: FlowRecord) -> bool:
+    """Previous flow temporally contained in the candidate flow.  The walk
+    must also hold the candidate pair's opposite direction earlier, which
+    :func:`_condition_candidates` decides once per candidate."""
+    return e_next.t_start <= e_prev.t_start <= e_prev.t_end <= e_next.t_end
 
 
 def cond_rev_return(e_fwd: FlowRecord, e_rev: FlowRecord, epsilon: int) -> bool:
@@ -142,19 +128,20 @@ def _condition_candidates(index: _Qualified, cfg: WalkConfig, prefix: list[str],
     the instances whose start time lies in the window where it can hold:
 
     * LR_OPEN: ``prev.t_start <= t_start <= prev.t_end``;
-    * LR_RETURN: ``t_start <= prev.t_start``, and only for a candidate that
-      precedes the current vertex earlier in the prefix;
+    * LR_RETURN: ``t_start <= prev.t_start``, and only for a candidate ``w``
+      whose pair ``(w, current)`` the prefix holds strictly before the
+      triplet under evaluation, decided once per candidate;
     * REV_RETURN: ``t_start >= prev.t_start``, only for the previous flow's
-      source;
-    * RR_OPEN: ``prev.t_end <= t_start <= prev.t_end + epsilon``.
+      source.
 
     Each window holds every instance its predicate accepts, whatever the
-    records' times, so the map equals a scan of every instance.  A
-    candidate's instances are listed in the pair's sorted order, each once.
+    records' times, so the map equals a scan of every instance.  RR_OPEN's
+    window, ``prev.t_end <= t_start <= prev.t_end + epsilon``, is its test:
+    every instance in it qualifies.  A candidate's instances are listed in
+    the pair's sorted order, each once.
     """
     current = prefix[-1]
     t_start, t_end, prev_src = e_prev.t_start, e_prev.t_end, e_prev.src_ip
-    # candidates w with (w, current) strictly before the triplet under evaluation
     returns = {prefix[j] for j in range(len(prefix) - 2) if prefix[j + 1] == current}
     found: dict[str, tuple[set[Condition], list[FlowRecord]]] = {}
 
@@ -172,7 +159,7 @@ def _condition_candidates(index: _Qualified, cfg: WalkConfig, prefix: list[str],
             conds = []
             if open_lo <= i < open_hi and cond_lr_open(e_prev, inst):
                 conds.append(Condition.LR_OPEN)
-            if i < return_hi and cond_lr_return(e_prev, inst, prefix, w):
+            if i < return_hi and cond_lr_return(e_prev, inst):
                 conds.append(Condition.LR_RETURN)
             if i >= reply_lo and cond_rev_return(e_prev, inst, cfg.epsilon):
                 conds.append(Condition.REV_RETURN)
@@ -183,17 +170,16 @@ def _condition_candidates(index: _Qualified, cfg: WalkConfig, prefix: list[str],
                     kept.append(inst)
 
     for w, insts, starts in index.get(prev_src, ()):
-        if w == current:
+        lo, hi = bisect_left(starts, t_end), bisect_right(starts, t_end + cfg.epsilon)
+        if w == current or lo == hi:
             continue
         # instances kept above for w came from another scan: compare with all
         seen = w in found
-        for i in range(bisect_left(starts, t_end), bisect_right(starts, t_end + cfg.epsilon)):
-            inst = insts[i]
-            if cond_rr_open(e_prev, inst, cfg.epsilon):
-                conds_found, kept = found.setdefault(w, (set(), []))
-                conds_found.add(Condition.RR_OPEN)
-                if not (inst in kept if seen else kept and kept[-1] == inst):
-                    kept.append(inst)
+        conds_found, kept = found.setdefault(w, (set(), []))
+        conds_found.add(Condition.RR_OPEN)
+        for inst in insts[lo:hi]:
+            if not (inst in kept if seen else kept and kept[-1] == inst):
+                kept.append(inst)
     return found
 
 
@@ -267,7 +253,7 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
         return []
     verts = g.vertices
     if len(verts) < 2:
-        raise NegativeWalkError("need at least two vertices to draw negative walks")
+        raise DepwalkError("need at least two vertices to draw negative walks")
     index = {v: i for i, v in enumerate(verts)}
     rng = random.Random(derive_seed(cfg.rng_seed, "negative-walks"))
     negatives: list[RandomWalk] = []
@@ -285,7 +271,7 @@ def generate_negative_walks(g: CommGraph, positives: Sequence[RandomWalk],
                 negatives.append(RandomWalk(tuple(seq), (), WalkLabel.NEGATIVE, ()))
                 break
         else:
-            raise NegativeWalkError(
+            raise DepwalkError(
                 f"no non-existing walk of length {length} found within {budget} attempts")
     return negatives
 

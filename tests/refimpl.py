@@ -42,7 +42,7 @@ def _earlier_reverse(prefix, candidate) -> bool:
     return False
 
 
-def _rr_open(prev, nxt, eps) -> bool:
+def rr_open(prev, nxt, eps) -> bool:
     return prev.t_end <= nxt.t_start and nxt.t_start - prev.t_end <= eps
 
 
@@ -81,7 +81,7 @@ def candidate_map(g, cfg, prefix, e_prev):
         if g.pair_flow_count(e_prev.src_ip, w) < cfg.n_t:
             continue
         for inst in g.edge_instances(e_prev.src_ip, w):
-            if _rr_open(e_prev, inst, cfg.epsilon):
+            if rr_open(e_prev, inst, cfg.epsilon):
                 add(w, Condition.RR_OPEN, inst)
     return result
 

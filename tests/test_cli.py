@@ -644,6 +644,37 @@ def test_pairs_file_with_a_byte_order_mark_scores_like_one_without(small_run, tm
     assert (fresh / "predictions.csv").read_bytes() == (workdir / "predictions.csv").read_bytes()
 
 
+def test_pairs_file_reads_addresses_as_ingest_does(small_run, tmp_path):
+    # cells padded with blanks, as ingest accepts them, score like the canonical text
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    rows = [line.split(",") for line in (workdir / "labels.csv").read_text().splitlines()[1:]]
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("src,dst\n" + "".join(f" {src}, {dst} \n" for src, dst, _ in rows))
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 0
+    assert (fresh / "predictions.csv").read_bytes() == (workdir / "predictions.csv").read_bytes()
+
+
+def test_pairs_file_with_a_byte_that_is_not_utf8_names_its_line(small_run, tmp_path, capsys):
+    # after a byte-order mark, which is skipped; the position is the line's,
+    # quotes included
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    lines = (workdir / "labels.csv").read_bytes().splitlines(keepends=True)
+    lines[2] = b'"' + lines[2].replace(b",", b'",\xff', 1)
+    position = lines[2].index(b"\xff")
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_bytes("\ufeff".encode() + b"".join(lines))
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 1
+    assert capsys.readouterr().err == (
+        f"depwalk: predict failed: {pairs}:3: 'utf-8' codec can't decode byte 0xff in position "
+        f"{position}: invalid start byte\n")
+    assert not (fresh / "predictions.csv").exists()
+
+
 def test_readme_library_use_runs(small_run, monkeypatch):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
@@ -928,12 +959,24 @@ DAMAGED_INPUTS = [
     pytest.param("train", "ground_truth.csv",
                  edit_first_row(lambda cells: ["DD", "10.0.0.1", "10.0.0.1", "20"]),
                  ": self pair in ground truth: 10.0.0.1", id="ground-truth-self-pair"),
+    pytest.param("train", "ground_truth.csv",
+                 edit_first_row(lambda cells: cells[:2] + ["not-an-ip", cells[3]]),
+                 ":2: invalid IP address 'not-an-ip'", id="ground-truth-address"),
+    pytest.param("train", "ground_truth.csv", undecodable(2), f":2: {NOT_UTF8}",
+                 id="ground-truth-not-utf8"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: cells[:2] + ["yes"]),
                  ":2: label must be 0 or 1, got 'yes'", id="label"),
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["1.2.3.4"] + cells[1:]),
                  ":2: unknown address: 1.2.3.4", id="label-unknown-address"),
+    pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["10.0.0.1.5"] + cells[1:]),
+                 ":2: invalid IP address '10.0.0.1.5'", id="label-address"),
+    pytest.param("eval", "labels.csv", undecodable(30), f":30: {NOT_UTF8}", id="labels-not-utf8"),
+    # labels.csv is the pairs file predict scores when it is given none
+    pytest.param("predict", "labels.csv", undecodable(3), f":3: {NOT_UTF8}", id="pairs-not-utf8"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: ["9.9.9.9"] + cells[1:]),
                  ":2: unknown address: 9.9.9.9", id="prediction-unknown-address"),
+    pytest.param("simindex", "predictions.csv", undecodable(2), f":2: {NOT_UTF8}",
+                 id="predictions-not-utf8"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["abc"]),
                  ":2: could not convert string to float: 'abc'", id="probability"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["nan"]),

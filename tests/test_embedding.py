@@ -10,7 +10,7 @@ from depwalk.contexts import split_walk
 from depwalk.embedding import (EmbeddingConfig, EmbeddingMatrix, dependency_vectors,
                                load_embedding, pair_loss_and_grads, save_embedding,
                                train_embedding)
-from depwalk.errors import ConfigError, TrainingDivergedError, UnknownAddressError
+from depwalk.errors import ConfigError, DepwalkError, UnknownAddressError
 from depwalk.walks import WalkConfig, generate_walks
 
 
@@ -115,7 +115,7 @@ def test_training_is_deterministic():
 def test_divergence_raises_with_epoch_and_rate():
     cfg = EmbeddingConfig(dims=4, epochs=20, learning_rate=1e160,
                           neg_samples_per_positive=1, rng_seed=2)
-    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as err:
+    with np.errstate(all="ignore"), pytest.raises(DepwalkError, match="^non-finite epoch loss at epoch ") as err:
         train_embedding([("a", "b"), ("b", "c"), ("c", "a")],
                         [("a", "c")], ["a", "b", "c"], cfg)
     assert "epoch" in str(err.value) and "1e+160" in str(err.value)

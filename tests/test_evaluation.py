@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import refimpl
-from depwalk.errors import EvaluationError
+from depwalk.errors import DepwalkError
 from depwalk.evaluation import THRESHOLD, compute_metrics, repeated_eval, split
 from depwalk.forest import ForestConfig
 
@@ -28,11 +28,12 @@ def test_split_deterministic():
 
 
 def test_split_rejects_empty_side():
-    with pytest.raises(EvaluationError):
+    with pytest.raises(DepwalkError,
+                       match=r"^split leaves an empty side \(n=2, test_fraction=0\.1\)$"):
         split([1, 2], 0.1, seed=0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(DepwalkError, match="^need at least two items to split$"):
         split([1], 0.5, seed=0)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(DepwalkError, match=r"^test_fraction must be in \(0, 1\), got 1\.5$"):
         split(list(range(10)), 1.5, seed=0)
 
 

@@ -390,3 +390,11 @@ def test_ground_truth_csv_round_trip(tmp_path):
     _write_dependencies(path, records)
     loaded = _read_rows(path, kind=DepKind, src=str, dst=str, witness_count=int)
     assert loaded == [(r.kind, r.src, r.dst, r.witness_count) for r in records]
+
+
+def test_a_quoted_cell_keeps_its_line_break(tmp_path):
+    # the csv module reads a quoted CRLF as written only when newline
+    # translation is off
+    path = tmp_path / "rows.csv"
+    path.write_bytes(b'a,b\r\n"x\r\ny",z\r\n')
+    assert _read_rows(path, a=str, b=str) == [("x\r\ny", "z")]

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 import refimpl
 from conftest import ADDRESSES, flow, graph_from, repeat_pair, written_flows
 from depwalk import walks as walks_module
-from depwalk.errors import ConfigError, NegativeWalkError
+from depwalk.errors import ConfigError, DepwalkError
 from depwalk.flows import FlowRecord, Proto
 from depwalk.walks import (Condition, RandomWalk, WalkConfig, WalkLabel,
                            cond_lr_open, cond_lr_return, cond_rev_return,
-                           cond_rr_open, generate_negative_walks, generate_walks,
+                           generate_negative_walks, generate_walks,
                            read_walks_jsonl, write_walks_jsonl)
 
 
@@ -45,28 +45,53 @@ def test_lr_open_cases():
     assert cond_lr_open(flow("a", "b", 0, 10), flow("b", "c", 0, 10))
 
 
+def candidates(prefix, e_prev, flows, **cfg):
+    """The candidate map of the step after ``prefix`` on the graph of ``flows``."""
+    g, config = graph_from(flows), wcfg(**cfg)
+    return walks_module._condition_candidates(walks_module._qualified_pairs(g, config.n_t),
+                                              config, prefix, e_prev)
+
+
 def test_lr_return_cases():
     # walk went U -> W -> D -> W over forward flows; stepping back to U rides
     # the W->U flow that contains the D->W flow recorded on the previous step
-    prefix = ["U", "W", "D", "W"]
     e_prev = flow("D", "W", 3, 7)
     e_next = flow("W", "U", 1, 9)
-    assert cond_lr_return(e_prev, e_next, prefix, "U")
+    assert cond_lr_return(e_prev, e_next)
+    assert candidates(["U", "W", "D", "W"], e_prev, [e_next]) == \
+        {"U": ({Condition.LR_RETURN}, [e_next])}
     # without the earlier (U, W) traversal the times alone are not enough
-    assert not cond_lr_return(e_prev, e_next, ["X", "W", "D", "W"], "U")
+    assert candidates(["X", "W", "D", "W"], e_prev, [e_next]) == {}
     # containment reversed
-    assert not cond_lr_return(flow("D", "W", 1, 9), flow("W", "U", 3, 7), prefix, "U")
+    assert not cond_lr_return(flow("D", "W", 1, 9), flow("W", "U", 3, 7))
+    # boundaries are inclusive; one millisecond past either is outside
+    assert cond_lr_return(flow("D", "W", 1, 9), flow("W", "U", 1, 9))
+    assert not cond_lr_return(flow("D", "W", 0, 9), flow("W", "U", 1, 9))
+    assert not cond_lr_return(flow("D", "W", 1, 10), flow("W", "U", 1, 9))
 
 
 def test_lr_return_needs_strictly_earlier_pair():
-    # the pair formed by the triplet itself does not count
-    assert not cond_lr_return(flow("W", "D", 3, 7), flow("D", "U", 1, 9), ["U", "W", "D"], "U")
+    # the times hold, but the walk never traversed (U, D)
+    e_prev, e_next = flow("W", "D", 3, 7), flow("D", "U", 1, 9)
+    assert cond_lr_return(e_prev, e_next)
+    assert candidates(["U", "W", "D"], e_prev, [e_next]) == {}
+    # the (W, D) pair of the triplet W -> D -> W itself does not count, one
+    # strictly before it does
+    back = flow("D", "W", 1, 9)
+    assert candidates(["U", "W", "D"], e_prev, [back]) == {}
+    assert candidates(["W", "D", "U", "W", "D"], e_prev, [back]) == \
+        {"W": ({Condition.LR_RETURN}, [back])}
 
 
 def test_rr_open_cases():
-    assert cond_rr_open(flow("u", "s1", 4000, 5000), flow("u", "s2", 5300, 6000), 500)
-    assert not cond_rr_open(flow("u", "s1", 4000, 5000), flow("u", "s2", 5600, 6000), 500)
-    assert not cond_rr_open(flow("u", "s1", 4000, 5000), flow("u", "s2", 4900, 6000), 500)
+    # u asked s1 over [4000, 5000]; with epsilon 500 a flow from u to another
+    # server that starts in [5000, 5500] follows it, whenever it ends
+    e_prev = flow("u", "s1", 4000, 5000)
+    for start, follows in ((4999, False), (5000, True), (5300, True), (5500, True),
+                           (5501, False)):
+        e_next = flow("u", "s2", start, 6000)
+        assert candidates(["x", "u", "s1"], e_prev, [e_prev, e_next], epsilon=500) == \
+            ({"s2": ({Condition.RR_OPEN}, [e_next])} if follows else {}), start
 
 
 def test_rev_return_cases():
@@ -335,9 +360,10 @@ def test_negative_walks_exhaust_on_complete_graph():
     flows = repeat_pair("A", "B", 2, 0, 1) + repeat_pair("B", "A", 2, 0, 1)
     g = graph_from(flows)
     positives = generate_walks(g, wcfg(walk_length=3))
-    with pytest.raises(NegativeWalkError) as err:
+    # 100 * walk_length retry budget, by name
+    with pytest.raises(DepwalkError, match="^no non-existing walk of length 3 found within 300 "
+                                           "attempts$"):
         generate_negative_walks(g, positives, wcfg(walk_length=3))
-    assert "300" in str(err.value)  # 100 * walk_length retry budget, by name
 
 
 def test_negative_walks_empty_positives():
