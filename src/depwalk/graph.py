@@ -144,18 +144,19 @@ class CommGraph(Neighbours):
 
 
 def reservoir_sample_edges(flows: FlowColumns, selected: set[str], cfg: SamplerConfig) -> CommGraph:
-    """Uniform reservoir sample over flows whose endpoints are both selected.
+    """Uniform reservoir sample over flows between two distinct selected endpoints.
 
     Classic single-reservoir sampling over the eligible rows: the first
     ``k_edges`` fill the reservoir, and the k-th eligible row thereafter
     replaces a uniformly drawn slot with probability ``k_edges / k``.  After
     N eligible flows every one of them is retained with probability
-    ``k_edges / N``.  Only the retained rows become records.
+    ``k_edges / N``.  Only the retained rows become records.  A self-loop is
+    never eligible: ``graph.jsonl`` cannot hold one.
     """
     if not selected:
         raise ValueError("selected address set is empty")
     chosen = np.array([addr in selected for addr in flows.addresses], bool)
-    eligible = np.flatnonzero(chosen[flows.src] & chosen[flows.dst])
+    eligible = np.flatnonzero(chosen[flows.src] & chosen[flows.dst] & (flows.src != flows.dst))
     rng = random.Random(cfg.rng_seed)
     kept = list(range(min(cfg.k_edges, len(eligible))))  # positions in eligible
     for seen in range(len(kept) + 1, len(eligible) + 1):

@@ -5,10 +5,10 @@ work directory, so running the stages one by one is equivalent to running
 ``pipeline`` (feature vectors are always rebuilt from the on-disk embedding,
 never from in-memory training state).  ``predict`` is the only stage that
 scores pairs with the model; ``simindex`` ranks its ``predictions.csv``.
-``STAGES`` at the end of this module is the one list of stages: the CLI
-subcommands, the prerequisite checks, the ``pipeline`` order and
-``--resume`` all derive from it.  Every CSV artifact is written by
-``_write_rows`` and read back by ``_read_rows``.
+``STAGES`` at the end of this module is the one list of stages and of their
+files: the CLI subcommands, the paths each stage function is passed, the
+prerequisite checks, the ``pipeline`` order and ``--resume`` derive from it.
+Every CSV artifact is written by ``_write_rows`` and read back by ``_read_rows``.
 
 Within one ``run_pipeline`` call a stage hands what it has just written on
 to the stages that read it next, keyed by the artifact's name and the sha256
@@ -102,16 +102,14 @@ def _decode(path: Path, reader: str, decode: Callable[[Path], object]):
     return decode(path)
 
 
-def stage_synth(cfg: PipelineConfig) -> Path:
+def stage_synth(cfg: PipelineConfig, synth_flows_csv: Path, planted_truth_csv: Path) -> None:
     flows, truth = synth.generate(cfg.synth)
-    out = artifact(cfg, "synth_flows.csv")
-    write_flows_csv(flows, out)
-    _write_dependencies(artifact(cfg, "planted_truth.csv"), truth)
+    write_flows_csv(flows, synth_flows_csv)
+    _write_dependencies(planted_truth_csv, truth)
     log.info("synth: %d flows, %d planted records", len(flows), len(truth))
-    return out
 
 
-def stage_ingest(cfg: PipelineConfig, flows) -> Path:
+def stage_ingest(cfg: PipelineConfig, flows_csv: Path, flows) -> None:
     """Parse, optionally split biflows, filter to TCP/UDP, write flows.csv.
     A line that is not UTF-8 is a bad line like any other: warned and skipped."""
     path = Path(flows)
@@ -126,10 +124,8 @@ def stage_ingest(cfg: PipelineConfig, flows) -> Path:
     flows = biflow_to_uniflows(parsed, cfg.ingest.split_mode) if cfg.ingest.biflows else parsed
     kept = filter_tcp_udp(flows)
     log.info("ingest: %d records parsed, %d TCP/UDP flows kept", len(parsed), len(kept))
-    out = artifact(cfg, "flows.csv")
-    write_flows_csv(kept.rows(), out)
-    _hand_off(out, sample=kept, oracle=kept)
-    return out
+    write_flows_csv(kept.rows(), flows_csv)
+    _hand_off(flows_csv, sample=kept, oracle=kept)
 
 
 def _checked_flows(path: Path) -> FlowColumns:
@@ -141,51 +137,44 @@ def _checked_flows(path: Path) -> FlowColumns:
     return flows
 
 
-def stage_sample(cfg: PipelineConfig) -> Path:
-    flows = _decode(artifact(cfg, "flows.csv"), "sample", _checked_flows)
+def stage_sample(cfg: PipelineConfig, flows_csv: Path, graph_jsonl: Path) -> None:
+    flows = _decode(flows_csv, "sample", _checked_flows)
     selected = select_top_addresses(flows, cfg.sampler)
     graph = reservoir_sample_edges(flows, selected, cfg.sampler)
-    out = artifact(cfg, "graph.jsonl")
-    write_graph_jsonl(graph, out)
-    _hand_off(out, walks=graph, simindex=graph.neighbours)
+    write_graph_jsonl(graph, graph_jsonl)
+    _hand_off(graph_jsonl, walks=graph, simindex=graph.neighbours)
     log.info("sample: %d vertices, %d edges", len(graph.vertices), graph.n_edges)
-    return out
 
 
-def stage_walks(cfg: PipelineConfig) -> Path:
-    graph = _decode(artifact(cfg, "graph.jsonl"), "walks", read_graph_jsonl)
+def stage_walks(cfg: PipelineConfig, graph_jsonl: Path, walks_jsonl: Path) -> None:
+    graph = _decode(graph_jsonl, "walks", read_graph_jsonl)
     positives = walks.generate_walks(graph, cfg.walks)
     negatives = walks.generate_negative_walks(graph, positives, cfg.walks)
-    out = artifact(cfg, "walks.jsonl")
     all_walks = tuple(positives + negatives)
-    walks.write_walks_jsonl(graph.vertices, all_walks, out)
-    _hand_off(out, embed=(graph.vertices, all_walks))
+    walks.write_walks_jsonl(graph.vertices, all_walks, walks_jsonl)
+    _hand_off(walks_jsonl, embed=(graph.vertices, all_walks))
     log.info("walks: %d positive, %d negative", len(positives), len(negatives))
-    return out
 
 
-def stage_embed(cfg: PipelineConfig) -> Path:
-    vertices, all_walks = _decode(artifact(cfg, "walks.jsonl"), "embed", walks.read_walks_jsonl)
+def stage_embed(cfg: PipelineConfig, walks_jsonl: Path, embedding_bin: Path,
+                embedding_json: Path) -> None:
+    vertices, all_walks = _decode(walks_jsonl, "embed", walks.read_walks_jsonl)
     pos_pairs = []
     neg_pairs = []
     for walk in all_walks:
         pairs = contexts.split_walk(walk, cfg.context.size)
         (pos_pairs if walk.label is WalkLabel.POSITIVE else neg_pairs).extend(pairs)
     emb = embedding.train_embedding(pos_pairs, neg_pairs, vertices, cfg.embedding)
-    out = artifact(cfg, "embedding.bin")
-    embedding.save_embedding(emb, out, artifact(cfg, "embedding.json"))
+    embedding.save_embedding(emb, embedding_bin, embedding_json)
     log.info("embed: %d vertices x %d dims from %d/%d context pairs",
              len(emb.vertex_index), emb.dims, len(pos_pairs), len(neg_pairs))
-    return out
 
 
-def stage_oracle(cfg: PipelineConfig) -> Path:
-    flows = _decode(artifact(cfg, "flows.csv"), "oracle", _checked_flows)
+def stage_oracle(cfg: PipelineConfig, flows_csv: Path, ground_truth_csv: Path) -> None:
+    flows = _decode(flows_csv, "oracle", _checked_flows)
     records = oracle.enumerate_all(flows, cfg.oracle)
-    out = artifact(cfg, "ground_truth.csv")
-    _write_dependencies(out, records)
+    _write_dependencies(ground_truth_csv, records)
     log.info("oracle: %d dependency records", len(records))
-    return out
 
 
 def _label(cell: str) -> bool:
@@ -211,12 +200,13 @@ def _utf8_lines(path, lines):
         yield line
 
 
-def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
+def _read_rows(path, *, check: Callable[[tuple], None] | None = None,
+               **columns: Callable[[str], object]) -> list[tuple]:
     """The rows of a CSV file as tuples, one cell per key of ``columns``
     converted by its function, without a leading byte-order mark, the header
     (a row that starts with the column names) and blank lines.  A line that
-    is not UTF-8, a short row or a cell its function rejects is an error
-    naming its line."""
+    is not UTF-8, a short row, a cell its function rejects or a row that
+    ``check`` rejects is an error naming its line."""
     names = list(columns)
     rows = []
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
@@ -228,6 +218,8 @@ def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
                 if len(row) < len(names):
                     raise ValueError(f"expected {','.join(names)} columns")
                 rows.append(tuple(convert(cell) for convert, cell in zip(columns.values(), row)))
+                if check is not None:
+                    check(rows[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
@@ -267,26 +259,27 @@ def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tupl
     return _read_rows(path, src=address, dst=address, **columns)
 
 
-def stage_train(cfg: PipelineConfig) -> Path:
-    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    path = artifact(cfg, "ground_truth.csv")
+def _no_self_pair(record: tuple) -> None:
+    if record[1] == record[2]:
+        raise ValueError(f"self pair in ground truth: {record[1]}")
+
+
+def stage_train(cfg: PipelineConfig, ground_truth_csv: Path, embedding_bin: Path,
+                labels_csv: Path, model_json: Path) -> None:
+    emb = embedding.load_embedding(embedding_bin)
     address = _address()
-    records = _read_rows(path, kind=oracle.DepKind, src=address, dst=address, witness_count=int)
-    for _, src, dst, _ in records:
-        if src == dst:
-            raise ValueError(f"{path}: self pair in ground truth: {src}")
+    records = _read_rows(ground_truth_csv, check=_no_self_pair, kind=oracle.DepKind,
+                         src=address, dst=address, witness_count=int)
     known = set(emb.vertex_index)
     gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
                        if src in known and dst in known})
     labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
-    _write_rows(artifact(cfg, "labels.csv"), ("src", "dst", "label"),
+    _write_rows(labels_csv, ("src", "dst", "label"),
                 ((src, dst, int(label)) for src, dst, label in labels))
     model = forest.train_forest(embedding.dependency_vectors(emb, labels),
                                 [label for *_, label in labels], cfg.forest)
-    out = artifact(cfg, "model.json")
-    forest.save_forest(model, out)
+    forest.save_forest(model, model_json)
     log.info("train: %d labelled pairs, %d trees", len(labels), len(model.trees))
-    return out
 
 
 # Pairs per block of predict's feature matrix, so that the matrix of a large
@@ -295,64 +288,59 @@ def stage_train(cfg: PipelineConfig) -> Path:
 _PREDICT_ROWS = 1024
 
 
-def stage_predict(cfg: PipelineConfig, pairs=None) -> Path:
+def stage_predict(cfg: PipelineConfig, embedding_bin: Path, model_json: Path, labels_csv: Path,
+                  predictions_csv: Path, pairs=None) -> None:
     """Score the pairs of the file ``pairs``, by default those of labels.csv; an
     embedding width other than the model's feature count names both files."""
-    emb_path, model_path = artifact(cfg, "embedding.bin"), artifact(cfg, "model.json")
-    emb = embedding.load_embedding(emb_path)
-    model = forest.load_forest(model_path)
+    emb = embedding.load_embedding(embedding_bin)
+    model = forest.load_forest(model_json)
     if emb.dims != model.n_features:
-        raise DepwalkError(f"{model_path} takes {model.n_features} features, but the vectors of "
-                           f"{emb_path} have {emb.dims} dimensions")
-    rows = _read_pairs(emb.vertex_index, pairs or artifact(cfg, "labels.csv"))
+        raise DepwalkError(f"{model_json} takes {model.n_features} features, but the vectors of "
+                           f"{embedding_bin} have {emb.dims} dimensions")
+    rows = _read_pairs(emb.vertex_index, pairs or labels_csv)
     blocks = (rows[start:start + _PREDICT_ROWS] for start in range(0, len(rows), _PREDICT_ROWS))
-    out = artifact(cfg, "predictions.csv")
-    _write_rows(out, ("src", "dst", "probability"),
+    _write_rows(predictions_csv, ("src", "dst", "probability"),
                 ((src, dst, forest.predict_proba(model, x)) for block in blocks
                  for (src, dst), x in zip(block, embedding.dependency_vectors(emb, block))))
     log.info("predict: %d pairs scored", len(rows))
-    return out
 
 
-def stage_eval(cfg: PipelineConfig) -> Path:
-    emb = embedding.load_embedding(artifact(cfg, "embedding.bin"))
-    labels = _read_pairs(emb.vertex_index, artifact(cfg, "labels.csv"), label=_label)
+def stage_eval(cfg: PipelineConfig, embedding_bin: Path, labels_csv: Path,
+               eval_report_json: Path) -> None:
+    emb = embedding.load_embedding(embedding_bin)
+    labels = _read_pairs(emb.vertex_index, labels_csv, label=_label)
     summary = evaluation.repeated_eval(embedding.dependency_vectors(emb, labels),
                                        [label for *_, label in labels], cfg.forest,
                                        seed=cfg.seed_for("evaluation"),
                                        n_splits=cfg.evaluation.n_splits,
                                        fractions=cfg.evaluation.fractions)
-    out = artifact(cfg, "eval_report.json")
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(eval_report_json, "w", encoding="utf-8") as fh:
         fh.write(summary.to_json())
     log.info("eval: auc=%s ap=%s chance=%.3f",
              summary.roc_auc, summary.average_precision, summary.chance_level)
-    return out
 
 
-def stage_simindex(cfg: PipelineConfig) -> Path:
+def stage_simindex(cfg: PipelineConfig, graph_jsonl: Path, predictions_csv: Path,
+                   baseline_csv: Path, baseline_summary_json: Path) -> None:
     """The similarity indices of the pairs predict scored, next to the model's
     probabilities."""
-    neighbours = _decode(artifact(cfg, "graph.jsonl"), "simindex",
-                         lambda path: read_graph_jsonl(path).neighbours)
-    scored = _read_pairs(set(neighbours.vertices), artifact(cfg, "predictions.csv"),
-                         probability=_probability)
+    neighbours = _decode(graph_jsonl, "simindex", lambda path: read_graph_jsonl(path).neighbours)
+    scored = _read_pairs(set(neighbours.vertices), predictions_csv, probability=_probability)
     rows, correlations = simindex.baseline_report(neighbours, scored)
-    out = artifact(cfg, "baseline.csv")
-    _write_rows(out, ("src", "dst", *simindex.INDICES, "model_probability"), rows)
-    with open(artifact(cfg, "baseline_summary.json"), "w", encoding="utf-8") as fh:
+    _write_rows(baseline_csv, ("src", "dst", *simindex.INDICES, "model_probability"), rows)
+    with open(baseline_summary_json, "w", encoding="utf-8") as fh:
         json.dump({"correlations": correlations, "n_pairs": len(rows)}, fh,
                   sort_keys=True, indent=2)
         fh.write("\n")
     log.info("simindex: %d pairs scored", len(rows))
-    return out
 
 
 @dataclass(frozen=True)
 class Stage:
     """One stage: its subcommand, run by ``stage_<name>``, the work-directory
     files it reads and writes, and its options as ``(name, argparse keywords)``:
-    ``--<name>`` on the command line, a keyword argument of the function."""
+    ``--<name>`` on the command line, a keyword argument of the function.
+    Each file's path is a keyword argument too: ``labels.csv`` as ``labels_csv``."""
 
     name: str
     help: str
@@ -361,7 +349,7 @@ class Stage:
     options: tuple[tuple[str, dict], ...] = ()
 
 
-def _stage(function: Callable[..., Path], *fields) -> Stage:
+def _stage(function: Callable[..., None], *fields) -> Stage:
     """The stage of ``fields`` run by ``function``, ``stage_<name>``; it keeps
     only the name."""
     return Stage(function.__name__.removeprefix("stage_"), *fields)
@@ -399,26 +387,27 @@ PRODUCER = {name: stage.name for stage in STAGES for name in stage.outputs}
 
 
 def run_stage(cfg: PipelineConfig, stage: Stage, **values) -> None:
-    """Run one stage once its inputs exist, passing ``stage_<name>`` those
-    ``values`` that name the stage's options.  A missing input raises
-    FileNotFoundError naming the stage that produces it, and so does a
-    missing file the stage is given.  Any other failure inside the stage
-    first deletes the stage's outputs, so that ``--resume`` cannot take a
-    partial artifact for a finished one; a DepwalkError, ValueError or
-    OSError is then re-raised as StageError naming the stage."""
+    """Run ``stage_<name>(cfg, **files, **options)`` once the stage's inputs
+    exist: the paths of its inputs and outputs, and the ``values`` that name
+    its options.  A missing input raises FileNotFoundError naming the stage
+    that produces it, and so does a missing file the stage is given.  Any other
+    failure inside the stage first deletes its outputs, so that ``--resume``
+    cannot take a partial artifact for a finished one; a DepwalkError,
+    ValueError or OSError is then re-raised as StageError naming the stage."""
     Path(cfg.workdir).mkdir(parents=True, exist_ok=True)
-    for name in stage.inputs:
-        path = artifact(cfg, name)
+    files = {name: artifact(cfg, name) for name in stage.inputs + stage.outputs}
+    for name, path in zip(stage.inputs, files.values()):
         if not path.exists():
             raise FileNotFoundError(None, f"{name} not found (run {PRODUCER[name]} first)", str(path))
     try:
         globals()[f"stage_{stage.name}"](
-            cfg, **{name: values[name] for name, _ in stage.options if name in values})
+            cfg, **{name.replace(".", "_"): path for name, path in files.items()},
+            **{name: values[name] for name, _ in stage.options if name in values})
     except FileNotFoundError:
         raise
     except BaseException as exc:  # an interrupt too may leave a partial output
         for name in stage.outputs:
-            artifact(cfg, name).unlink(missing_ok=True)
+            files[name].unlink(missing_ok=True)
         if isinstance(exc, (DepwalkError, ValueError, OSError)):
             raise StageError(stage.name, exc) from exc
         raise

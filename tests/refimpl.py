@@ -721,7 +721,7 @@ def reference_reservoir_sample(flows, selected, cfg) -> list[FlowRecord]:
     reservoir: list[FlowRecord] = []
     seen = 0
     for f in flows:
-        if f.src_ip not in selected or f.dst_ip not in selected:
+        if f.src_ip not in selected or f.dst_ip not in selected or f.src_ip == f.dst_ip:
             continue
         seen += 1
         if len(reservoir) < cfg.k_edges:

@@ -738,9 +738,8 @@ def test_an_interrupted_stage_leaves_no_output_for_resume(small_run, tmp_path, m
     fresh = tmp_path / "fresh"
     shutil.copytree(workdir, fresh)
 
-    def interrupted_sample(cfg):
-        out = pipeline.artifact(cfg, "graph.jsonl")
-        out.write_text(workdir.joinpath("graph.jsonl").read_text()[:100])
+    def interrupted_sample(cfg, flows_csv, graph_jsonl):
+        graph_jsonl.write_text(workdir.joinpath("graph.jsonl").read_text()[:100])
         raise KeyboardInterrupt
 
     base = ["-c", str(cfg_path), "-w", str(fresh)]
@@ -958,7 +957,7 @@ DAMAGED_INPUTS = [
                  ":2: invalid literal for int() with base 10: 'many'", id="ground-truth-count"),
     pytest.param("train", "ground_truth.csv",
                  edit_first_row(lambda cells: ["DD", "10.0.0.1", "10.0.0.1", "20"]),
-                 ": self pair in ground truth: 10.0.0.1", id="ground-truth-self-pair"),
+                 ":2: self pair in ground truth: 10.0.0.1", id="ground-truth-self-pair"),
     pytest.param("train", "ground_truth.csv",
                  edit_first_row(lambda cells: cells[:2] + ["not-an-ip", cells[3]]),
                  ":2: invalid IP address 'not-an-ip'", id="ground-truth-address"),
@@ -1063,9 +1062,9 @@ def test_in_place_damage_within_a_pipeline_run_is_a_named_error(tmp_path, capsys
     problem = next(case_.values[3] for case_ in DAMAGED_INPUTS if case_.id == case)
     run = getattr(pipeline, f"stage_{stage}")
 
-    def damaged_first(cfg):
-        overwrite_byte(pipeline.artifact(cfg, name), int(problem.split(":")[1]), find, new)
-        return run(cfg)
+    def damaged_first(cfg, **files):
+        overwrite_byte(files[name.replace(".", "_")], int(problem.split(":")[1]), find, new)
+        run(cfg, **files)
     monkeypatch.setattr(pipeline, f"stage_{stage}", damaged_first)
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
@@ -1082,14 +1081,13 @@ def test_a_walk_naming_an_address_missing_from_its_manifest_within_a_pipeline_ru
     run = pipeline.stage_embed
     dropped = []
 
-    def manifest_edited_first(cfg):
-        path = pipeline.artifact(cfg, "walks.jsonl")
-        manifest, first, *rest = path.read_text().splitlines(keepends=True)
+    def manifest_edited_first(cfg, walks_jsonl, **files):
+        manifest, first, *rest = walks_jsonl.read_text().splitlines(keepends=True)
         vertices = json.loads(manifest)["vertices"]
         dropped.append(json.loads(first)["vertices"][0])
         vertices.remove(dropped[0])
-        path.write_text(json.dumps({"vertices": vertices}) + "\n" + first + "".join(rest))
-        return run(cfg)
+        walks_jsonl.write_text(json.dumps({"vertices": vertices}) + "\n" + first + "".join(rest))
+        run(cfg, walks_jsonl=walks_jsonl, **files)
     monkeypatch.setattr(pipeline, "stage_embed", manifest_edited_first)
     cfg_path = write_config(tmp_path)
     workdir = tmp_path / "out"
@@ -1110,11 +1108,10 @@ def test_every_hand_off_names_readers_of_its_file_and_all_are_taken(tmp_path, mo
         handed.append((path.name, set(readers)))
         hand_off(path, **readers)
 
-    def simindex_then_look(cfg):
-        out = run(cfg)
+    def simindex_then_look(cfg, **files):
+        run(cfg, **files)
         left.extend((name, reader) for name, (_, values) in pipeline._handoff.items()
                     for reader in values)
-        return out
     monkeypatch.setattr(pipeline, "_hand_off", recorded)
     monkeypatch.setattr(pipeline, "stage_simindex", simindex_then_look)
     cfg_path = write_config(tmp_path)
@@ -1134,7 +1131,7 @@ def test_simindex_reports_the_same_on_the_handed_on_neighbour_sets_as_on_the_rea
     copy_inputs(pipeline.STAGE["sample"], workdir, fresh)
     cfg = load_config(cfg_path, workdir=str(fresh))
     monkeypatch.setattr(pipeline, "_handoff", {})
-    pipeline.stage_sample(cfg)
+    pipeline.stage_sample(cfg, fresh / "flows.csv", fresh / "graph.jsonl")
     assert (fresh / "graph.jsonl").read_bytes() == (workdir / "graph.jsonl").read_bytes()
     handed = pipeline._handoff["graph.jsonl"][1]["simindex"]
     assert type(handed) is Neighbours
