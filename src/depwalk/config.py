@@ -19,15 +19,14 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field, fields, replace
-from enum import Enum
 from ipaddress import ip_network
 from typing import get_args, get_type_hints
 
 import yaml
 
 from .errors import ConfigError
-from .flows import SplitMode
 from .seeds import derive_seed
 
 
@@ -58,7 +57,6 @@ class _Section:
 @dataclass(frozen=True)
 class IngestSettings(_Section):
     biflows: bool = False
-    split_mode: SplitMode = SplitMode.SAME_TIMESTAMPS
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,6 @@ class ScenarioConfig(_Section):
     # simulated seconds; the default gives each default client 20 sessions,
     # twice the default oracle threshold, so the bare default run labels 84 pairs
     duration: float = 200.0
-    lr_web_db: bool = True
-    rr_dns_web: bool = True
     noise_flows: int = 0
     epsilon_ms: int = 1000
     rng_seed: int = 0
@@ -172,15 +168,33 @@ class ScenarioConfig(_Section):
     _ABOVE = dict(duration=0)
     _MAX = dict(n_clients=250, n_web=250, n_db=250, n_dns=250)
 
+    # ms: the range a lookup or service call takes, and a noise flow's longest
+    LATENCY_MS = (5, 50)
+    NOISE_MS = 5000
+
+    @property
+    def max_gap_ms(self) -> int:
+        """The longest wait between a lookup's reply and the web request."""
+        return max(1, self.epsilon_ms // 2 - 4)
+
     def _problems(self):
-        """The roles that planted sessions need, when at least one session
-        (the rounded ``session_rate * duration``) is planted."""
-        if not (self.session_rate * self.duration > 0.5 and (self.lr_web_db or self.rr_dns_web)):
-            return []
-        needs = [(self.n_clients and self.n_web, "planted sessions need clients and web servers"),
-                 (self.n_db or not self.lr_web_db, "lr_web_db needs a database server"),
-                 (self.n_dns or not self.rr_dns_web, "rr_dns_web needs a name server")]
-        return [problem for met, problem in needs if not met]
+        """Planted sessions, when at least one (the rounded ``session_rate *
+        duration``) is planted, need clients and web servers; and no flow may
+        end at the int64 maximum or later, which ingest rejects."""
+        sessions = self.session_rate * self.duration > 0.5
+        # a session's lookup reply ends up to 2 ms after its latency, and its
+        # web request up to 3 ms either side of the database call
+        lookup = self.LATENCY_MS[1] + 2 + self.max_gap_ms if self.n_dns else 0
+        spans = [lookup + self.LATENCY_MS[1] + 6 * (self.n_db > 0)] * sessions
+        spans += [self.NOISE_MS] * (self.noise_flows > 0)
+        latest = (max(1, int(self.duration * 1000)) - 1 + max(spans)
+                  if spans and math.isfinite(self.duration) else 0)
+        return [problem for met, problem in (
+            (self.n_clients and self.n_web or not sessions,
+             "planted sessions need clients and web servers"),
+            (latest < 2**63 - 1,
+             f"flows would end as late as {latest} ms, but ingest reads timestamps below {2**63 - 1}"),
+        ) if not met]
 
 
 @dataclass(frozen=True)
@@ -208,17 +222,13 @@ def _fits(value, hint) -> bool:
         return isinstance(value, (int, hint)) and not isinstance(value, bool)
     if isinstance(hint, type):
         return isinstance(value, hint)
-    args = get_args(hint)  # a tuple type
-    if isinstance(value, list) and args[-1] is Ellipsis:
-        args = args[:1] * len(value)
-    return isinstance(value, list) and len(value) == len(args) and all(map(_fits, value, args))
+    item, _ = get_args(hint)  # tuple[item, ...]
+    return isinstance(value, list) and all(_fits(entry, item) for entry in value)
 
 
 def _convert(value, hint):
-    """A YAML value as the field type ``hint``: a list becomes a tuple, a
-    string an enum member.  TypeError or ValueError names the expected type."""
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return hint(value)
+    """A YAML value as the field type ``hint``, where a list becomes a tuple;
+    a TypeError names the expected type."""
     if not _fits(value, hint):
         expected = hint.__name__ if isinstance(hint, type) else str(hint)
         raise TypeError(f"expected {expected}, got {value!r}")
@@ -230,19 +240,28 @@ def _build_section(name: str, default, data: dict, seed: int, problems: list[str
     an ``rng_seed``, the seed derived for it; the seed is not a key."""
     hints = get_type_hints(type(default))
     allowed = set(hints) - {"rng_seed"}
-    for key in sorted(set(data) - allowed):
-        problems.append(f"{name}: unknown key {key!r}")
+    problems += [f"{name}: unknown key {key!r}" for key in sorted(set(data) - allowed)]
     kwargs = {"rng_seed": seed} if "rng_seed" in hints else {}
     for key in sorted(set(data) & allowed):
         try:
             kwargs[key] = _convert(data[key], hints[key])
-        except (TypeError, ValueError) as exc:
+        except TypeError as exc:
             problems.append(f"{name}.{key}: {exc}")
     try:
         return replace(default, **kwargs)
     except ConfigError as exc:
         problems.append(f"{name}: {exc}")
         return default
+
+
+class _Loader(yaml.SafeLoader):
+    """``yaml.safe_load``'s YAML 1.1 with YAML 1.2's floats added: an
+    exponent needs neither a sign nor a dot, so ``2e2`` is 200.0, as in JSON."""
+
+
+_Loader.add_implicit_resolver("tag:yaml.org,2002:float",
+                              re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+                              list("-+.0123456789"))
 
 
 def load_config(path=None, master_seed: int | None = None,
@@ -253,13 +272,12 @@ def load_config(path=None, master_seed: int | None = None,
     raw: dict = {}
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.load(fh, Loader=_Loader) or {}
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: top level must be a mapping")
 
-    problems: list[str] = []
-    for key in sorted(set(raw) - {f.name for f in fields(PipelineConfig)}):
-        problems.append(f"unknown section {key!r}")
+    problems = [f"unknown section {key!r}"
+                for key in sorted(set(raw) - {f.name for f in fields(PipelineConfig)})]
 
     top = {}
     for key, override in (("master_seed", master_seed), ("workdir", workdir)):
@@ -275,9 +293,7 @@ def load_config(path=None, master_seed: int | None = None,
     for f in fields(PipelineConfig):
         if f.name in ("master_seed", "workdir"):
             continue
-        data = raw.get(f.name, {})
-        if data is None:
-            data = {}
+        data = {} if raw.get(f.name) is None else raw[f.name]
         if not isinstance(data, dict):
             problems.append(f"{f.name}: section must be a mapping")
             data = {}

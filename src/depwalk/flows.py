@@ -6,10 +6,10 @@ by their first record.  The canonical CSV column order is
 integer milliseconds since the epoch; RFC 3339 strings are accepted and
 converted on read.  Parsing fills ``FlowColumns`` directly, so a flow file
 never exists as one record per flow: only the sampled edges become
-``FlowRecord``s.  Bidirectional records can be split into two
-unidirectional flows, and traffic is filtered down to TCP/UDP before any
-graph is built.  Self-loop flows (equal endpoints) are dropped during
-parsing.
+``FlowRecord``s.  A bidirectional record is split into two unidirectional
+flows that keep its interval, and traffic is filtered down to TCP/UDP
+before any graph is built.  Self-loop flows (equal endpoints) are dropped
+during parsing.
 """
 
 from __future__ import annotations
@@ -49,11 +49,6 @@ _PROTOS = {"TCP": Proto.TCP, "6": Proto.TCP, "UDP": Proto.UDP, "17": Proto.UDP}
 _CODE = {proto: code for code, proto in enumerate(Proto)}
 _VALUE = {proto: proto.value for proto in Proto}  # cheaper than ``proto.value``
 _BLOCK = 4096  # rows of flow columns turned into Python values at a time
-
-
-class SplitMode(str, Enum):
-    SAME_TIMESTAMPS = "same"
-    DISTINCT_TIMESTAMPS = "distinct"
 
 
 class FlowRecord(NamedTuple):
@@ -379,22 +374,15 @@ def parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[FlowColumn
     return FlowColumns._of(ids.addresses, [np.frombuffer(c, np.int64) for c in columns]), report
 
 
-def biflow_to_uniflows(biflows: FlowColumns, mode: SplitMode) -> FlowColumns:
-    """Split each biflow into its forward and then its reverse unidirectional flow.
-
-    The forward flow is the biflow itself; the reverse swaps addresses and
-    ports.  SAME_TIMESTAMPS copies the interval to both directions.
-    DISTINCT_TIMESTAMPS starts the reverse 1 ms after the forward start, so
-    the forward flow always sorts first; for sub-millisecond biflows the
-    reverse start is clamped to t_end to keep the interval valid.
-    """
+def biflow_to_uniflows(biflows: FlowColumns) -> FlowColumns:
+    """Split each biflow into its forward and then its reverse unidirectional
+    flow: the biflow itself, then the biflow with addresses and ports
+    swapped.  Both keep the biflow's interval."""
     src, dst, sport, dport, proto, t_start, t_end = biflows._columns
-    # t_end < int64 max, so t_start + 1 does not overflow
-    rev_start = t_start if mode is SplitMode.SAME_TIMESTAMPS else np.minimum(t_start + 1, t_end)
     return FlowColumns._of(biflows.addresses, [
         np.stack([forward, reverse], 1).ravel() for forward, reverse in
         ((src, dst), (dst, src), (sport, dport), (dport, sport), (proto, proto),
-         (t_start, rev_start), (t_end, t_end))])
+         (t_start, t_start), (t_end, t_end))])
 
 
 def filter_tcp_udp(flows: FlowColumns) -> FlowColumns:

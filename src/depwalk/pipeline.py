@@ -121,7 +121,7 @@ def stage_ingest(cfg: PipelineConfig, flows_csv: Path, flows) -> None:
         log.warning("%s:%d: %s", path, lineno, message)
     if report.dropped_self_loops:
         log.info("dropped %d self-loop records", report.dropped_self_loops)
-    flows = biflow_to_uniflows(parsed, cfg.ingest.split_mode) if cfg.ingest.biflows else parsed
+    flows = biflow_to_uniflows(parsed) if cfg.ingest.biflows else parsed
     kept = filter_tcp_udp(flows)
     log.info("ingest: %d records parsed, %d TCP/UDP flows kept", len(parsed), len(kept))
     write_flows_csv(kept.rows(), flows_csv)
@@ -200,14 +200,15 @@ def _utf8_lines(path, lines):
         yield line
 
 
-def _read_rows(path, *, check: Callable[[tuple], None] | None = None,
-               **columns: Callable[[str], object]) -> list[tuple]:
+def _read_rows(path, **columns: Callable[[str], object]) -> list[tuple]:
     """The rows of a CSV file as tuples, one cell per key of ``columns``
     converted by its function, without a leading byte-order mark, the header
     (a row that starts with the column names) and blank lines.  A line that
-    is not UTF-8, a short row, a cell its function rejects or a row that
-    ``check`` rejects is an error naming its line."""
+    is not UTF-8, a short row, a cell its function rejects or, when the
+    columns hold ``src`` and ``dst``, a row that pairs an address with
+    itself is an error naming its line."""
     names = list(columns)
+    pair = [names.index(name) for name in ("src", "dst") if name in names]
     rows = []
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(_utf8_lines(path, fh))
@@ -217,9 +218,10 @@ def _read_rows(path, *, check: Callable[[tuple], None] | None = None,
             try:
                 if len(row) < len(names):
                     raise ValueError(f"expected {','.join(names)} columns")
-                rows.append(tuple(convert(cell) for convert, cell in zip(columns.values(), row)))
-                if check is not None:
-                    check(rows[-1])
+                values = tuple(convert(cell) for convert, cell in zip(columns.values(), row))
+                if len(pair) == 2 and values[pair[0]] == values[pair[1]]:
+                    raise ValueError(f"self pair: {values[pair[0]]}")
+                rows.append(values)
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return rows
@@ -259,17 +261,12 @@ def _read_pairs(vertices, path, **columns: Callable[[str], object]) -> list[tupl
     return _read_rows(path, src=address, dst=address, **columns)
 
 
-def _no_self_pair(record: tuple) -> None:
-    if record[1] == record[2]:
-        raise ValueError(f"self pair in ground truth: {record[1]}")
-
-
 def stage_train(cfg: PipelineConfig, ground_truth_csv: Path, embedding_bin: Path,
                 labels_csv: Path, model_json: Path) -> None:
     emb = embedding.load_embedding(embedding_bin)
     address = _address()
-    records = _read_rows(ground_truth_csv, check=_no_self_pair, kind=oracle.DepKind,
-                         src=address, dst=address, witness_count=int)
+    records = _read_rows(ground_truth_csv, kind=oracle.DepKind, src=address, dst=address,
+                         witness_count=int)
     known = set(emb.vertex_index)
     gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
                        if src in known and dst in known})

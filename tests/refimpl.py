@@ -16,7 +16,7 @@ from typing import Iterable
 
 import numpy as np
 
-from depwalk.flows import CSV_COLUMNS, FlowRecord, ParseReport, Proto, SplitMode
+from depwalk.flows import CSV_COLUMNS, FlowRecord, ParseReport, Proto
 from depwalk.forest import ForestModel, _TreeNodes
 from depwalk.seeds import derive_seed
 from depwalk.walks import Condition, WalkLabel
@@ -658,14 +658,11 @@ def reference_parse_flows(lines: Iterable[str], biflows: bool = False) -> tuple[
     return flows, report
 
 
-def reference_biflow_to_uniflows(biflow: FlowRecord, mode: SplitMode) -> tuple[FlowRecord, FlowRecord]:
+def reference_biflow_to_uniflows(biflow: FlowRecord) -> tuple[FlowRecord, FlowRecord]:
     """A biflow record as its forward flow (itself) and its reverse flow:
-    addresses and ports swapped, starting 1 ms later (but not after the
-    end) in DISTINCT_TIMESTAMPS mode."""
-    rev_start = biflow.t_start if mode is SplitMode.SAME_TIMESTAMPS else min(biflow.t_start + 1,
-                                                                             biflow.t_end)
+    addresses and ports swapped, over the same interval."""
     return biflow, FlowRecord(biflow.dst_ip, biflow.src_ip, biflow.dst_port, biflow.src_port,
-                              biflow.proto, rev_start, biflow.t_end)
+                              biflow.proto, biflow.t_start, biflow.t_end)
 
 
 # ---------------------------------------------------------------------------

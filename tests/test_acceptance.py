@@ -65,9 +65,8 @@ def e2e_runs(tmp_path_factory):
 
 def test_criterion_1_condition_soundness():
     scenario = ScenarioConfig(n_clients=12, n_web=2, n_db=1, n_dns=1,
-                              session_rate=0.8, duration=120.0, lr_web_db=True,
-                              rr_dns_web=True, noise_flows=0, epsilon_ms=500,
-                              rng_seed=5)
+                              session_rate=0.8, duration=120.0, noise_flows=0,
+                              epsilon_ms=500, rng_seed=5)
     flows = filter_tcp_udp(FlowColumns(generate(scenario)[0]))
     sampler = SamplerConfig(n_internal=20, m_external=0, k_edges=10000,
                             internal_prefixes=("10.0.0.0/16",), rng_seed=1)

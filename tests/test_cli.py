@@ -15,7 +15,7 @@ from typing import get_type_hints
 import pytest
 import yaml
 
-from depwalk import oracle, pipeline
+from depwalk import config, oracle, pipeline
 from depwalk.cli import main
 from depwalk.config import PipelineConfig, load_config
 from depwalk.errors import ConfigError
@@ -147,7 +147,10 @@ REMOVED_KEYS = [("oracle", "max_chain_vertices", 4),
                 ("forest", "bootstrap", True),
                 ("evaluation", "unordered_pairs", False),
                 ("ingest", "format", "jsonl"),
-                ("synth", "latency_ms", [5, 50])]
+                ("synth", "latency_ms", [5, 50]),
+                ("ingest", "split_mode", "same"),
+                ("synth", "lr_web_db", True),
+                ("synth", "rr_dns_web", True)]
 
 
 @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
@@ -198,6 +201,29 @@ def test_mistyped_value_is_a_config_error_naming_its_key(tmp_path, capsys, monke
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text,value", [("2e2", 200.0), ("-1E-3", -0.001), (".5e1", 5.0)])
+def test_a_float_with_an_unsigned_exponent_is_a_number(text, value):
+    # YAML 1.1 reads these as strings; JSON and YAML 1.2 read them as numbers
+    loaded = yaml.load(f"x: {text}", Loader=config._Loader)["x"]
+    assert type(loaded) is float and loaded == value
+
+
+@pytest.mark.parametrize("text,problem", [
+    ('{"synth": {"duration": 2e2}}', None),
+    ('{"synth": {"duration": "2e2"}}', "synth.duration: expected float, got '2e2'"),
+    ("walks: {walk_length: 5e0}", "walks.walk_length: expected int, got 5.0"),
+], ids=["json", "quoted", "int-key"])
+def test_a_config_reads_exponent_floats_as_json_does(tmp_path, text, problem):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    if problem is None:
+        assert load_config(path).synth.duration == 200.0
+    else:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == problem
+
+
 # (section, key, a value just out of its bound): one entry per bound the
 # sections declare in depwalk/config.py
 BOUNDS = [("sampler", "n_internal", -1), ("sampler", "m_external", -1), ("sampler", "k_edges", 0),
@@ -232,15 +258,26 @@ def test_out_of_bound_value_is_a_config_error_naming_its_key(tmp_path, section, 
 
 
 @pytest.mark.parametrize("synth,problem", [
-    ({"n_db": 0}, "lr_web_db needs a database server"),
-    ({"n_dns": 0}, "rr_dns_web needs a name server"),
     ({"n_web": 0}, "planted sessions need clients and web servers"),
-], ids=["n_db", "n_dns", "n_web"])
+], ids=["n_web"])
 def test_planted_sessions_without_their_servers_exit_2_at_load(tmp_path, capsys, synth, problem):
     status = main(["-c", str(write_config(tmp_path, {"synth": synth})), "-w", str(tmp_path / "out"),
                    "synth"])
     assert status == 2
     assert capsys.readouterr().err == f"depwalk: invalid configuration:\nsynth: {problem}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_scenario_whose_flows_pass_the_int64_range_exits_2_at_load(tmp_path, capsys):
+    # ingest would drop the late flows, while planted_truth.csv lists them all:
+    # the last of 1e20 ms of starts plus a 5 s noise flow
+    synth = {"duration": 1.0e17, "session_rate": 1.0e-14, "noise_flows": 5}
+    status = main(["-c", str(write_config(tmp_path, {"synth": synth})), "-w", str(tmp_path / "out"),
+                   "synth"])
+    assert status == 2
+    assert capsys.readouterr().err == (
+        "depwalk: invalid configuration:\nsynth: flows would end as late as "
+        f"{10**20 - 1 + 5000} ms, but ingest reads timestamps below {2**63 - 1}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -259,7 +296,7 @@ def test_non_finite_float_exits_2_at_load_naming_its_key(tmp_path, capsys, secti
 
 
 def test_planted_session_checks_apply_only_to_planted_sessions(tmp_path):
-    for synth in ({"n_db": 0, "lr_web_db": False}, {"n_web": 0, "session_rate": 0}):
+    for synth in ({"n_db": 0, "n_dns": 0}, {"n_web": 0, "session_rate": 0}):
         load_config(write_config(tmp_path, {"synth": synth}))
 
 
@@ -492,7 +529,7 @@ def test_master_seed_changes_output(tmp_path):
 
 def test_biflow_ingest_splits_directions(tmp_path):
     doc = dict(SMALL_SCENARIO)
-    doc["ingest"] = {"biflows": True, "split_mode": "distinct"}
+    doc["ingest"] = {"biflows": True}
     cfg_path = write_config(tmp_path, doc)
     biflows = tmp_path / "biflows.csv"
     biflows.write_text("0,10,10.0.0.1,10.0.0.2,50000,443,TCP\n"
@@ -503,7 +540,7 @@ def test_biflow_ingest_splits_directions(tmp_path):
     lines = (workdir / "flows.csv").read_text().splitlines()
     assert len(lines) == 4
     assert lines[0] == "0,10,10.0.0.1,10.0.0.2,50000,443,TCP"
-    assert lines[1] == "1,10,10.0.0.2,10.0.0.1,443,50000,TCP"
+    assert lines[1] == "0,10,10.0.0.2,10.0.0.1,443,50000,TCP"
 
 
 def test_ingest_logs_each_invalid_line_and_the_dropped_self_loops(tmp_path, caplog):
@@ -672,6 +709,19 @@ def test_pairs_file_with_a_byte_that_is_not_utf8_names_its_line(small_run, tmp_p
     assert capsys.readouterr().err == (
         f"depwalk: predict failed: {pairs}:3: 'utf-8' codec can't decode byte 0xff in position "
         f"{position}: invalid start byte\n")
+    assert not (fresh / "predictions.csv").exists()
+
+
+def test_pairs_file_with_a_self_pair_names_its_line(small_run, tmp_path, capsys):
+    # train rejects the same pair in ground_truth.csv; a pair is two addresses
+    cfg_path, workdir = small_run
+    fresh = tmp_path / "fresh"
+    copy_inputs(pipeline.STAGE["predict"], workdir, fresh)
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("10.0.0.1,10.0.0.2\n10.0.0.1, 10.0.0.1\n")
+    capsys.readouterr()
+    assert main(["-c", str(cfg_path), "-w", str(fresh), "predict", "--pairs", str(pairs)]) == 1
+    assert capsys.readouterr().err == f"depwalk: predict failed: {pairs}:2: self pair: 10.0.0.1\n"
     assert not (fresh / "predictions.csv").exists()
 
 
@@ -957,7 +1007,7 @@ DAMAGED_INPUTS = [
                  ":2: invalid literal for int() with base 10: 'many'", id="ground-truth-count"),
     pytest.param("train", "ground_truth.csv",
                  edit_first_row(lambda cells: ["DD", "10.0.0.1", "10.0.0.1", "20"]),
-                 ":2: self pair in ground truth: 10.0.0.1", id="ground-truth-self-pair"),
+                 ":2: self pair: 10.0.0.1", id="ground-truth-self-pair"),
     pytest.param("train", "ground_truth.csv",
                  edit_first_row(lambda cells: cells[:2] + ["not-an-ip", cells[3]]),
                  ":2: invalid IP address 'not-an-ip'", id="ground-truth-address"),
@@ -970,12 +1020,19 @@ DAMAGED_INPUTS = [
     pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["10.0.0.1.5"] + cells[1:]),
                  ":2: invalid IP address '10.0.0.1.5'", id="label-address"),
     pytest.param("eval", "labels.csv", undecodable(30), f":30: {NOT_UTF8}", id="labels-not-utf8"),
+    pytest.param("eval", "labels.csv", edit_first_row(lambda cells: ["10.0.0.1"] * 2 + cells[2:]),
+                 ":2: self pair: 10.0.0.1", id="labels-self-pair"),
     # labels.csv is the pairs file predict scores when it is given none
     pytest.param("predict", "labels.csv", undecodable(3), f":3: {NOT_UTF8}", id="pairs-not-utf8"),
+    pytest.param("predict", "labels.csv", edit_first_row(lambda cells: ["10.0.0.1"] * 2 + cells[2:]),
+                 ":2: self pair: 10.0.0.1", id="pairs-self-pair"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: ["9.9.9.9"] + cells[1:]),
                  ":2: unknown address: 9.9.9.9", id="prediction-unknown-address"),
     pytest.param("simindex", "predictions.csv", undecodable(2), f":2: {NOT_UTF8}",
                  id="predictions-not-utf8"),
+    pytest.param("simindex", "predictions.csv",
+                 edit_first_row(lambda cells: ["10.0.0.1"] * 2 + cells[2:]),
+                 ":2: self pair: 10.0.0.1", id="predictions-self-pair"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["abc"]),
                  ":2: could not convert string to float: 'abc'", id="probability"),
     pytest.param("simindex", "predictions.csv", edit_first_row(lambda cells: cells[:2] + ["nan"]),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import ADDRESSES as WRITTEN_ADDRESSES
 from conftest import flow, written_flows
-from depwalk.flows import (CSV_COLUMNS, FlowColumns, FlowRecord, ParseReport, Proto, SplitMode,
+from depwalk.flows import (CSV_COLUMNS, FlowColumns, FlowRecord, ParseReport, Proto,
                            biflow_to_uniflows, filter_tcp_udp, flow_from_dict, flow_to_json,
                            open_lines, parse_flows, read_flows_csv, write_flows_csv)
 from depwalk.synth import ScenarioConfig, generate
@@ -23,9 +23,9 @@ def parse_text(text):
     return flows.records(), report
 
 
-def split(biflow, mode):
+def split(biflow):
     """The two unidirectional records of one biflow record."""
-    return tuple(biflow_to_uniflows(FlowColumns([biflow]), mode).records())
+    return tuple(biflow_to_uniflows(FlowColumns([biflow])).records())
 
 
 def test_parse_csv_line_maps_fields():
@@ -214,8 +214,8 @@ def json_lines(draw):
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(st.lists(csv_lines(), max_size=10), st.lists(json_lines(), max_size=10)),
        st.sampled_from(["", "t_start,t_end,src_ip,dst_ip,src_port,dst_port,proto\n", "\n"]),
-       st.booleans(), st.booleans(), st.sampled_from(SplitMode))
-def test_parse_matches_the_reference_parser(lines, head, bom, biflows, mode):
+       st.booleans(), st.booleans())
+def test_parse_matches_the_reference_parser(lines, head, bom, biflows):
     # the columns of the same records, the same counters and (line, message)
     # errors, message for message; split and filtered, the same flows
     lines = [head, *lines] if head else lines
@@ -224,8 +224,8 @@ def test_parse_matches_the_reference_parser(lines, head, bom, biflows, mode):
     records, report = reference_parse_flows(lines, biflows)
     flows = parse_flows(lines, biflows)
     assert flows == (FlowColumns(records), report)
-    uniflows = [f for b in records for f in reference_biflow_to_uniflows(b, mode)]
-    assert biflow_to_uniflows(flows[0], mode) == FlowColumns(uniflows)
+    uniflows = [f for b in records for f in reference_biflow_to_uniflows(b)]
+    assert biflow_to_uniflows(flows[0]) == FlowColumns(uniflows)
     assert filter_tcp_udp(flows[0]) == FlowColumns([f for f in records if f.proto is not Proto.OTHER])
 
 
@@ -243,9 +243,9 @@ def test_records_are_built_positionally_in_field_order():
     assert flow("10.0.0.1", "10.0.0.2", 5, 9, sport=3, dport=4, proto=Proto.UDP) == FlowRecord(
         src_ip="10.0.0.1", dst_ip="10.0.0.2", src_port=3, dst_port=4, proto=Proto.UDP,
         t_start=5, t_end=9)
-    _, rev = split(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
+    _, rev = split(BIFLOW)
     assert rev == FlowRecord(src_ip="10.0.0.2", dst_ip="10.0.0.1", src_port=443, dst_port=50000,
-                             proto=Proto.TCP, t_start=1, t_end=10)
+                             proto=Proto.TCP, t_start=0, t_end=10)
     flows, _ = generate(ScenarioConfig(n_clients=2, duration=20.0, rng_seed=5))
     # synth's roles: a client's lookup goes from port 50053 to 53 over UDP,
     # its web request to 443 and the web server's call to 5432 over TCP
@@ -372,34 +372,25 @@ BIFLOW = FlowRecord("10.0.0.1", "10.0.0.2", 50000, 443, Proto.TCP, 0, 10)
 
 
 def test_biflow_same_timestamps():
-    fwd, rev = split(BIFLOW, SplitMode.SAME_TIMESTAMPS)
+    fwd, rev = split(BIFLOW)
     assert (fwd.src_ip, fwd.dst_ip, fwd.src_port, fwd.dst_port) == ("10.0.0.1", "10.0.0.2", 50000, 443)
     assert (rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port) == ("10.0.0.2", "10.0.0.1", 443, 50000)
     assert (fwd.t_start, fwd.t_end) == (0, 10) and (rev.t_start, rev.t_end) == (0, 10)
 
 
-def test_biflow_distinct_timestamps():
-    fwd, rev = split(BIFLOW, SplitMode.DISTINCT_TIMESTAMPS)
-    assert (fwd.t_start, fwd.t_end) == (0, 10)
-    assert (rev.t_start, rev.t_end) == (1, 10)
-
-
 def test_biflow_degenerate_duration():
     b = FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 5, 5)
-    fwd, rev = split(b, SplitMode.SAME_TIMESTAMPS)
+    fwd, rev = split(b)
     assert (fwd.t_start, fwd.t_end) == (5, 5) and (rev.t_start, rev.t_end) == (5, 5)
-    # distinct mode clamps so the reverse interval stays valid
-    _, rev = split(b, SplitMode.DISTINCT_TIMESTAMPS)
-    assert rev.t_start <= rev.t_end
 
 
 def test_biflow_swap_is_an_involution(rng):
     for _ in range(50):
         b = FlowRecord(f"10.0.0.{rng.randrange(1, 50)}", f"10.0.1.{rng.randrange(1, 50)}",
                          rng.randrange(65536), rng.randrange(65536), Proto.TCP, 0, 10)
-        _, rev = split(b, SplitMode.SAME_TIMESTAMPS)
+        _, rev = split(b)
         back = FlowRecord(rev.src_ip, rev.dst_ip, rev.src_port, rev.dst_port, rev.proto, 0, 10)
-        _, again = split(back, SplitMode.SAME_TIMESTAMPS)
+        _, again = split(back)
         assert (again.src_ip, again.dst_ip, again.src_port, again.dst_port) == \
             (b.src_ip, b.dst_ip, b.src_port, b.dst_port)
 
@@ -409,7 +400,7 @@ def test_biflow_row_with_counts_ingests_to_two_uniflows():
                                   biflows=True)
     assert report.ok
     assert biflows.records() == [FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2)]
-    assert biflow_to_uniflows(biflows, SplitMode.SAME_TIMESTAMPS).records() == [
+    assert biflow_to_uniflows(biflows).records() == [
         FlowRecord("10.0.0.1", "10.0.0.2", 1, 2, Proto.TCP, 1, 2),
         FlowRecord("10.0.0.2", "10.0.0.1", 2, 1, Proto.TCP, 1, 2)]
 

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import ADDRESSES
 from depwalk.oracle import DependencyRecord, DepKind
-from depwalk.pipeline import (_address, _label, _no_self_pair, _probability, _read_pairs,
-                              _read_rows, _write_rows)
+from depwalk.pipeline import _address, _label, _probability, _read_pairs, _read_rows, _write_rows
 from depwalk.simindex import INDICES
 
 # Two distinct addresses, IPv4 or IPv6, in the canonical text ingest writes.
@@ -39,8 +38,8 @@ def test_ground_truth_reads_back_as_written(drawn):
     records = sorted(DependencyRecord(kind, src, dst, count) for kind, (src, dst), count in drawn)
     address = _address()
     assert read_back(DependencyRecord._fields, records,
-                     lambda path: _read_rows(path, check=_no_self_pair, kind=DepKind, src=address,
-                                             dst=address, witness_count=int)) == records
+                     lambda path: _read_rows(path, kind=DepKind, src=address, dst=address,
+                                             witness_count=int)) == records
 
 
 @settings(max_examples=200, deadline=None)
