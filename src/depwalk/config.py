@@ -178,10 +178,12 @@ class ScenarioConfig(_Section):
         return max(1, self.epsilon_ms // 2 - 4)
 
     def _problems(self):
-        """Planted sessions, when at least one (the rounded ``session_rate *
-        duration``) is planted, need clients and web servers; and no flow may
-        end at the int64 maximum or later, which ingest rejects."""
-        sessions = self.session_rate * self.duration > 0.5
+        """The session count (the rounded ``session_rate * duration``) must
+        be finite; planted sessions, when at least one is planted, need
+        clients and web servers; and no flow may end at the int64 maximum or
+        later, which ingest rejects."""
+        count = self.session_rate * self.duration
+        sessions = count > 0.5
         # a session's lookup reply ends up to 2 ms after its latency, and its
         # web request up to 3 ms either side of the database call
         lookup = self.LATENCY_MS[1] + 2 + self.max_gap_ms if self.n_dns else 0
@@ -190,6 +192,9 @@ class ScenarioConfig(_Section):
         latest = (max(1, int(self.duration * 1000)) - 1 + max(spans)
                   if spans and math.isfinite(self.duration) else 0)
         return [problem for met, problem in (
+            # a non-finite key is reported as such already
+            (math.isfinite(count) or not all(map(math.isfinite, (self.session_rate, self.duration))),
+             "session_rate * duration, the planted session count, must be finite"),
             (self.n_clients and self.n_web or not sessions,
              "planted sessions need clients and web servers"),
             (latest < 2**63 - 1,

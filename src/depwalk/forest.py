@@ -27,7 +27,7 @@ from typing import Iterable
 import numpy as np
 
 from .config import ForestConfig
-from .errors import DepwalkError, UnknownAddressError
+from .errors import DepwalkError
 from .seeds import derive_seed
 
 
@@ -55,17 +55,13 @@ def build_label_set(ground_truth: Iterable[tuple[str, str]], vertices: Iterable[
     labelled false, sorted.
 
     Pairs are ordered: (a, b) says that a depends on b, another address.
-    Raises when the vertex universe cannot supply enough negatives.
+    A ground-truth pair with an end outside ``vertices`` is dropped.  Raises
+    when no pair is left or the vertex universe cannot supply enough
+    negatives.
     """
     verts = sorted(set(vertices))
     vset = set(verts)
-    positives: set[tuple[str, str]] = set()
-    for a, b in ground_truth:
-        if a not in vset:
-            raise UnknownAddressError(a)
-        if b not in vset:
-            raise UnknownAddressError(b)
-        positives.add((a, b))
+    positives = {(a, b) for a, b in ground_truth if a in vset and b in vset}
     if not positives:
         raise DepwalkError("no ground-truth pair has both endpoints among the sampled vertices")
 

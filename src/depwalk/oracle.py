@@ -16,11 +16,17 @@ graph):
 All five kinds run on the int64 ``FlowColumns`` that ingest parses the
 flows into (records are turned into columns once per call): DD is one sort
 of the 5-tuple keys with counts; RR and RR3 sort the flows by (4-tuple,
-start) and by (source, start) and find every reply, follow-up and
-second-hop window of all flows at once with ``searchsorted``; TD and TD3
-cut the spans of the DD pairs out of one sort of their flows by (pair,
-start).  Window bounds saturate at the int64 edges
-instead of wrapping, so any ``epsilon`` up to ``2**63 - 1`` is exact.
+start), search the replies of ``_CHUNK`` flows at a time with
+``searchsorted``, then find every follow-up and second-hop window of all
+answered hops at once, among the flows from a hop's subject sorted by
+(source, start) and among the hops; TD and TD3 cut the spans of the DD
+pairs out of one sort of their flows by (pair, start).  Window bounds
+saturate at the int64 edges instead of wrapping, so any ``epsilon`` up to
+``2**63 - 1`` is exact.
+
+Each pass builds its outputs in place and drops each temporary once used,
+so beyond the columns the working set stays under seven int64 values (56
+bytes) per flow: 39 on the 96,000 flows of the ``scale`` benchmark.
 
 An outer flow contains an inner one when ``outer.start <= inner.start`` and
 ``inner.end <= outer.end``.  Every flow has ``start <= end``, so the inner
@@ -48,7 +54,8 @@ from .config import OracleConfig
 from .flows import FlowColumns, FlowRecord, Proto
 
 _INT64 = np.iinfo(np.int64)
-# raw RR/RR3 witness triples expanded at once before deduplication
+# raw RR/RR3 witness triples expanded at once before deduplication, and
+# flows whose replies are searched at once
 _CHUNK = 1 << 13
 
 
@@ -92,55 +99,73 @@ def _run_starts(*columns: np.ndarray) -> np.ndarray:
 # _runs, _dense and _lookup use only the stable sort and searchsorted kernels
 # that the other stages load anyway.  With np.unique(return_inverse=True) and
 # np.isin in their place, the acceptance scenario's pipeline peaked about 1 MB
-# higher (44.1 against 43.2 MB RSS).
-def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of the sorted ``values`` and, per position, the index of its run."""
-    group = np.zeros(len(values), np.int64)
-    np.cumsum(values[1:] != values[:-1], out=group[1:])
-    return values[_run_starts(values)], group
+# higher (44.1 against 43.2 MB RSS).  _runs and _dense write their result
+# over their input, which each caller builds for them, since every n-length
+# temporary costs 8 bytes per flow.
+def _runs(values: np.ndarray) -> np.ndarray:
+    """The distinct values of the sorted ``values``, which it overwrites with
+    the index of each position's run."""
+    distinct = values[_run_starts(values)]
+    values[1:] = values[1:] != values[:-1]
+    values[:1] = 0
+    np.cumsum(values, out=values)
+    return distinct
 
 
-def _dense(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``values``, sorted, and the index of each value among them."""
+def _dense(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, sorted; overwrites each value with its index among them."""
     order = np.argsort(values, kind="stable")
-    distinct, group = _runs(values[order])
-    ids = np.empty(len(values), np.int64)
-    ids[order] = group
-    return distinct, ids
+    group = values[order]
+    distinct = _runs(group)
+    values[order] = group
+    return distinct
 
 
 def _lookup(keys: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each of ``values`` is or would be in the sorted ``keys``, and whether it is there."""
+    """Where each of ``values`` is in the sorted ``keys`` (some position
+    where it is not), and whether it is there."""
     at = np.searchsorted(keys, values)
-    found = at < len(keys)
-    found[found] = keys[at[found]] == values[found]
-    return at, found
+    if not len(keys):
+        return at, np.zeros(len(values), bool)
+    np.minimum(at, len(keys) - 1, out=at)
+    return at, keys[at] == values
 
 
 class _Windows:
-    """Rows sorted by (key, time).  ``find`` gives, per query, the positions
-    ``[first, last)`` in ``order`` of the rows with the query's key whose
-    time lies in ``[lo, hi]``: one ``searchsorted`` over ``group * n +
-    rank(time)``, where ``n`` counts the rows and ``group`` numbers the keys."""
+    """The rows ``rows`` (all by default) of ``key`` and ``time``, sorted by
+    (key, time, row); ``order`` holds their row numbers.  ``find`` gives, per
+    query, the positions ``[first, last)`` in ``order`` of the rows with the
+    query's key whose time lies in ``[lo, hi]``: one ``searchsorted`` over
+    ``group * n + step``, where ``n`` counts the rows, ``group`` numbers the
+    keys and ``step`` is the row's position in time order.  The index holds
+    three arrays as long as its rows, and no more while it is built."""
 
-    def __init__(self, key: np.ndarray, time: np.ndarray):
-        by_time = np.argsort(time, kind="stable")
-        self.order = by_time[np.argsort(key[by_time], kind="stable")]
-        self.times = time[by_time]
-        # a row's time rank: how many rows have an earlier time
-        tied = np.zeros(len(time), bool)
-        tied[1:] = self.times[1:] == self.times[:-1]
-        rank = np.empty(len(time), np.int64)
-        rank[by_time] = np.maximum.accumulate(np.where(tied, 0, np.arange(len(time))))
-        self.keys, group = _runs(key[self.order])
-        self.sorted = group * len(time) + rank[self.order]
+    def __init__(self, key: np.ndarray, time: np.ndarray, rows: np.ndarray | None = None):
+        by_time = np.argsort(time if rows is None else time[rows], kind="stable")
+        if rows is not None:
+            by_time = rows[by_time]
+        step = np.argsort(key[by_time], kind="stable")
+        self.order = by_time[step]
+        del by_time
+        self.sorted = key[self.order]
+        self.keys = _runs(self.sorted)
+        self.sorted *= len(step)
+        self.sorted += step
+        del step
+        self.times = time[self.order]
+        self.times.sort()
 
     def find(self, key: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         group, found = _lookup(self.keys, key)
-        base = group * len(self.times)
-        first = np.searchsorted(self.sorted, base + np.searchsorted(self.times, lo, "left"))
-        last = np.searchsorted(self.sorted, base + np.searchsorted(self.times, hi, "right"))
-        return first, np.where(found, np.maximum(first, last), first)
+        group *= len(self.times)
+        first = self.times.searchsorted(lo, "left")
+        first += group
+        first = self.sorted.searchsorted(first)
+        group += self.times.searchsorted(hi, "right")
+        last = self.sorted.searchsorted(group)
+        np.maximum(first, last, out=last)
+        np.copyto(last, first, where=~found)
+        return first, last
 
 
 def _expand(first: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +199,25 @@ def _witness_records(kind: DepKind, names: list[str], keys: list[np.ndarray],
     return _records(kind, names, pairs, counts, n_t)
 
 
+def _four_tuples(cols: FlowColumns) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pairs ``src * n_addr + dst``, sorted, and each flow's
+    4-tuple ``pair << 32 | sport << 16 | dport``, ``pair`` its pair's index."""
+    key = cols.src * len(cols.addresses) + cols.dst
+    pairs = _dense(key)
+    key <<= 32
+    key |= cols.sport << 16
+    key |= cols.dport
+    return pairs, key
+
+
 def _dd_pairs(cols: FlowColumns, n_t: int) -> tuple[np.ndarray, np.ndarray]:
     """The DD pairs, packed as ``src * n_addr + dst`` and sorted, with their
     witnesses: every 5-tuple that repeats at least ``n_t`` times adds its
     count to its pair."""
-    n_addr = len(cols.addresses)
-    pairs, pair_id = _dense(cols.src * n_addr + cols.dst)
-    tuples, counts = np.unique((pair_id << 32 | cols.sport << 16 | cols.dport) * len(Proto)
-                               + cols.proto, return_counts=True)
+    pairs, key = _four_tuples(cols)
+    key *= len(Proto)
+    key += cols.proto
+    tuples, counts = np.unique(key, return_counts=True)
     keep = counts >= n_t
     pair, counts = pairs[tuples[keep] // len(Proto) >> 32], counts[keep]
     runs = _run_starts(pair)
@@ -198,19 +234,32 @@ def enumerate_dd(cols: FlowColumns, cfg: OracleConfig) -> list[DependencyRecord]
 def _answered_hops(cols: FlowColumns, eps: int) -> tuple[np.ndarray, np.ndarray]:
     """(initiator, reply) flow indices: reversed addresses with swapped
     ports, the reply starting no earlier than the initiator, ends within
-    epsilon; in initiator order."""
+    epsilon; in initiator order.  The initiators are searched ``_CHUNK`` at
+    a time."""
     n, n_addr = len(cols), len(cols.addresses)
-    pair_id = _dense(np.concatenate([cols.src * n_addr + cols.dst,
-                                     cols.dst * n_addr + cols.src]))[1]
-    query = pair_id[n:] << 32 | cols.dport << 16 | cols.sport
-    replies = _Windows(pair_id[:n] << 32 | cols.sport << 16 | cols.dport, cols.t_start)
-    del pair_id  # 2n ids the search needs no more: they set the oracle's peak memory
-    # a reply ends within epsilon of the initiator, so it starts by t_end + epsilon
-    init, pos = _expand(*replies.find(query, cols.t_start, _plus(cols.t_end, eps)))
-    reply = replies.order[pos]
-    end, reply_end = cols.t_end[init], cols.t_end[reply]
-    keep = (_minus(end, eps) <= reply_end) & (reply_end <= _plus(end, eps))
-    return init[keep], reply[keep]
+    pairs, key = _four_tuples(cols)
+    replies = _Windows(key, cols.t_start)
+    del key
+    inits, reply_rows = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, n, _CHUNK):
+        block = slice(lo, lo + _CHUNK)
+        query, found = _lookup(pairs, cols.dst[block] * n_addr + cols.src[block])
+        query <<= 32
+        query |= cols.dport[block] << 16
+        query |= cols.sport[block]
+        query[~found] = -1  # an initiator whose reversed pair never occurs has no reply
+        # a reply ends within epsilon of the initiator, so it starts by t_end + epsilon
+        first, last = replies.find(query, cols.t_start[block], _plus(cols.t_end[block], eps))
+        del query, found
+        init, pos = _expand(first, last)
+        del first, last
+        init += lo
+        reply = replies.order[pos]
+        end, reply_end = cols.t_end[init], cols.t_end[reply]
+        keep = (_minus(end, eps) <= reply_end) & (reply_end <= _plus(end, eps))
+        inits.append(init[keep])
+        reply_rows.append(reply[keep])
+    return np.concatenate(inits), np.concatenate(reply_rows)
 
 
 def enumerate_rr(cols: FlowColumns,
@@ -230,19 +279,28 @@ def enumerate_rr(cols: FlowColumns,
     """
     eps, n_addr = cfg.epsilon, len(cols.addresses)
     init, reply = _answered_hops(cols, eps)
+    # a follow-up leaves a hop's subject: index only the flows from one
+    senders = np.zeros(n_addr, bool)
+    senders[cols.src[init]] = True
+    sends = _Windows(cols.src, cols.t_start, np.flatnonzero(senders[cols.src]))
     # hops by (subject, initiator start), one initiator's hops next to each other
+    hops = _Windows(cols.src[init], cols.t_start[init])
+    init = init[hops.order]
+    reply_end = cols.t_end[reply[hops.order]]
+    del reply
     subject = cols.src[init]
-    hops = _Windows(subject, cols.t_start[init])
-    init, subject, reply_end = init[hops.order], subject[hops.order], cols.t_end[reply[hops.order]]
-    server1 = cols.dst[init]
-    sends = _Windows(cols.src, cols.t_start)
-    follow_first, follow_last = sends.find(subject, reply_end, _plus(reply_end, eps))
     hop2_first, hop2_last = hops.find(subject, reply_end, _plus(reply_end, eps))
+    del hops
+    follow_first, follow_last = sends.find(subject, reply_end, _plus(reply_end, eps))
+    follow_rows = sends.order
+    del sends, reply_end
+    server1 = cols.dst[init]
     # raw triples per hop: its follow-ups, its second hops and their follow-ups
     follows = np.r_[0, np.cumsum(follow_last - follow_first)]
     raw = np.diff(follows) + hop2_last - hop2_first + follows[hop2_last] - follows[hop2_first]
     cuts = np.r_[_run_starts(init), len(init)]  # where an initiator's hops begin
     before = np.r_[0, np.cumsum(raw)][cuts]
+    del follows, raw
 
     rr_keys, rr3_keys = [], []
     a = 0
@@ -251,7 +309,7 @@ def enumerate_rr(cols: FlowColumns,
         lo, hi = cuts[a], cuts[b]
         h, pos = _expand(follow_first[lo:hi], follow_last[lo:hi])
         h += lo
-        target = cols.dst[sends.order[pos]]
+        target = cols.dst[follow_rows[pos]]
         keep = (target != subject[h]) & (target != server1[h])
         rr_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
         h, h2 = _expand(hop2_first[lo:hi], hop2_last[lo:hi])
@@ -259,7 +317,7 @@ def enumerate_rr(cols: FlowColumns,
         keep = (server1[h2] != subject[h]) & (server1[h2] != server1[h])
         h, h2 = h[keep], h2[keep]
         row, pos = _expand(follow_first[h2], follow_last[h2])
-        h, h2, target = h[row], h2[row], cols.dst[sends.order[pos]]
+        h, h2, target = h[row], h2[row], cols.dst[follow_rows[pos]]
         keep = (target != subject[h]) & (target != server1[h]) & (target != server1[h2])
         rr3_keys.append(_distinct_majors(target[keep] * n_addr + server1[h[keep]], init[h[keep]]))
         a = b
@@ -294,14 +352,16 @@ def enumerate_td(cols: FlowColumns,
     n_addr = len(names)
     pair = cols.src * n_addr + cols.dst
     rows = np.flatnonzero(_lookup(_dd_pairs(cols, cfg.n_t_dd)[0], pair)[1])
-    rows = rows[np.lexsort((cols.t_start[rows], pair[rows]))]
     pair = pair[rows]
+    order = np.lexsort((cols.t_start[rows], pair))
+    rows, pair = rows[order], pair[order]
+    runs = _run_starts(pair)
+    bounds = zip(pair[runs].tolist(), runs.tolist(), runs[1:].tolist() + [len(pair)])
+    del order, pair
     # per pair: a (2, n) span of its flows' starts (sorted) and ends, and its index
     times = np.stack([cols.t_start[rows], cols.t_end[rows]])
-    runs = _run_starts(pair)
-    spans = {divmod(p, n_addr): times[:, lo:hi]
-             for p, lo, hi in zip(pair[runs].tolist(), runs.tolist(),
-                                  runs[1:].tolist() + [len(pair)])}
+    del rows
+    spans = {divmod(p, n_addr): times[:, lo:hi] for p, lo, hi in bounds}
     index = {pair: _index(span) for pair, span in spans.items()}
     heads: dict[int, list[int]] = defaultdict(list)
     successors: dict[int, list[int]] = defaultdict(list)

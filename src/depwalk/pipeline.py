@@ -267,10 +267,8 @@ def stage_train(cfg: PipelineConfig, ground_truth_csv: Path, embedding_bin: Path
     address = _address()
     records = _read_rows(ground_truth_csv, kind=oracle.DepKind, src=address, dst=address,
                          witness_count=int)
-    known = set(emb.vertex_index)
-    gt_pairs = sorted({(src, dst) for _, src, dst, _ in records
-                       if src in known and dst in known})
-    labels = forest.build_label_set(gt_pairs, known, cfg.seed_for("labels"))
+    labels = forest.build_label_set(((src, dst) for _, src, dst, _ in records),
+                                    emb.vertex_index, cfg.seed_for("labels"))
     _write_rows(labels_csv, ("src", "dst", "label"),
                 ((src, dst, int(label)) for src, dst, label in labels))
     model = forest.train_forest(embedding.dependency_vectors(emb, labels),

@@ -251,6 +251,22 @@ def records_as_tuples(records) -> list[tuple]:
     return sorted((r.kind.value, r.src, r.dst, r.witness_count) for r in records)
 
 
+def reference_dense(values) -> tuple[list[int], list[int]]:
+    """The distinct ``values``, sorted, and the index of each value among them."""
+    distinct = sorted(set(values))
+    return distinct, [distinct.index(v) for v in values]
+
+
+def reference_windows(key, time, rows, queries) -> tuple[list[int], list[list[int]]]:
+    """The ``rows`` (all when None) sorted by (key, time, row), and per
+    ``(key, lo, hi)`` query the rows, in that order, with its key and a time
+    in ``[lo, hi]``."""
+    rows = range(len(key)) if rows is None else rows
+    order = sorted(rows, key=lambda r: (key[r], time[r], r))
+    return order, [[r for r in order if key[r] == k and lo <= time[r] <= hi]
+                   for k, lo, hi in queries]
+
+
 # ---------------------------------------------------------------------------
 # forest oracle: the fit path scanned one candidate feature at a time
 

@@ -281,6 +281,17 @@ def test_a_scenario_whose_flows_pass_the_int64_range_exits_2_at_load(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_a_session_count_that_overflows_exits_2_at_load_naming_both_keys(tmp_path, capsys):
+    # each key is finite, but their product is not: generate could not round it
+    synth = {"session_rate": 1.0e+300, "duration": 1.0e+10}
+    status = main(["-c", str(write_config(tmp_path, {"synth": synth})), "-w", str(tmp_path / "out"),
+                   "synth"])
+    assert status == 2
+    assert capsys.readouterr().err == ("depwalk: invalid configuration:\nsynth: session_rate * "
+                                       "duration, the planted session count, must be finite\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section,key,value", [("synth", "duration", math.inf),
                                                ("synth", "session_rate", math.inf),
                                                ("synth", "session_rate", math.nan),

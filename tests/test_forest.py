@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depwalk import forest
-from depwalk.errors import DepwalkError, UnknownAddressError
+from depwalk.errors import DepwalkError
 from depwalk.forest import (ForestConfig, ForestModel, _TreeNodes,
                             build_label_set, load_forest, predict_proba,
                             save_forest, train_forest)
@@ -297,6 +297,11 @@ def test_label_set_without_a_usable_pair_is_an_error():
         build_label_set([], VERTS, rng_seed=0)
 
 
-def test_label_set_rejects_foreign_vertices():
-    with pytest.raises(UnknownAddressError):
-        build_label_set([("nope", VERTS[0])], VERTS, rng_seed=0)
+def test_label_set_drops_pairs_outside_the_vertices():
+    truth = [(VERTS[0], VERTS[1]), ("nope", VERTS[0]), (VERTS[2], "gone")]
+    labels = build_label_set(truth, VERTS, rng_seed=1)
+    assert labels == build_label_set(truth[:1], VERTS, rng_seed=1)
+    assert [(src, dst) for src, dst, label in labels if label] == [(VERTS[0], VERTS[1])]
+    with pytest.raises(DepwalkError, match="^no ground-truth pair has both endpoints among "
+                                           "the sampled vertices$"):
+        build_label_set(truth[1:], VERTS, rng_seed=0)

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -10,8 +11,8 @@ from conftest import STAMPS, flow, repeat_pair
 from depwalk.config import ScenarioConfig
 from depwalk.errors import ConfigError
 from depwalk.flows import Proto
-from depwalk.oracle import (DepKind, DependencyRecord, FlowColumns, OracleConfig, enumerate_all,
-                            enumerate_dd, enumerate_rr, enumerate_td)
+from depwalk.oracle import (DepKind, DependencyRecord, FlowColumns, OracleConfig, _dense, _Windows,
+                            enumerate_all, enumerate_dd, enumerate_rr, enumerate_td)
 from depwalk.pipeline import _read_rows, _write_dependencies
 from depwalk.seeds import derive_seed
 from depwalk.synth import generate
@@ -362,6 +363,68 @@ def test_answered_hops_at_the_int64_edges_equal_the_reference(case):
     flows, cfg = case
     assert refimpl.records_as_tuples(enumerate_all(FlowColumns(flows), cfg)) == \
         refimpl.reference_dependencies(flows, cfg)
+
+
+# int64 keys and times with ties, and the int64 edges
+INT64S = st.one_of(st.integers(-2, 2), st.sampled_from([-2**63, 2**63 - 1]),
+                   st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(INT64S, max_size=30))
+def test_dense_equals_the_reference(values):
+    ids = np.array(values, np.int64)
+    distinct = _dense(ids)
+    assert (distinct.tolist(), ids.tolist()) == refimpl.reference_dense(values)
+
+
+@st.composite
+def windows_cases(draw):
+    """(key, time, rows, queries): a few rows over three keys, all of them
+    or some indexed, and queries over those keys and two that no row has,
+    with windows that may be empty or reversed."""
+    n = draw(st.integers(0, 10))
+    keys = st.sampled_from([-2**63, 0, 2**63 - 1])
+    key = draw(st.lists(keys, min_size=n, max_size=n))
+    time = draw(st.lists(INT64S, min_size=n, max_size=n))
+    rows = draw(st.none() | st.lists(st.integers(0, n - 1), unique=True).map(sorted)
+                if n else st.none())
+    queries = draw(st.lists(st.tuples(keys | st.sampled_from([-1, 5]), INT64S, INT64S),
+                            max_size=8))
+    return key, time, rows, queries
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows_cases())
+def test_windows_find_equals_a_scan(case):
+    key, time, rows, queries = case
+    index = _Windows(np.array(key, np.int64), np.array(time, np.int64),
+                     None if rows is None else np.array(rows, np.int64))
+    query = np.array(queries, np.int64).reshape(-1, 3)
+    first, last = index.find(query[:, 0], query[:, 1], query[:, 2])
+    order = index.order.tolist()
+    assert (order, [order[a:b] for a, b in zip(first.tolist(), last.tolist())]) == \
+        refimpl.reference_windows(key, time, rows, queries)
+
+
+def test_enumerate_all_holds_at_most_seven_int64_values_per_flow():
+    """The scale benchmark scenario of master seed 1 over a quarter of its
+    duration: 24,000 flows.  Beyond its input columns, ``enumerate_all``'s
+    tracemalloc peak stays within 56 bytes, seven int64 values, per flow; a
+    reply search over a table of the 2n forward and reversed pair keys
+    peaked at 101."""
+    scenario = ScenarioConfig(n_clients=200, n_web=10, n_db=4, n_dns=2, session_rate=4.0,
+                              duration=1250, noise_flows=4000, epsilon_ms=1000,
+                              rng_seed=derive_seed(1, "synth"))
+    cols = FlowColumns(generate(scenario)[0])
+    tracemalloc.start()
+    try:
+        enumerate_all(cols, ocfg())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cols) == 24000
+    assert peak <= 56 * len(cols)
 
 
 def test_rr3_expansion_peak_memory_stays_bounded():

@@ -106,7 +106,7 @@ def test_each_stage_function_takes_its_table_entrys_files_and_options():
 
 # The size of src/ is tracked like a benchmark: a change that grows it past
 # this budget raises the budget in its own diff and says why in CHANGES.md.
-SRC_LINE_BUDGET = 3246
+SRC_LINE_BUDGET = 3305
 
 
 def test_src_stays_within_its_line_budget():
